@@ -17,7 +17,13 @@ from .bootstrap import (
     uniqueness_probe,
 )
 from .checker import CheckReport, check_store, spot_check_numeric
-from .engine import BoundViolation, EngineResult, EngineStats, certify_range
+from .engine import (
+    BoundViolation,
+    EngineResult,
+    EngineStats,
+    certify_range,
+    table_limit,
+)
 from .model import (
     BASE_LIMIT,
     CANONICAL_CODES,
@@ -103,6 +109,7 @@ __all__ = [
     "slot_values",
     "solve_bootstrap",
     "spot_check_numeric",
+    "table_limit",
     "uniqueness_probe",
     "validate_step",
 ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .primes import primes_upto
+from .primes import is_prime, primes_upto
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -47,17 +47,6 @@ PROBE_BOUND_CAP = 10_000
 
 class BootstrapError(RuntimeError):
     """The bootstrap failed to pin f(1..20) = n^2 (or branched ambiguously)."""
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def prime_powers_upto(bound: int) -> list[int]:
@@ -168,7 +157,7 @@ class BootstrapSystem:
         rank = 0
         for m, n in sys_.instances():
             rank += 1
-            if m == n and m > 2 and _is_small_prime(m):
+            if m == n and m > 2 and is_prime(m):
                 # f(2m) = 4 f(m) with f(2m) = f(2) f(m): the zero-product shape.
                 sys_.zero_products.append(
                     ZeroProduct(2, Fraction(4), m, f"instance ({m},{m})")

@@ -32,8 +32,8 @@ from .bootstrap import (
     solve_bootstrap,
     uniqueness_probe,
 )
-from .checker import check_store, spot_check_numeric
-from .engine import MIN_TARGET, BoundViolation, certify_range
+from .checker import check_store
+from .engine import MIN_TARGET, BoundViolation, certify_range, table_limit
 from .model import CertificateFormatError
 from .primes import (
     DEFAULT_MAX_TABLE_BITS,
@@ -93,7 +93,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     boot = solve_bootstrap()
     if args.transcript:
         _write_lines(boot.transcript, args.transcript)
-    table = build_prime_table(2 * args.max + 64, max_bits=_sieve_budget(args))
+    table = build_prime_table(table_limit(args.max), max_bits=_sieve_budget(args))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         result = certify_range(args.max, policy=args.policy, table=table, sink=fh)
     stats: dict = {
@@ -109,12 +109,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     code = EXIT_OK
     if args.check:
-        report = check_store(args.out, args.max, threads=args.threads)
+        report = check_store(
+            args.out, args.max, spot_check=args.spot_check, seed=args.seed
+        )
         stats["check"] = report.to_dict()
-        if report.accepted and args.spot_check > 0:
-            stats["spot_check"] = spot_check_numeric(
-                args.out, args.spot_check, seed=args.seed
-            )
+        if report.spot_check is not None:
+            stats["spot_check"] = report.spot_check
         if not report.accepted:
             code = EXIT_REJECTED
     stats["elapsed_s"] = round(time.monotonic() - t0, 3)
@@ -124,13 +124,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     report = check_store(
-        args.infile, args.max, threads=args.threads, reorder=args.reorder
+        args.infile, args.max, reorder=args.reorder,
+        spot_check=args.spot_check, seed=args.seed,
     )
     out = report.to_dict()
-    if report.accepted and args.spot_check > 0:
-        out["spot_check"] = spot_check_numeric(
-            args.infile, args.spot_check, seed=args.seed
-        )
+    if report.spot_check is not None:
+        out["spot_check"] = report.spot_check
     _emit(out, args.report)
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
@@ -182,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-check", type=int, default=64, metavar="K",
                    help="numeric sample size when --check passes (default 64)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="checker threads when --check is given")
     p.add_argument("--transcript", default=None, metavar="PATH",
                    help="write the bootstrap derivation transcript here")
     p.add_argument("--sieve-limit", type=int, default=None, metavar="BITS",
@@ -197,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-check", type=int, default=0, metavar="K",
                    help="re-evaluate K sampled steps against f(x)=x^2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--reorder", action="store_true",
                    help="topologically sort steps before checking")
     p.add_argument("--report", default=None, metavar="PATH",

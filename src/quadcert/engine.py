@@ -64,6 +64,11 @@ AUX_MARGIN = 64  # auxiliary facts reach at most 2*limit + 14; pad a little
 POW2_DEPTH_LIMIT = 2
 
 
+def table_limit(limit: int) -> int:
+    """Largest fact (and prime) a certificate for 0..limit may need."""
+    return 2 * limit + AUX_MARGIN
+
+
 class BoundViolation(RuntimeError):
     """An internal magnitude bound failed; the message names the inequality."""
 
@@ -147,7 +152,7 @@ class _Engine:
     ):
         self.limit = limit
         self.policy = policy
-        self.margin = 2 * limit + AUX_MARGIN
+        self.margin = table_limit(limit)
         if table is None or table.limit < self.margin:
             table = build_prime_table(self.margin)
         self.table = table

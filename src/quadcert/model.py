@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from .primes import UnsupportedIntegerError
+
 # Parallelogram slot names (wire values of the "target" field).
 SLOT_SUM = "sum"
 SLOT_DIFF = "diff"
@@ -94,6 +96,7 @@ CANONICAL_CODES = (
 BASE_OUT_OF_RANGE = "base_out_of_range"
 BAD_FACTOR = "bad_factor"
 EXTRA_PREREQ = "extra_prereq"
+UNSUPPORTED_INTEGER = "unsupported_integer"  # p or q beyond 64-bit primality
 
 
 class CertificateFormatError(ValueError):
@@ -233,10 +236,13 @@ def validate_step(
         if math.gcd(j.divisor, n) != 1:
             bad(NOT_COPRIME, f"gcd({j.divisor}, {n}) = {math.gcd(j.divisor, n)}")
     elif isinstance(j, ParallelogramClose):
-        if not prime_test(j.p):
-            bad(P_NOT_PRIME, f"p = {j.p} is not prime")
-        if not prime_test(j.q):
-            bad(Q_NOT_PRIME, f"q = {j.q} is not prime")
+        for name, v, code in (("p", j.p, P_NOT_PRIME), ("q", j.q, Q_NOT_PRIME)):
+            try:
+                if not prime_test(v):
+                    bad(code, f"{name} = {v} is not prime")
+            except UnsupportedIntegerError:
+                bad(UNSUPPORTED_INTEGER,
+                    f"{name} = {v} is beyond the supported 64-bit primality range")
         if j.p < j.q:
             bad(P_LESS_THAN_Q, f"p = {j.p} < q = {j.q}")
         slots = slot_values(j.p, j.q)
@@ -282,11 +288,6 @@ class CertificateStore:
     def facts(self) -> set[int]:
         return {s.fact for s in self.steps}
 
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for step in self.steps:
-                fh.write(serialize_step(step))
-
     def to_lines(self) -> list[str]:
         return [serialize_step(s) for s in self.steps]
 
@@ -323,6 +324,8 @@ def parse_step(line: str, line_no: int) -> CertificateStep:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise CertificateFormatError(line_no, str(exc)) from exc
     if not isinstance(obj, dict):
         raise CertificateFormatError(line_no, "step must be a JSON object")
     for key in ("n", "just", "prereqs"):

@@ -15,7 +15,7 @@ from quadcert import cli
 from quadcert import model as M
 from quadcert.bootstrap import solve_bootstrap, uniqueness_probe
 from quadcert.checker import check_store
-from quadcert.engine import certify_range
+from quadcert.engine import certify_range, table_limit
 from quadcert.primes import build_prime_table, goldbach_sweep, select_q_for_prime, select_r
 from tests.conftest import base_rows
 
@@ -32,11 +32,11 @@ def million_run(tmp_path_factory):
     """Shared end-to-end artifact: generate 0..10^6, then check the file."""
     path = tmp_path_factory.mktemp("accept") / "c1m.jsonl"
     t0 = time.monotonic()
-    table = build_prime_table(2 * 1_000_000 + 64)
+    table = build_prime_table(table_limit(1_000_000))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         result = certify_range(1_000_000, table=table, sink=fh)
     gen_s = time.monotonic() - t0
-    report = check_store(str(path), 1_000_000, threads=2)
+    report = check_store(str(path), 1_000_000)
     total_s = time.monotonic() - t0
     return {
         "path": str(path),

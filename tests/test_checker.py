@@ -6,6 +6,7 @@ import random
 import pytest
 
 from quadcert import model as M
+from quadcert.checker import _columns as checker_columns
 from quadcert.checker import check_store, spot_check_numeric
 from quadcert.model import CertificateFormatError
 from tests.conftest import base_rows
@@ -164,10 +165,59 @@ def test_self_reference_is_a_cycle(write_cert):
     assert len(cyc) == 1 and cyc[0].value == 22
 
 
+def test_quotient_by_one_citing_itself_is_a_cycle(write_cert):
+    # 22 = 22 / 1 passes every arithmetic rule but cites its own fact
+    report = check_store(write_cert(base_rows() + [_quotient(22, 22, 1)]), 20)
+    assert _codes(report) == {M.CYCLE}
+
+
+def test_fast_path_takes_nine_digit_integers_only():
+    # ten digits could wrap int64 products, so such a line must
+    # leave the fast path for the exact reference path
+    line = '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n'
+    nine = checker_columns([line % (999999999, 3, 333333333, 3, 333333333)])
+    ten = checker_columns([line % (4294967296, 4294967296, 4294967297,
+                                   4294967296, 4294967297)])
+    assert nine[0, 0] == 1 and nine[0, 1] == 999999999
+    assert ten[0, 0] == -1
+
+
 def test_extra_prereq(write_cert):
     rows = base_rows() + [_product(21, 3, 7, prereqs=[3, 7, 5])]
     report = check_store(write_cert(rows), 21)
     assert _codes(report) == {M.EXTRA_PREREQ}
+
+
+def test_huge_p_is_a_logical_violation(write_cert):
+    # p >= 2^64 cannot be tested for primality: reported, and the scan goes on
+    p = 2**64 + 13
+    rows = base_rows() + [_close(23, p, 23, "q", [p + 23, p - 23, p])]
+    report = check_store(write_cert(rows), 20)
+    assert not report.accepted
+    assert _codes(report) == {M.UNSUPPORTED_INTEGER, M.MISSING_PREREQ}
+    missing = [v for v in report.violations if v.code == M.MISSING_PREREQ]
+    assert len(missing) == 3 and all(v.line == 22 for v in missing)
+
+
+def test_wrapping_int64_product_is_rejected(tmp_path):
+    # (2^32 + 1)(2^32 + 3) wraps to 17179869187 in int64; the fast path must
+    # not see it, and the exact path must reject it
+    a, b = 2**32 + 1, 2**32 + 3
+    rows = base_rows() + [_product(17179869187, a, b)]
+    path = tmp_path / "wrap.jsonl"
+    path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n"
+                            for r in rows), encoding="utf-8")
+    assert M.WRONG_PRODUCT in _codes(check_store(str(path), 20))
+
+
+def test_overlong_integer_is_a_format_error(tmp_path):
+    path = tmp_path / "long.jsonl"
+    path.write_text('{"n":0,"just":{"type":"base"},"prereqs":[]}\n'
+                    '{"n":' + "9" * 4301 + ',"just":{"type":"base"},'
+                    '"prereqs":[]}\n', encoding="utf-8")
+    with pytest.raises(CertificateFormatError) as exc:
+        check_store(str(path), 1)
+    assert exc.value.line_no == 2
 
 
 def test_every_canonical_code_is_distinct():
@@ -191,28 +241,8 @@ def test_violations_sorted_and_reported_together(write_cert):
 
 
 # ---------------------------------------------------------------------------
-# threading and reordering
+# reordering
 # ---------------------------------------------------------------------------
-
-
-def test_threaded_report_matches_sequential(cert_2k):
-    seq = check_store(cert_2k["path"], cert_2k["limit"])
-    par = check_store(cert_2k["path"], cert_2k["limit"], threads=4)
-    assert par.accepted and seq.accepted
-    assert par.violations == seq.violations == []
-    assert par.stats["threads"] == 4
-    for key in ("steps", "distinct_facts", "topological_depth"):
-        assert par.stats[key] == seq.stats[key]
-
-
-def test_threaded_detects_same_faults(write_cert):
-    rows = base_rows() + [_product(12, 2, 6), _product(22, 3, 7)]
-    path = write_cert(rows)
-    seq = check_store(path, 22)
-    par = check_store(path, 22, threads=3)
-    assert [(v.code, v.line) for v in seq.violations] == [
-        (v.code, v.line) for v in par.violations
-    ]
 
 
 def test_reorder_recovers_shuffled_file(cert_2k, tmp_path):
@@ -288,6 +318,31 @@ def test_spot_check_samples_deterministically(cert_2k):
     b = spot_check_numeric(cert_2k["path"], 64, seed=11)
     assert a == b
     assert a["sampled"] == 64 and a["mismatches"] == 0 and a["seed"] == 11
+
+
+def test_spot_check_drawn_in_the_checking_pass(cert_2k):
+    report = check_store(cert_2k["path"], cert_2k["limit"], spot_check=64,
+                         seed=11)
+    assert report.spot_check == spot_check_numeric(cert_2k["path"], 64, seed=11)
+
+
+def test_spot_check_skipped_on_rejection(write_cert):
+    report = check_store(write_cert(base_rows()), 25, spot_check=8)
+    assert not report.accepted and report.spot_check is None
+
+
+def test_spot_check_sample_depends_on_the_seed(write_cert):
+    # one good and one broken eligible step, a sample of one: over 20 seeds
+    # the sample must land on each of them at least once
+    path = write_cert(base_rows() + [_product(21, 3, 7), _product(22, 3, 7)])
+    outcomes = set()
+    for seed in range(20):
+        try:
+            spot_check_numeric(path, 1, seed=seed)
+            outcomes.add("clean")
+        except RuntimeError:
+            outcomes.add("mismatch")
+    assert outcomes == {"clean", "mismatch"}
 
 
 def test_spot_check_different_seed_still_clean(cert_2k):

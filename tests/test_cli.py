@@ -52,12 +52,11 @@ def test_verify_self_check_and_spot_check(tmp_path):
     stats = tmp_path / "s.json"
     code = run(
         "verify", "--max", "300", "--out", str(out), "--stats", str(stats),
-        "--check", "--spot-check", "32", "--threads", "2",
+        "--check", "--spot-check", "32",
     )
     assert code == 0
     blob = _read_json(stats)
     assert blob["check"]["accepted"] is True
-    assert blob["check"]["stats"]["threads"] == 2
     assert blob["spot_check"]["sampled"] == 32
     assert blob["spot_check"]["mismatches"] == 0
 
@@ -153,6 +152,27 @@ def test_check_malformed_file(tmp_path, capsys):
     code = run("check", "--in", str(bad), "--max", "10")
     assert code == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+def test_check_huge_integer_is_a_rejection(tmp_path):
+    p = 2**64 + 13
+    rows = base_rows() + [{
+        "n": 23, "just": {"type": "parallelogram", "p": p, "q": 23, "target": "q"},
+        "prereqs": [p + 23, p - 23, p]}]
+    report = tmp_path / "r.json"
+    code = run("check", "--in", _write_rows(tmp_path, rows), "--max", "20",
+               "--report", str(report))
+    assert code == 1
+    codes = {v["code"] for v in _read_json(report)["violations"]}
+    assert codes == {"unsupported_integer", "missing_prereq"}
+
+
+def test_check_overlong_integer_exit_code(tmp_path, capsys):
+    bad = tmp_path / "long.jsonl"
+    bad.write_text('{"n":' + "9" * 4301 + ',"just":{"type":"base"},'
+                   '"prereqs":[]}\n', encoding="utf-8")
+    assert run("check", "--in", str(bad), "--max", "10") == 2
+    assert "malformed certificate: line 1" in capsys.readouterr().err
 
 
 def test_check_reorder_flag(tmp_path):

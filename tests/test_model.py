@@ -28,6 +28,7 @@ from quadcert.model import (
     validate_step,
 )
 from quadcert import model as M
+from quadcert.primes import is_prime
 
 
 def _codes(violations):
@@ -196,6 +197,14 @@ def test_close_composite_q():
     assert M.Q_NOT_PRIME in _codes(validate_step(step, _always, _prime))
 
 
+def test_close_beyond_64_bits_is_a_violation():
+    p = 2**64 + 13
+    step = CertificateStep(p + 3, ParallelogramClose(p, 3, SLOT_SUM), (p - 3, p, 3))
+    viols = validate_step(step, _always, is_prime)
+    assert _codes(viols) == [M.UNSUPPORTED_INTEGER]
+    assert f"p = {p}" in viols[0].detail
+
+
 def test_close_order_violation():
     step = CertificateStep(14, ParallelogramClose(3, 11, SLOT_SUM), (3, 11, 8))
     codes = _codes(validate_step(step, _always, _prime))
@@ -311,6 +320,13 @@ def test_parse_rejects_malformed_lines(line):
     with pytest.raises(CertificateFormatError) as exc:
         parse_step(line, 12)
     assert exc.value.line_no == 12
+
+
+def test_parse_wraps_overlong_integer():
+    line = '{"n":' + "7" * 4301 + ',"just":{"type":"base"},"prereqs":[]}'
+    with pytest.raises(CertificateFormatError) as exc:
+        parse_step(line, 33)
+    assert exc.value.line_no == 33
 
 
 def test_parse_error_message_names_line():
