@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .model import BASE_LIMIT
 from .primes import is_prime, primes_upto
 
 F0 = Fraction(0)
@@ -41,7 +42,7 @@ F1 = Fraction(1)
 Monom = tuple[int, ...]  # sorted prime-power ids; () marks the constant term
 
 BOOTSTRAP_BOUND = 40  # instances with m + n <= 40 suffice to pin 1..20
-BOOTSTRAP_TABLE_LIMIT = 20
+BOOTSTRAP_TABLE_LIMIT = BASE_LIMIT
 PROBE_BOUND_CAP = 10_000
 
 
@@ -135,14 +136,11 @@ class BootstrapSystem:
         self.label = label
         self.numeric: dict[int, Fraction] = {}
         self.subs: dict[int, Lin] = {}
-        self.forms: dict[int, Lin] = {}
         self.sub_deps: dict[int, list[int]] = {}
         self.queue: list[tuple[int, int, Eq]] = []
         self._seq = 0
         self.blocked_index: dict[int, list[Eq]] = {}
         self.parked: set[int] = set()  # id(eq) of currently parked equations
-        self.parked_eqs: list[Eq] = []  # park-order listing for reports
-        self._ever_parked: set[int] = set()
         self.zero_products: list[ZeroProduct] = []
         self.transcript: list[str] = []
         self.contradiction: dict | None = None
@@ -291,9 +289,6 @@ class BootstrapSystem:
         red = self._reduce(eq.terms)
         if isinstance(red, set):
             self.parked.add(id(eq))
-            if id(eq) not in self._ever_parked:
-                self._ever_parked.add(id(eq))
-                self.parked_eqs.append(eq)
             for i in sorted(red):
                 self.blocked_index.setdefault(i, []).append(eq)
             return
@@ -310,7 +305,6 @@ class BootstrapSystem:
         )
         if rhs.coef:
             self.subs[target] = rhs
-            self.forms.setdefault(target, rhs)
             for i in rhs.coef:
                 self.sub_deps.setdefault(i, []).append(target)
             self.transcript.append(f"{eq.source}: f({target}) = {rhs.render()}")
@@ -421,14 +415,11 @@ class BootstrapSystem:
         child = BootstrapSystem(self.elements, self.bound, label)
         child.numeric = dict(self.numeric)
         child.subs = dict(self.subs)
-        child.forms = dict(self.forms)
         child.sub_deps = {k: list(v) for k, v in self.sub_deps.items()}
         child.queue = list(self.queue)
         child._seq = self._seq
         child.blocked_index = {k: list(v) for k, v in self.blocked_index.items()}
         child.parked = set(self.parked)
-        child.parked_eqs = list(self.parked_eqs)
-        child._ever_parked = set(self._ever_parked)
         child.zero_products = [
             ZeroProduct(z.pivot, z.value, z.other, z.source, z.resolved)
             for z in self.zero_products
@@ -475,28 +466,22 @@ def _explore(system: BootstrapSystem, max_branches: int = 64) -> list[BranchLeaf
     if system.pending_zero_products():
         if max_branches <= 0:
             raise BootstrapError("branch budget exhausted")
-        children = branch_on_zero_product(system)
-        if len(children) == 1 and children[0] is system:
-            return [BranchLeaf(system.label, None, dict(system.numeric),
-                               system.transcript)]
         leaves = []
-        for child in children:
+        for child in branch_on_zero_product(system):
             leaves.extend(_explore(child, max_branches // 2))
         return leaves
     return [BranchLeaf(system.label, None, dict(system.numeric), system.transcript)]
 
 
-def _merged_transcript(root_len_hint: int, leaves: list[BranchLeaf]) -> list[str]:
+def _merged_transcript(leaves: list[BranchLeaf]) -> list[str]:
+    """One leaf's transcript as is; several each under a branch header (each
+    repeats the derivation before the split, which it copied)."""
     if len(leaves) == 1:
         return list(leaves[0].transcript)
-    shared = 0
-    first = leaves[0].transcript
-    if all(leaf.transcript[:root_len_hint] == first[:root_len_hint] for leaf in leaves):
-        shared = root_len_hint
-    out = list(first[:shared])
+    out = []
     for leaf in leaves:
         out.append(f"=== branch {leaf.label} ===")
-        out.extend(leaf.transcript[shared:])
+        out.extend(leaf.transcript)
     return out
 
 
@@ -523,7 +508,6 @@ def solve_bootstrap(bound: int = BOOTSTRAP_BOUND) -> BootstrapResult:
     t0 = time.monotonic()
     elements = primes_upto(bound)
     root = BootstrapSystem.build(elements, bound)
-    root_len = len(root.transcript)
     leaves = _explore(root)
     live = [leaf for leaf in leaves if leaf.contradiction is None]
     if len(live) != 1:
@@ -546,8 +530,8 @@ def solve_bootstrap(bound: int = BOOTSTRAP_BOUND) -> BootstrapResult:
         table=table,
         leaves=leaves,
         survivor=survivor,
-        forms=root.forms,
-        transcript=_merged_transcript(root_len, leaves),
+        forms=root.subs,
+        transcript=_merged_transcript(leaves),
         elapsed_s=time.monotonic() - t0,
     )
 
@@ -615,7 +599,6 @@ def uniqueness_probe(spec: str | Iterable[int], bound: int) -> ProbeReport:
     label, elements = resolve_instance_set(spec, bound)
     scope = prime_powers_upto(bound)
     root = BootstrapSystem.build(elements, bound)
-    root_len = len(root.transcript)
     leaves = _explore(root)
     live = [leaf for leaf in leaves if leaf.contradiction is None]
     determined: dict[int, Fraction] = {}
@@ -634,5 +617,5 @@ def uniqueness_probe(spec: str | Iterable[int], bound: int) -> ProbeReport:
         contradiction=contradiction,
         branch_count=len(leaves),
         live_count=len(live),
-        transcript=_merged_transcript(root_len, leaves),
+        transcript=_merged_transcript(leaves),
     )

@@ -35,11 +35,13 @@ line of a chunk takes one of two paths:
               and `model.validate_step`, so its violations, their codes and
               their text are exactly the reference's.
 
-Duplicates, establishment, cycle vs. missing and coverage come from a
-fact-indexed array of first-provider positions, and the topological depth
-from a fact-indexed array of first-provider depths. The arrays grow to at
-most 4 * (lines read) + 64 entries; larger facts live in a dict, so memory
-never follows an integer the file or the caller typed.
+Either way a row then becomes one fact index plus a flat list of prereq
+edges, and duplicates, establishment, cycle vs. missing, coverage and the
+exact topological depth are computed once for all rows of a chunk, from two
+index-keyed arrays of first-provider positions and depths. A fact below the
+table size (at most 4 * (lines read) + 64) is its own index; a larger one is
+given the next index above that size when first provided. So memory follows
+the lines read, never an integer the file or the caller typed.
 
 The optional numeric spot check re-evaluates a seeded random sample of steps
 directly against f(x) = x^2 in exact integer arithmetic: for a parallelogram
@@ -150,10 +152,21 @@ def _columns(lines: list[str]) -> np.ndarray:
     return out
 
 
-def _arith_ok(cols: np.ndarray, prime_x: np.ndarray, prime_y: np.ndarray) -> np.ndarray:
+def _rows(
+    lines: list[str], line_nos: Sequence[int]
+) -> tuple[np.ndarray, dict[int, CertificateStep]]:
+    """The chunk's columns, and the parsed step of each non-blank line that
+    is not canonical, by row."""
+    cols = _columns(lines)
+    return cols, {i: parse_step(lines[i], line_nos[i])
+                  for i in np.flatnonzero(cols[:, _KIND] < 0).tolist() if lines[i].strip()}
+
+
+def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
     """Rows for which validate_step would report nothing but establishment:
     the kind's arithmetic holds and the listed prereqs are exactly the
-    demanded set, without repeats. Values are below 10^9, so int64 is exact."""
+    demanded set, without repeats. `prime` tells, per row, whether x and y
+    are prime. Values are below 10^9, so int64 is exact."""
     kind, n, x, y, t = (cols[:, c] for c in (_KIND, _N, _X, _Y, _T))
     listed = np.sort(cols[:, _PRE], axis=1)
     no_repeats = ((listed[:, 1:] > listed[:, :-1]) | (listed[:, :-1] < 0)).all(axis=1)
@@ -172,7 +185,7 @@ def _arith_ok(cols: np.ndarray, prime_x: np.ndarray, prime_y: np.ndarray) -> np.
             n <= BASE_LIMIT,
             (x > 1) & (y > 1) & (x * y == n) & (np.gcd(x, y) == 1),
             (x >= 1) & (y >= 1) & (y * n == x) & (np.gcd(y, n) == 1),
-            prime_x & prime_y & (x >= y) & (slot == n),
+            prime.all(axis=1) & (x >= y) & (slot == n),
         ],
         False,
     )
@@ -184,13 +197,17 @@ class _Pass:
 
     A step's position is its index in check order (blank lines take a
     position and provide nothing); "established before a step" means
-    provided at a smaller position.
+    provided at a smaller position. Every fact has an index into `first`
+    (first-provider position) and `depth` (that provider's depth): a fact
+    below `size` is its own index, a larger one is given the next index
+    above `size` in `ids` when it is first provided.
     """
 
     def __init__(self, sample_size: int = 0, seed: int = 0):
-        self.first = np.full(64, _UNSET, dtype=np.int32)  # fact -> position
-        self.depth = np.zeros(64, dtype=np.int32)  # fact -> first depth
-        self.big: dict[int, list[int]] = {}  # larger facts: [position, depth]
+        self.size = 64
+        self.ids: dict[int, int] = {}  # fact >= size -> index
+        self.first = np.full(64, _UNSET, dtype=np.int32)  # index -> position
+        self.depth = np.zeros(64, dtype=np.int32)  # index -> first depth
         self.primes = np.zeros(0, dtype=bool)  # sieve: index -> is prime
         self.slots = 0  # positions handed out so far
         self.steps = 0
@@ -204,33 +221,42 @@ class _Pass:
         self.sample: list[tuple[int, CertificateStep]] = []
         self.eligible = 0
 
-    # -- fact lookups (arrays below len(self.first), the dict above) --------
+    # -- the fact-index table -------------------------------------------------
+
+    def _index(self, values: list[int], provide: bool) -> list[int]:
+        """The indices of `values`; with `provide`, a large fact seen for the
+        first time gets the next free index, else it reads as -1."""
+        size, ids = self.size, self.ids
+        if provide:
+            return [v if v < size else ids.setdefault(v, size + len(ids)) for v in values]
+        return [v if v < size else ids.get(v, -1) for v in values]
 
     def _first_pos(self, v: int) -> int:
-        if 0 <= v < len(self.first):
-            return int(self.first[v])
-        return self.big.get(v, (_UNSET,))[0]
+        i = v if v < self.size else self.ids.get(v)
+        return _UNSET if i is None else int(self.first[i])
 
-    def _depth_of(self, v: int) -> int:
-        return int(self.depth[v]) if v < len(self.first) else self.big[v][1]
-
-    def _grow(self, size: int, cap: int) -> None:
-        old = len(self.first)
-        if size <= old:
+    def _grow(self, need: int, cap: int, room: int) -> None:
+        """Let facts below `need` (at most `cap`) index themselves, renumber
+        the larger ones above the new size, and leave room for `room` more."""
+        old = self.size
+        size = min(cap, max(need, 2 * old)) if need > old else old
+        if size == old and size + len(self.ids) + room <= len(self.first):
             return
-        new = min(cap, max(size, 2 * old))
-        self.first = np.concatenate([self.first, np.full(new - old, _UNSET, np.int32)])
-        self.depth = np.concatenate([self.depth, np.zeros(new - old, np.int32)])
-        for fact in [f for f in self.big if f < new]:
-            self.first[fact], self.depth[fact] = self.big.pop(fact)
+        facts, src = list(self.ids), list(self.ids.values())
+        self.size, self.ids = size, {}
+        dst = self._index(facts, True)
+        length = size + 2 * (len(self.ids) + room)
+        first = np.full(length, _UNSET, dtype=np.int32)
+        depth = np.zeros(length, dtype=np.int32)
+        first[:old], depth[:old] = self.first[:old], self.depth[:old]
+        first[dst], depth[dst] = self.first[src], self.depth[src]
+        self.first, self.depth = first, depth
 
     def _is_prime(self, values: np.ndarray) -> np.ndarray:
-        """Sieved primality below the fact-array size. A larger value reads
-        as not prime, which only sends its row to the reference path: its
-        demanded prereqs would lie beyond the arrays, so it cannot pass."""
-        size = len(self.first)
-        if len(self.primes) < size and values.max(initial=0) >= len(self.primes):
-            self.primes = build_prime_table(max(size - 1, 2)).as_bool_array()
+        """Sieved primality below `size`. A larger value reads as not prime,
+        which only sends its row to the reference path."""
+        if len(self.primes) < self.size and values.max(initial=0) >= len(self.primes):
+            self.primes = build_prime_table(max(self.size - 1, 2)).as_bool_array()
         inside = values < len(self.primes)
         return inside & self.primes[np.where(inside, values, 0)]
 
@@ -243,62 +269,50 @@ class _Pass:
         start = self.slots
         if start + k >= _UNSET:
             raise ValueError(f"more than {_UNSET - 1} certificate lines")
-        cap = 4 * lines_read + 64
-        cols = _columns(lines)
+        cols, steps = _rows(lines, line_nos)
         kind = cols[:, _KIND]
-        steps: dict[int, CertificateStep] = {}  # reference-path rows
-        for i in np.flatnonzero(kind < 0).tolist():
-            if lines[i].strip() != "":
-                steps[i] = parse_step(lines[i], line_nos[i])
 
-        values = np.concatenate([cols[:, _N], cols[:, _PRE].ravel()])
-        need = int(values[values < cap].max(initial=-1))
-        for step in steps.values():
-            need = max([need, *(v for v in (step.fact, *step.prereqs) if v < cap)])
-        self._grow(need + 1, cap)
-        size = len(self.first)
-        reg = (kind >= 0) & (cols[:, _N] < size) & (cols[:, _PRE].max(axis=1) < size)
-        for i in np.flatnonzero((kind >= 0) & ~reg).tolist():
-            steps[i] = parse_step(lines[i], line_nos[i])
-        irr = sorted(steps)
-        pos = start + np.arange(k)
+        # every non-blank row as a fact index and prereq edges (erow[j]
+        # cites eix[j]); parsed values may exceed int64, so stay Python ints
+        cap = 4 * lines_read + 64
+        parsed = list(steps)
+        pfacts = [steps[i].fact for i in parsed]
+        prow = [i for i in parsed for _ in steps[i].prereqs]
+        pvals = [v for i in parsed for v in steps[i].prereqs]
+        erow, col = np.nonzero(cols[:, _PRE] >= 0)
+        evals = cols[:, _PRE][erow, col]
+        small = np.array([v for v in chain(pfacts, pvals) if v < cap], dtype=np.int64)
+        values = np.concatenate([cols[:, _N], evals, small])
+        self._grow(int(values[values < cap].max(initial=-1)) + 1, cap, k)
+        fix = cols[:, _N].copy()  # -1 on rows that are not canonical
+        large = fix >= self.size
+        fix[large] = self._index(fix[large].tolist(), True)
+        fix[parsed] = self._index(pfacts, True)
+        large = evals >= self.size
+        evals[large] = self._index(evals[large].tolist(), False)
+        eix = np.concatenate([evals, np.array(self._index(pvals, False), dtype=np.int64)])
+        erow = np.concatenate([erow, np.array(prow, dtype=np.int64)])
 
         # providers: first positions, duplicates
-        fact = np.where(reg, cols[:, _N], -1)
-        for i in irr:
-            f = steps[i].fact
-            if f < size:
-                fact[i] = f
-            else:
-                self.big.setdefault(f, [start + i, 0])
-        sel = np.flatnonzero(fact >= 0)
-        new_facts, first_idx = np.unique(fact[sel], return_index=True)
-        new_rows = sel[first_idx]
+        pos = start + np.arange(k)
+        active = np.flatnonzero(fix >= 0)
+        new_facts, first_idx = np.unique(fix[active], return_index=True)
+        new_rows = active[first_idx]
         was = self.first[new_facts]
         self.first[new_facts] = np.minimum(was, pos[new_rows])
-        dup = sel[self.first[fact[sel]] < pos[sel]].tolist()
-        dup += [i for i in irr if steps[i].fact >= size
-                and self.big[steps[i].fact][0] < start + i]
-        for i in sorted(dup):
+        for i in active[self.first[fix[active]] < pos[active]].tolist():
             f = steps[i].fact if i in steps else int(cols[i, _N])
             self.immediate.append(Violation(
                 DUPLICATE_FACT, f"fact {f} was already justified",
                 line=line_nos[i], fact=f))
 
-        # fast-path validation; failing rows fall back to the reference
-        pre = cols[:, _PRE]
-        listed = (pre >= 0) & reg[:, None]
-        pre_ix = np.where(listed, pre, 0)
-        fp = np.where(listed, self.first[pre_ix], _UNSET)
-        est = ~listed | (pre <= BASE_LIMIT) | (fp < pos[:, None])
-        par = np.flatnonzero(reg & (kind == 3))
-        prime_x = np.zeros(k, dtype=bool)
-        prime_y = np.zeros(k, dtype=bool)
-        if len(par):
-            both = self._is_prime(np.concatenate([cols[par, _X], cols[par, _Y]]))
-            prime_x[par], prime_y[par] = both[: len(par)], both[len(par):]
-        clean = reg & _arith_ok(cols, prime_x, prime_y) & est.all(axis=1)
-        for i in sorted(irr + np.flatnonzero(reg & ~clean).tolist()):
+        # establishment and arithmetic; any other row goes to the reference
+        fp = np.where(eix >= 0, self.first[eix], _UNSET)
+        base_range = (eix >= 0) & (eix <= BASE_LIMIT)
+        xy = np.where(kind[:, None] == 3, cols[:, [_X, _Y]], 0)
+        clean = _arith_ok(cols, self._is_prime(xy))
+        clean[erow[~base_range & (fp >= pos[erow])]] = False
+        for i in active[~clean[active]].tolist():
             step = steps.get(i) or parse_step(lines[i], line_nos[i])
             here = start + i
 
@@ -308,45 +322,28 @@ class _Pass:
             for v in validate_step(step, established, is_prime, line=line_nos[i]):
                 (self.deferred if v.establishment else self.immediate).append(v)
 
-        # depth: edges to providers outside this chunk are read from the
-        # depth array; edges inside it are relaxed in position order
-        inside = listed & (fp >= start) & (fp < pos[:, None])
-        outside_depth = np.where(fp < start, self.depth[pre_ix], pre <= BASE_LIMIT)
-        rd = np.maximum(1, np.where(listed & ~inside, 1 + outside_depth, 0).max(axis=1))
-        dst, col = np.nonzero(inside)
-        src = (fp[dst, col] - start).tolist()
-        dst = dst.tolist()
-        for i in irr:
-            d = 1
-            for v in steps[i].prereqs:
-                f = self._first_pos(v)
-                if start <= f < start + i:
-                    src.append(f - start)
-                    dst.append(i)
-                elif f < start:
-                    d = max(d, 1 + self._depth_of(v))
-                else:
-                    d = max(d, 2 if v <= BASE_LIMIT else 1)
-            rd[i] = d
+        # depth: edges to providers before this chunk read the depth array
+        # (eix -1 reads an entry np.where drops); edges inside it are
+        # relaxed in position order
+        inside = (fp >= start) & (fp < pos[erow])
+        rd = np.ones(k, dtype=np.int32)  # as `outside`: .at is slow on mixed dtypes
+        outside = 1 + np.where(fp < start, self.depth[eix], base_range)
+        np.maximum.at(rd, erow[~inside], outside[~inside])
+        src = (fp[inside] - start).tolist()
+        dst = erow[inside].tolist()
         rd = rd.tolist()
         for j in np.argsort(dst, kind="stable").tolist():
             if rd[src[j]] + 1 > rd[dst[j]]:
                 rd[dst[j]] = rd[src[j]] + 1
         rd = np.array(rd, dtype=np.int64)
-        active = reg.copy()
-        active[irr] = True
-        base = kind == 0
-        base[irr] = [isinstance(steps[i].just, Base) for i in irr]
         self.max_depth = max(self.max_depth, int(rd[active].max(initial=0)))
         fresh = was == _UNSET
         self.depth[new_facts[fresh]] = rd[new_rows[fresh]]
-        for i in irr:
-            entry = self.big.get(steps[i].fact)
-            if entry is not None and entry[0] == start + i:
-                entry[1] = int(rd[i])
 
-        self._sample(lines, line_nos, steps, np.flatnonzero(active & ~base).tolist())
-        self.steps += int(active.sum())
+        base = kind == 0
+        base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
+        self._sample(lines, line_nos, steps, active[~base[active]].tolist())
+        self.steps += len(active)
         self.slots += k
 
     def _sample(self, lines, line_nos, steps, eligible: list[int]) -> None:
@@ -386,17 +383,16 @@ class _Pass:
                     MISSING_PREREQ, f"prerequisite {v.value} is never justified",
                     line=v.line, fact=v.fact, value=v.value))
         violations.sort(key=_sort_key)
-        size = len(self.first)
-        top = min(claimed_bound, size - 1)
+        top = min(claimed_bound, self.size - 1)
         gaps = (np.flatnonzero(self.first[1: top + 1] == _UNSET) + 1).tolist()
-        gaps.extend(n for n in range(size, claimed_bound + 1) if n not in self.big)
+        gaps.extend(n for n in range(self.size, claimed_bound + 1) if n not in self.ids)
         for n in gaps:
             violations.append(
                 Violation(COVERAGE_GAP, f"no step justifies fact {n}", value=n))
         return violations, gaps
 
     def distinct_facts(self) -> int:
-        return int((self.first != _UNSET).sum()) + len(self.big)
+        return int((self.first[: self.size] != _UNSET).sum()) + len(self.ids)
 
     def spot_check(self) -> dict:
         for line_no, step in sorted(self.sample, key=lambda s: s[0]):
@@ -480,32 +476,29 @@ def _toposort(facts: list[int], prereqs: list[Sequence[int]]) -> list[int]:
 
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
     """Feed every line of the file to `run`, in file or topological order."""
-    if not reorder:
-        read = 0
-        for chunk in _read_chunks(path):
-            run.feed(chunk, range(read + 1, read + 1 + len(chunk)), read + len(chunk))
-            read += len(chunk)
-        return
     lines: list[str] = []
     line_nos: list[int] = []
     facts: list[int] = []
     prereqs: list[Sequence[int]] = []
     read = 0
     for chunk in _read_chunks(path):
-        for i, row in enumerate(_columns(chunk).tolist()):
-            line = chunk[i]
+        nos = range(read + 1, read + 1 + len(chunk))
+        read += len(chunk)
+        if not reorder:
+            run.feed(chunk, nos, read)
+            continue
+        cols, steps = _rows(chunk, nos)
+        for i, row in enumerate(cols.tolist()):
             if row[_KIND] >= 0:
                 facts.append(row[_N])
                 prereqs.append([v for v in row[_PRE] if v >= 0])
-            elif line.strip() == "":
-                continue
+            elif i in steps:
+                facts.append(steps[i].fact)
+                prereqs.append(steps[i].prereqs)
             else:
-                step = parse_step(line, read + i + 1)
-                facts.append(step.fact)
-                prereqs.append(step.prereqs)
-            lines.append(line if line.endswith("\n") else line + "\n")
-            line_nos.append(read + i + 1)
-        read += len(chunk)
+                continue
+            lines.append(chunk[i] if chunk[i].endswith("\n") else chunk[i] + "\n")
+            line_nos.append(nos[i])
     order = _toposort(facts, prereqs)
     for lo in range(0, len(order), CHUNK_LINES):
         idx = order[lo: lo + CHUNK_LINES]

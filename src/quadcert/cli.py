@@ -151,7 +151,7 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
             f"--max {args.max} exceeds the sieve budget"
             f" {_sieve_budget(args)} bits; raise --sieve-limit"
         )
-    report = goldbach_sweep(args.max, hist_cap=args.hist_cap)
+    report = goldbach_sweep(args.max)
     _emit(report.to_dict(), args.report)
     return EXIT_OK
 
@@ -211,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goldbach", help="verify Goldbach pairs up to a bound")
     p.add_argument("--max", type=int, required=True, metavar="M")
-    p.add_argument("--hist-cap", type=int, default=64,
-                   help="distinct histogram keys before bucketing (default 64)")
     p.add_argument("--report", default=None, metavar="PATH")
     p.add_argument("--sieve-limit", type=int, default=None, metavar="BITS")
     p.set_defaults(func=cmd_goldbach)

@@ -326,6 +326,8 @@ def parse_step(line: str, line_no: int) -> CertificateStep:
         raise CertificateFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise CertificateFormatError(line_no, str(exc)) from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack
+        raise CertificateFormatError(line_no, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CertificateFormatError(line_no, "step must be a JSON object")
     for key in ("n", "just", "prereqs"):

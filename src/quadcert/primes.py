@@ -27,6 +27,7 @@ DEFAULT_MAX_TABLE_BITS = 1 << 33
 MAX_Q = "max-q"
 MIN_Q = "min-q"
 POLICIES = (MAX_Q, MIN_Q)
+HIST_CAP = 64  # distinct Goldbach histogram keys before the "other" bucket
 
 # Deterministic Miller-Rabin witness tiers. Each entry (bound, witnesses)
 # means: for n < bound the listed witnesses decide primality exactly.
@@ -274,13 +275,13 @@ class GoldbachSweepReport:
         }
 
 
-def goldbach_sweep(limit: int, hist_cap: int = 64) -> GoldbachSweepReport:
+def goldbach_sweep(limit: int) -> GoldbachSweepReport:
     """Verify every even 4 <= m <= limit has a pair under both policies.
 
     Vectorized: the min-q witness falls out of marking sums p+q for primes q
     ascending; the max-q witness comes from scanning t = (p-q)/2 upward around
     m/2. Both witness arrays are re-verified against the sieve. Histograms
-    are exact below hist_cap distinct keys, then bucketed into "other".
+    are exact below HIST_CAP distinct keys, then bucketed into "other".
     Raises GoldbachFailure on any uncovered m.
     """
     import time as _time
@@ -345,7 +346,7 @@ def goldbach_sweep(limit: int, hist_cap: int = 64) -> GoldbachSweepReport:
         out: dict[int, int] = {}
         other = 0
         for k, c in zip(keys.tolist(), counts.tolist()):
-            if len(out) < hist_cap:
+            if len(out) < HIST_CAP:
                 out[int(k)] = int(c)
             else:
                 other += int(c)

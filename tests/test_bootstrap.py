@@ -1,5 +1,7 @@
 """Exact-rational bootstrap: pinning f on 1..20 and probing other instance sets."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -218,3 +220,36 @@ def test_resolve_instance_set_variants(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("5\n3\n99\n", encoding="utf-8")
     assert resolve_instance_set(f"file:{p}", 40) == (f"file:{p}", [3, 5])
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: sha256 digests of the derivation text, the recorded forms
+# and the probe reports, so a refactor of the propagation keeps every byte
+# ---------------------------------------------------------------------------
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_bootstrap_transcript_and_forms_are_pinned(result):
+    assert len(result.transcript) == 47
+    assert _sha("\n".join(result.transcript)) == (
+        "eaecfaa0f657b9d1036c8c7c4d3423091a54b7113fd4c8943bd955d3c92d3a04")
+    forms = "\n".join(f"{k}: {v.render()}" for k, v in sorted(result.forms.items()))
+    assert _sha(forms) == (
+        "6e4a03e06badd06640a54a4769ef3454023c27a3fac3fc64b63fa19758cc192b")
+
+
+@pytest.mark.parametrize("spec,bound,report_sha,transcript_sha", [
+    ("primes", 40,
+     "cf5fce562e3971ae8ffdd07479c94f1c5de9b16432a883371ad745b5dbf1dc04",
+     "eaecfaa0f657b9d1036c8c7c4d3423091a54b7113fd4c8943bd955d3c92d3a04"),
+    ("4n", 100,
+     "b0a2c33e812b4104c9008de82890762c9634fff9795130cea20ef8ac4c36a158",
+     "ea0518a0e10bc46201820f655c756a081a0b124c1d957ec2f9e0b21615da6d02"),
+])
+def test_probe_report_and_transcript_are_pinned(spec, bound, report_sha, transcript_sha):
+    report = uniqueness_probe(spec, bound)
+    assert _sha(json.dumps(report.to_dict(), sort_keys=True)) == report_sha
+    assert _sha("\n".join(report.transcript)) == transcript_sha

@@ -2,9 +2,11 @@
 
 import json
 import random
+from unittest import mock
 
 import pytest
 
+from quadcert import checker
 from quadcert import model as M
 from quadcert.checker import _columns as checker_columns
 from quadcert.checker import check_store, spot_check_numeric
@@ -169,6 +171,26 @@ def test_quotient_by_one_citing_itself_is_a_cycle(write_cert):
     # 22 = 22 / 1 passes every arithmetic rule but cites its own fact
     report = check_store(write_cert(base_rows() + [_quotient(22, 22, 1)]), 20)
     assert _codes(report) == {M.CYCLE}
+
+
+def test_fact_above_the_fact_table_counts_for_coverage(write_cert):
+    # 9991 is far above 4 * (lines read) + 64, so it never indexes itself
+    report = check_store(write_cert(base_rows() + [_product(9991, 97, 103)]), 10_000)
+    assert 9991 not in report.coverage_gaps
+    assert len(report.coverage_gaps) == 10_000 - 21
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+def test_depth_comes_from_the_first_provider_across_chunks(write_cert, chunk):
+    # 21 is justified at depth 2, then again at depth 4; 42 cites it, so
+    # it sits at depth 3 and the deepest step is the duplicate
+    rows = base_rows() + [_product(21, 3, 7), _product(22, 2, 11),
+                          _product(462, 21, 22), _quotient(21, 462, 22),
+                          _product(42, 2, 21)]
+    with mock.patch.object(checker, "CHUNK_LINES", chunk):
+        report = check_store(write_cert(rows), 20)
+    assert _codes(report) == {M.DUPLICATE_FACT}
+    assert report.stats["topological_depth"] == 4
 
 
 def test_fast_path_takes_nine_digit_integers_only():
@@ -343,6 +365,25 @@ def test_spot_check_sample_depends_on_the_seed(write_cert):
         except RuntimeError:
             outcomes.add("mismatch")
     assert outcomes == {"clean", "mismatch"}
+
+
+def test_spot_check_sample_does_not_depend_on_chunking(cert_2k, write_cert):
+    # every eligible step is broken, so each seed's error names the first
+    # line of its sample; merging chunk samples must keep the same lines
+    broken = write_cert(base_rows() + [_product(1000 + i, 3, 7) for i in range(200)])
+
+    def outcomes():
+        out = [spot_check_numeric(cert_2k["path"], 64, seed=5)]
+        for seed in range(10):
+            with pytest.raises(RuntimeError) as exc:
+                spot_check_numeric(broken, 3, seed=seed)
+            out.append(str(exc.value))
+        return out
+
+    whole = outcomes()
+    with mock.patch.object(checker, "CHUNK_LINES", 16):
+        assert outcomes() == whole
+    assert len(set(whole[1:])) > 1
 
 
 def test_spot_check_different_seed_still_clean(cert_2k):

@@ -175,6 +175,33 @@ def test_check_overlong_integer_exit_code(tmp_path, capsys):
     assert "malformed certificate: line 1" in capsys.readouterr().err
 
 
+def test_check_deep_nesting_exit_code(tmp_path, capsys):
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text(json.dumps(base_rows(0)[0]) + "\n" + "[" * 200_000 + "\n",
+                   encoding="utf-8")
+    assert run("check", "--in", str(bad), "--max", "10") == 2
+    assert "malformed certificate: line 2" in capsys.readouterr().err
+
+
+def test_check_decode_error_after_good_lines_exit_code(tmp_path, capsys):
+    # the bad byte lies past the first text-decoding block, so the lines
+    # before it are read, and checked, before the decode error is raised
+    rows = "".join(json.dumps(r) + "\n" for r in base_rows(20) * 40)
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(rows.encode("utf-8") + b"\xff\n")
+    assert run("check", "--in", str(bad), "--max", "10") == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+
+
+def test_check_malformed_line_is_reported_before_a_later_decode_error(tmp_path, capsys):
+    rows = [json.dumps(r) + "\n" for r in base_rows(20) * 40]
+    rows[300] = "not json\n"
+    bad = tmp_path / "both.jsonl"
+    bad.write_bytes("".join(rows).encode("utf-8") + b"\xff\n")
+    assert run("check", "--in", str(bad), "--max", "10") == 2
+    assert "malformed certificate: line 301" in capsys.readouterr().err
+
+
 def test_check_reorder_flag(tmp_path):
     out = tmp_path / "c.jsonl"
     assert run("verify", "--max", "80", "--out", str(out),

@@ -1,5 +1,6 @@
 """Certificate generation: case split, auxiliary derivations, determinism."""
 
+import hashlib
 import io
 
 import pytest
@@ -329,6 +330,21 @@ def test_runs_are_byte_identical():
     a = certify_range(250).store.to_lines()
     b = certify_range(250).store.to_lines()
     assert a == b
+
+
+@pytest.mark.parametrize("policy,sha256,lines,size", [
+    (MAX_Q, "667b856ab76892fe2b7f020bc1bbbd1834579e3aebcc0458ccb3264d00b7b335",
+     100_024, 8_282_371),
+    (MIN_Q, "700f6a5c80b2de531243f8bebe2167c29b09681f8d0ae9472e2161ef56de1b40",
+     100_116, 8_290_201),
+])
+def test_certificate_bytes_are_pinned(policy, sha256, lines, size):
+    # any generator refactor must reproduce these files byte for byte
+    buf = io.StringIO()
+    certify_range(100_000, policy=policy, sink=buf)
+    data = buf.getvalue().encode("utf-8")
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n"), len(data)) == (
+        sha256, lines, size)
 
 
 def test_sink_stream_equals_retained_store():

@@ -329,6 +329,12 @@ def test_parse_wraps_overlong_integer():
     assert exc.value.line_no == 33
 
 
+def test_parse_wraps_deep_nesting():
+    with pytest.raises(CertificateFormatError) as exc:
+        parse_step("[" * 200_000, 41)
+    assert exc.value.line_no == 41
+
+
 def test_parse_error_message_names_line():
     with pytest.raises(CertificateFormatError, match="line 9"):
         parse_step("{", 9)
