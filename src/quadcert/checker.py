@@ -352,8 +352,7 @@ class _Pass:
         self.eligible += len(eligible)
         if self.sample_size <= 0 or not eligible:
             return
-        draw = self.rng.random
-        keys = np.concatenate([self.sample_keys, [draw() for _ in eligible]])
+        keys = np.concatenate([self.sample_keys, _random_keys(self.rng, len(eligible))])
         keep = np.arange(len(keys))
         if len(keys) > self.sample_size:
             keep = np.sort(np.argpartition(keys, self.sample_size - 1)[: self.sample_size])
@@ -407,6 +406,18 @@ class _Pass:
             "seed": self.seed,
             "mismatches": 0,
         }
+
+
+def _random_keys(rng: random.Random, count: int) -> np.ndarray:
+    """The next `count` values of `rng.random()`, drawn as one block.
+
+    CPython's random() makes each value from two 32-bit outputs w1, w2 of
+    the generator as ((w1 >> 5) * 2^26 + (w2 >> 6)) / 2^53, and getrandbits
+    returns the outputs in order, least significant first.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+                          dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
 def _identities_hold(step: CertificateStep) -> bool:
@@ -547,6 +558,10 @@ def check_store(
 
 def spot_check_numeric(path: str, sample_size: int, seed: int = 0) -> dict:
     """Re-evaluate a seeded sample of non-base steps against f(x) = x^2.
+
+    Each non-base step, in file order, gets the next `random.Random(seed)`
+    value as its key, so the sample does not depend on how the file is
+    chunked.
 
     These are exact integer identities on any structurally accepted store, so
     a mismatch raises RuntimeError (it would mean the validator itself is

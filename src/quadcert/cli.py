@@ -67,6 +67,13 @@ def _sieve_budget(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_TABLE_BITS
 
 
+def _sample_size(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
+
+
 def _emit(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
     if path is None or path == "-":
@@ -178,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the stats JSON here instead of stdout")
     p.add_argument("--check", action="store_true",
                    help="self-verify the emitted certificate")
-    p.add_argument("--spot-check", type=int, default=64, metavar="K",
+    p.add_argument("--spot-check", type=_sample_size, default=64, metavar="K",
                    help="numeric sample size when --check passes (default 64)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transcript", default=None, metavar="PATH",
@@ -191,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--max", type=int, required=True, metavar="N",
                    help="claimed coverage bound (1..N must be justified)")
-    p.add_argument("--spot-check", type=int, default=0, metavar="K",
+    p.add_argument("--spot-check", type=_sample_size, default=0, metavar="K",
                    help="re-evaluate K sampled steps against f(x)=x^2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reorder", action="store_true",

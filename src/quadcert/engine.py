@@ -14,6 +14,21 @@ established, by a four-way case split:
         the above-frontier prime p and the difference p - q, close on the sum
         slot for the auxiliary fact 2n, then CoprimeQuotient(2n, 2) gives n.
 
+Targets are taken in windows of WINDOW consecutive n. The smallest-prime-
+factor table gives each target's case as numpy columns. Python walks only the
+window's prime powers, cases (ii)-(iv), in ascending order. The splits of
+case (i) that no auxiliary step established earlier are then formatted as one
+block, and the walk's lines are merged in by target. The output is the same
+as a walk over every n in ascending order, because two invariants hold:
+
+  - a split establishes only its own n, and an auxiliary fact always lies
+    above the target that needs it, so a split target can only have been
+    established by the walk of an earlier prime power;
+  - every fact below the frontier (the current target) is established. The
+    walk marks the `established` table up to each prime power with one slice
+    assignment, after copying the old entries: a split target left unmarked
+    at its turn is one no auxiliary step established, and is emitted.
+
 Auxiliary facts never exceed 2n + 14 (an above-frontier prime p <= 2n - 3
 needs p + r with r <= 17). They are memoized globally: a fact is justified by
 the first step that establishes it and later steps simply cite it.
@@ -46,6 +61,7 @@ from .model import (
     CoprimeProduct,
     CoprimeQuotient,
     ParallelogramClose,
+    serialize_coprime_products,
     serialize_step,
     slot_values,
 )
@@ -62,6 +78,7 @@ from .primes import (
 MIN_TARGET = BASE_LIMIT + 1
 AUX_MARGIN = 64  # auxiliary facts reach at most 2*limit + 14; pad a little
 POW2_DEPTH_LIMIT = 2
+WINDOW = 2048  # targets per window; its columns and text take well under 1 MB
 
 
 def table_limit(limit: int) -> int:
@@ -159,6 +176,8 @@ class _Engine:
         self.established = bytearray(self.margin + 1)
         self.spf = _spf_array(limit)
         self.sink = sink
+        # Lines of the current window not yet written, one per _emit.
+        self.text: list[str] | None = [] if sink is not None else None
         self.steps: list[CertificateStep] | None = [] if retain else None
         self.frontier = 0
         self.stats = EngineStats(limit=limit, policy=policy)
@@ -170,8 +189,8 @@ class _Engine:
         if self.established[fact]:
             raise BoundViolation(f"fact {fact} emitted twice (memoization broken)")
         self.established[fact] = 1
-        if self.sink is not None:
-            self.sink.write(serialize_step(step))
+        if self.text is not None:
+            self.text.append(serialize_step(step))
         if self.steps is not None:
             self.steps.append(step)
         st = self.stats
@@ -317,29 +336,82 @@ class _Engine:
         for i in range(BASE_LIMIT + 1):
             self._emit(CertificateStep(i, Base(), ()))
             self.stats.base_steps += 1
-        for n in range(MIN_TARGET, self.limit + 1):
-            self.frontier = n
-            if self.established[n]:
-                self.stats.memoized_targets += 1
-                continue
-            p = int(self.spf[n])
-            a = p
-            rest = n // p
-            while rest % p == 0:
-                a *= p
-                rest //= p
-            if rest > 1:
-                self._emit(CertificateStep(n, CoprimeProduct(a, rest), (a, rest)))
-                self.stats.case_counts["coprime_split"] += 1
-            elif p == 2:
-                self._aux_pow2(n, 1)
-                self.stats.case_counts["pow2"] += 1
-            elif p == n:
-                self._prime_case(n)
-            else:
-                self._odd_prime_power(n)
+        for lo in range(MIN_TARGET, self.limit + 1, WINDOW):
+            self._window(lo, min(lo + WINDOW, self.limit + 1))
         self.frontier = self.limit + 1
         self.stats.elapsed_s = time.monotonic() - t0
+
+    def _window(self, lo: int, hi: int) -> None:
+        """Targets lo..hi-1: walk the prime powers, then merge in the splits."""
+        n = np.arange(lo, hi, dtype=np.int64)
+        p = self.spf[lo:hi].astype(np.int64)
+        a = p.copy()  # the largest power of spf(n) dividing n
+        rest = n // p
+        i = np.flatnonzero(rest % p == 0)
+        while i.size:
+            a[i] *= p[i]
+            rest[i] //= p[i]
+            i = i[rest[i] % p[i] == 0]
+        st = self.stats
+        est = self.established
+        s0 = st.steps
+        anchors: list[int] = []  # walked targets, ascending
+        starts: list[int] = []  # index of each one's first step in the window
+        seen: list[bytearray] = []  # est[lo:hi] as it was at each n's turn
+        low = lo
+        powers = np.flatnonzero(rest == 1)
+        for m, q in zip(n[powers].tolist(), p[powers].tolist()):
+            # Everything below the frontier is established, splits included.
+            seen.append(est[low:m])
+            est[low:m] = b"\x01" * (m - low)
+            low = self.frontier = m
+            if est[m]:
+                st.memoized_targets += 1
+                continue
+            anchors.append(m)
+            starts.append(st.steps - s0)
+            if q == 2:
+                self._aux_pow2(m, 1)
+                st.case_counts["pow2"] += 1
+            elif q == m:
+                self._prime_case(m)
+            else:
+                self._odd_prime_power(m)
+        walked = st.steps - s0
+        seen.append(est[low:hi])
+        est[low:hi] = b"\x01" * (hi - low)
+        split = rest > 1
+        todo = split & (np.frombuffer(b"".join(seen), np.uint8) == 0)
+        cn, ca, cb = n[todo], a[todo], rest[todo]
+        st.memoized_targets += int(np.count_nonzero(split)) - len(cn)
+        st.case_counts["coprime_split"] += len(cn)
+        st.steps += len(cn)
+        if len(cn):
+            st.max_fact = max(st.max_fact, int(cn[-1]))
+        at = np.searchsorted(cn, anchors).tolist()
+        if self.steps is not None:
+            rows = [CertificateStep(x, CoprimeProduct(y, z), (y, z))
+                    for x, y, z in zip(cn.tolist(), ca.tolist(), cb.tolist())]
+            w = len(self.steps) - walked
+            self.steps[w:] = _merge(rows, self.steps[w:], at, starts)
+        if self.text is not None:
+            block = serialize_coprime_products(
+                np.column_stack((cn, ca, cb, ca, cb)).ravel().tolist())
+            w = len(self.text) - walked
+            self.text[w:] = _merge(block.splitlines(True), self.text[w:], at, starts)
+            self.sink.write("".join(self.text))
+            self.text.clear()
+
+
+def _merge(rows: list, walk: list, at: list[int], starts: list[int]) -> list:
+    """rows with walk[starts[k]:starts[k+1]] inserted before rows[at[k]]."""
+    out: list = []
+    r = 0
+    for i, w, e in zip(at, starts, starts[1:] + [len(walk)]):
+        out += rows[r:i]
+        out += walk[w:e]
+        r = i
+    return out + rows[r:]
 
 
 def certify_range(

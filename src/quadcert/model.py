@@ -310,6 +310,20 @@ def serialize_step(step: CertificateStep) -> str:
     return f'{{"n":{step.fact},"just":{js},"prereqs":[{pr}]}}\n'
 
 
+_COPRIME_PRODUCT_LINE = (
+    '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n'
+)
+
+
+def serialize_coprime_products(rows: list[int]) -> str:
+    """serialize_step's lines for CertificateStep(n, CoprimeProduct(a, b), (a, b)).
+
+    `rows` is flat, five integers per step: n, a, b, a, b. The block is
+    formatted with one `%`, so its cost per line stays in C.
+    """
+    return (_COPRIME_PRODUCT_LINE * (len(rows) // 5)) % tuple(rows)
+
+
 _JUST_FIELDS = {
     "base": (),
     "coprime_product": ("a", "b"),

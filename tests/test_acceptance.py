@@ -5,6 +5,7 @@ captured output) and asserts exactly the documented bound — no tolerance is
 ever loosened here.
 """
 
+import hashlib
 import json
 import resource
 import time
@@ -109,6 +110,24 @@ def test_end_to_end_certification_at_one_million(million_run):
         f"accepted={rep.accepted} violations={len(rep.violations)}"
         f" gaps={len(rep.coverage_gaps)} total={million_run['total_s']:.1f}s"
         f" peak={peak_kib // 1024}MB",
+    )
+
+
+def test_million_certificate_bytes_are_pinned(million_run):
+    # the digest the benchmark's gen-1m workload pins (max-q policy)
+    sha = hashlib.sha256()
+    lines = size = 0
+    with open(million_run["path"], "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+            lines += chunk.count(b"\n")
+            size += len(chunk)
+    _report(
+        "the 10^6 certificate is byte for byte the pinned file",
+        (sha.hexdigest(), lines, size) == (
+            "2b6aa928e8cad9735fc47d4c019e479ee1781bbc6e393a503a70a861e3e7866d",
+            1_000_050, 85_538_240),
+        f"sha256={sha.hexdigest()} lines={lines} bytes={size}",
     )
 
 

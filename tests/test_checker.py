@@ -4,6 +4,7 @@ import json
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from quadcert import checker
@@ -384,6 +385,28 @@ def test_spot_check_sample_does_not_depend_on_chunking(cert_2k, write_cert):
     with mock.patch.object(checker, "CHUNK_LINES", 16):
         assert outcomes() == whole
     assert len(set(whole[1:])) > 1
+
+
+def test_sample_keys_are_the_values_of_random():
+    for seed in (0, 11, -3, 2**70):
+        ref = random.Random(seed)
+        want = [ref.random() for _ in range(1000)]
+        rng = random.Random(seed)
+        got = np.concatenate([checker._random_keys(rng, 1),
+                              checker._random_keys(rng, 999)])
+        assert got.tolist() == want
+
+
+def test_spot_check_sample_is_pinned(write_cert):
+    # the first sampled line for each seed, as drawing one random() key per
+    # step gave it
+    broken = write_cert(base_rows() + [_product(1000 + i, 3, 7) for i in range(200)])
+    first = []
+    for seed in range(10):
+        with pytest.raises(RuntimeError) as exc:
+            spot_check_numeric(broken, 3, seed=seed)
+        first.append(int(str(exc.value).split(":")[0].rsplit(" ", 1)[1]))
+    assert first == [62, 35, 130, 28, 117, 48, 26, 100, 86, 26]
 
 
 def test_spot_check_different_seed_still_clean(cert_2k):

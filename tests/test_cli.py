@@ -67,6 +67,20 @@ def test_verify_below_induction_start(tmp_path, capsys):
     assert "must be >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--in", "{cert}", "--max", "21", "--spot-check", "-5"),
+    ("verify", "--max", "100", "--out", "{out}", "--check", "--spot-check", "-3"),
+])
+def test_negative_spot_check_is_a_usage_error(tmp_path, capsys, write_cert, argv):
+    cert = write_cert(base_rows())
+    out = tmp_path / "c.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run(*(a.format(cert=cert, out=out) for a in argv))
+    assert exc.value.code == 2
+    assert "--spot-check: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_is_deterministic(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

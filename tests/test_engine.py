@@ -5,10 +5,12 @@ import io
 
 import pytest
 
+import quadcert.engine
 from quadcert.engine import (
     AUX_MARGIN,
     MIN_TARGET,
     POW2_DEPTH_LIMIT,
+    WINDOW,
     BoundViolation,
     _Engine,
     _close_prereqs,
@@ -16,6 +18,7 @@ from quadcert.engine import (
     certify_range,
 )
 from quadcert.model import (
+    BASE_LIMIT,
     Base,
     CertificateStep,
     CoprimeProduct,
@@ -345,6 +348,76 @@ def test_certificate_bytes_are_pinned(policy, sha256, lines, size):
     data = buf.getvalue().encode("utf-8")
     assert (hashlib.sha256(data).hexdigest(), data.count(b"\n"), len(data)) == (
         sha256, lines, size)
+
+
+class _PerTargetEngine(_Engine):
+    """Reference generator: every n from MIN_TARGET up, one at a time.
+
+    The windowed `_Engine.run` must reproduce its lines and its stats.
+    """
+
+    def run(self) -> None:
+        for i in range(BASE_LIMIT + 1):
+            self._emit(CertificateStep(i, Base(), ()))
+            self.stats.base_steps += 1
+        for n in range(MIN_TARGET, self.limit + 1):
+            self.frontier = n
+            if self.established[n]:
+                self.stats.memoized_targets += 1
+                continue
+            p = int(self.spf[n])
+            a = p
+            rest = n // p
+            while rest % p == 0:
+                a *= p
+                rest //= p
+            if rest > 1:
+                self._emit(CertificateStep(n, CoprimeProduct(a, rest), (a, rest)))
+                self.stats.case_counts["coprime_split"] += 1
+            elif p == 2:
+                self._aux_pow2(n, 1)
+                self.stats.case_counts["pow2"] += 1
+            elif p == n:
+                self._prime_case(n)
+            else:
+                self._odd_prime_power(n)
+        self.sink.write("".join(self.text))
+
+
+def _generate(engine_cls, limit, policy):
+    """(streamed text, retained steps as text, stats minus elapsed_s)."""
+    buf = io.StringIO()
+    eng = engine_cls(limit, policy, None, buf, True)
+    eng.run()
+    stats = eng.stats.to_dict()
+    del stats["elapsed_s"]
+    return buf.getvalue(), "".join(map(serialize_step, eng.steps)), stats
+
+
+def _assert_matches_reference(limit, policy):
+    text, retained, stats = _generate(_Engine, limit, policy)
+    ref_text, _, ref_stats = _generate(_PerTargetEngine, limit, policy)
+    assert text == ref_text
+    assert retained == ref_text
+    assert stats == ref_stats
+
+
+@pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
+@pytest.mark.parametrize("limit", [
+    21, 22, 100, WINDOW - 1, WINDOW, WINDOW + 1,
+    MIN_TARGET + WINDOW - 1, MIN_TARGET + WINDOW,  # one full window, one more n
+    3 * WINDOW + 7,
+])
+def test_windows_match_the_per_target_walk(limit, policy):
+    _assert_matches_reference(limit, policy)
+
+
+@pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
+@pytest.mark.parametrize("window", [1, 7])
+def test_small_windows_match_the_per_target_walk(monkeypatch, window, policy):
+    # memoized targets and auxiliary facts land on every side of a window edge
+    monkeypatch.setattr(quadcert.engine, "WINDOW", window)
+    _assert_matches_reference(2000, policy)
 
 
 def test_sink_stream_equals_retained_store():
