@@ -262,14 +262,21 @@ class _Pass:
 
     # -- one chunk ------------------------------------------------------------
 
-    def feed(self, lines: list[str], line_nos: Sequence[int], lines_read: int) -> None:
+    def feed(
+        self,
+        lines: list[str],
+        line_nos: Sequence[int],
+        lines_read: int,
+        cols: np.ndarray,
+        steps: dict[int, CertificateStep],
+    ) -> None:
         """Check the next chunk of lines in check order; `line_nos` are their
-        file line numbers and `lines_read` counts the file's lines read."""
+        file line numbers, `lines_read` counts the file's lines read and
+        `cols, steps` are the chunk's `_rows`."""
         k = len(lines)
         start = self.slots
         if start + k >= _UNSET:
             raise ValueError(f"more than {_UNSET - 1} certificate lines")
-        cols, steps = _rows(lines, line_nos)
         kind = cols[:, _KIND]
 
         # every non-blank row as a fact index and prereq edges (erow[j]
@@ -486,9 +493,13 @@ def _toposort(facts: list[int], prereqs: list[Sequence[int]]) -> list[int]:
 
 
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
-    """Feed every line of the file to `run`, in file or topological order."""
+    """Feed every line of the file to `run`, in file or topological order.
+    With `reorder`, the rows of the non-blank lines are kept from the read
+    and fed in sorted order, so no line is matched or parsed twice."""
     lines: list[str] = []
     line_nos: list[int] = []
+    cols: list[np.ndarray] = [np.zeros((0, 8), dtype=np.int32)]
+    steps: dict[int, CertificateStep] = {}  # kept line -> parsed step
     facts: list[int] = []
     prereqs: list[Sequence[int]] = []
     read = 0
@@ -496,24 +507,30 @@ def _scan(path: str, run: _Pass, reorder: bool) -> None:
         nos = range(read + 1, read + 1 + len(chunk))
         read += len(chunk)
         if not reorder:
-            run.feed(chunk, nos, read)
+            run.feed(chunk, nos, read, *_rows(chunk, nos))
             continue
-        cols, steps = _rows(chunk, nos)
-        for i, row in enumerate(cols.tolist()):
+        chunk_cols, chunk_steps = _rows(chunk, nos)
+        keep = []
+        for i, row in enumerate(chunk_cols.tolist()):
             if row[_KIND] >= 0:
                 facts.append(row[_N])
                 prereqs.append([v for v in row[_PRE] if v >= 0])
-            elif i in steps:
-                facts.append(steps[i].fact)
-                prereqs.append(steps[i].prereqs)
+            elif i in chunk_steps:
+                steps[len(lines)] = chunk_steps[i]
+                facts.append(chunk_steps[i].fact)
+                prereqs.append(chunk_steps[i].prereqs)
             else:
                 continue
-            lines.append(chunk[i] if chunk[i].endswith("\n") else chunk[i] + "\n")
+            keep.append(i)
+            lines.append(chunk[i])
             line_nos.append(nos[i])
+        cols.append(chunk_cols[keep].astype(np.int32))  # fields have <= 9 digits
     order = _toposort(facts, prereqs)
+    kept = np.concatenate(cols)
     for lo in range(0, len(order), CHUNK_LINES):
         idx = order[lo: lo + CHUNK_LINES]
-        run.feed([lines[i] for i in idx], [line_nos[i] for i in idx], read)
+        run.feed([lines[i] for i in idx], [line_nos[i] for i in idx], read,
+                 kept[idx].astype(np.int64), {j: steps[i] for j, i in enumerate(idx) if i in steps})
 
 
 def check_store(

@@ -15,6 +15,7 @@ above the table limit fall back to deterministic Miller-Rabin, valid for all
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +85,6 @@ class PrimeTable:
         """Unpacked bool view (index n -> n is prime), length limit+1."""
         raw = np.frombuffer(self._bits, dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[: self.limit + 1].view(bool)
-
-    def primes_array(self) -> np.ndarray:
-        return np.flatnonzero(self.as_bool_array())
 
     def count(self) -> int:
         return int(self.as_bool_array().sum())
@@ -278,93 +276,85 @@ class GoldbachSweepReport:
 def goldbach_sweep(limit: int) -> GoldbachSweepReport:
     """Verify every even 4 <= m <= limit has a pair under both policies.
 
-    Vectorized: the min-q witness falls out of marking sums p+q for primes q
-    ascending; the max-q witness comes from scanning t = (p-q)/2 upward around
-    m/2. Both witness arrays are re-verified against the sieve. Histograms
+    Index h stands for m = 2h. Both witness searches step through the prime
+    list and test only p = 2h - q against the sieve, on the h still open:
+    the min-q search takes each odd prime q ascending and stops with a
+    GoldbachFailure at the first open h < q; the max-q search starts each h
+    at the largest prime <= h (from a prime-count prefix sum) and steps down
+    the primes.
+    Both witness arrays are then re-verified against the sieve. Histograms
     are exact below HIST_CAP distinct keys, then bucketed into "other".
-    Raises GoldbachFailure on any uncovered m.
+    Raises GoldbachFailure naming the smallest uncovered m.
     """
-    import time as _time
-
-    t0 = _time.monotonic()
+    t0 = time.monotonic()
     if limit < 4:
         raise ValueError("sweep needs limit >= 4")
     limit -= limit % 2
-    table = build_prime_table(limit)
-    sieve = table.as_bool_array()
-    primes = table.primes_array()
-    odd_primes = primes[1:] if primes.size and primes[0] == 2 else primes
+    sieve = build_prime_table(limit).as_bool_array()
+    index_t = np.int32 if limit < 1 << 31 else np.int64
+    primes = np.flatnonzero(sieve).astype(index_t)
+    h_all = np.arange(2, limit // 2 + 1, dtype=index_t)
 
-    half = limit // 2
-    # index h stands for m = 2h, h in 2..half
-    min_q = np.zeros(half + 1, dtype=np.int64)
-    min_q[2] = 2  # 4 = 2 + 2
-    unresolved = (half - 1) - 1
-    for q in odd_primes:
-        if unresolved <= 0:
+    # min-q policy: the smallest prime q <= h with 2h - q prime. Position i
+    # of a witness array stands for h = i + 2.
+    min_q = np.zeros(h_all.size, dtype=index_t)
+    min_q[0] = 2  # 4 = 2 + 2; for m >= 6, m - 2 is even and not prime
+    open_h = h_all[1:]
+    for q in primes[primes > 2].tolist():
+        if not open_h.size or open_h[0] < q:
             break
-        q = int(q)
-        ps = odd_primes[(odd_primes >= q) & (odd_primes <= limit - q)]
-        if ps.size == 0:
-            continue
-        h = (ps + q) >> 1
-        h = h[min_q[h] == 0]
-        if h.size:
-            min_q[h] = q
-            unresolved -= h.size
-    if unresolved > 0:
-        first = int(np.flatnonzero(min_q[2:] == 0)[0]) + 2
-        raise GoldbachFailure(2 * first)
-
-    # max-q policy: smallest t >= 0 with h-t and h+t both prime (q = h-t).
-    t_min = np.zeros(half + 1, dtype=np.int64)
-    open_h = np.arange(2, half + 1, dtype=np.int64)
-    t = 0
-    while open_h.size:
-        live = open_h - t >= 2
-        if not live.all():
-            dead = open_h[~live]
-            raise GoldbachFailure(int(2 * dead[0]))
-        ok = sieve[open_h - t] & sieve[open_h + t]
-        t_min[open_h[ok]] = t
+        ok = sieve[2 * open_h - q]
+        min_q[open_h[ok] - 2] = q
         open_h = open_h[~ok]
-        t += 1
+    if open_h.size:
+        raise GoldbachFailure(int(2 * open_h[0]))
+
+    # max-q policy: the largest prime q <= h with 2h - q prime. at[j] is the
+    # index in primes of the next q to try for open_h[j]; both stay sorted.
+    # It starts at pi(h) - 1, the index of the largest prime <= h.
+    max_q = np.zeros(h_all.size, dtype=index_t)
+    open_h = h_all
+    at = np.cumsum(sieve[2 : h_all.size + 2], dtype=index_t)
+    at -= 1
+    while open_h.size:
+        if at[0] < 0:
+            raise GoldbachFailure(int(2 * open_h[0]))
+        q = primes[at]
+        ok = sieve[2 * open_h - q]
+        max_q[open_h[ok] - 2] = q[ok]
+        open_h = open_h[~ok]
+        at = at[~ok] - 1
 
     # Independent re-verification of both witness arrays against the sieve.
-    h_all = np.arange(2, half + 1, dtype=np.int64)
-    q_min_arr = min_q[2:]
-    p_min_arr = 2 * h_all - q_min_arr
-    if not (sieve[q_min_arr] & sieve[p_min_arr]).all():
-        raise AssertionError("min-q witness failed sieve re-verification")
-    q_max_arr = h_all - t_min[2:]
-    p_max_arr = h_all + t_min[2:]
-    if not (sieve[q_max_arr] & sieve[p_max_arr]).all():
-        raise AssertionError("max-q witness failed sieve re-verification")
+    for name, q in (("min-q", min_q), ("max-q", max_q)):
+        if not ((q <= h_all) & sieve[q] & sieve[2 * h_all - q]).all():
+            raise AssertionError(f"{name} witness failed sieve re-verification")
 
     def _hist(values: np.ndarray) -> dict[int, int]:
-        keys, counts = np.unique(values, return_counts=True)
+        counts = np.bincount(values)
+        keys = np.flatnonzero(counts)
         out: dict[int, int] = {}
         other = 0
-        for k, c in zip(keys.tolist(), counts.tolist()):
+        for k, c in zip(keys.tolist(), counts[keys].tolist()):
             if len(out) < HIST_CAP:
-                out[int(k)] = int(c)
+                out[k] = c
             else:
-                other += int(c)
+                other += c
         if other:
             out[-1] = other  # key -1 marks the overflow bucket
         return out
 
-    i_minmax = int(np.argmax(q_min_arr))
-    gaps = 2 * t_min[2:]
+    gaps = 2 * (h_all - max_q)
+    i_minmax = int(np.argmax(min_q))
     i_gapmax = int(np.argmax(gaps))
     return GoldbachSweepReport(
         limit=limit,
         evens_checked=int(h_all.size),
-        min_q_max=int(q_min_arr[i_minmax]),
+        min_q_max=int(min_q[i_minmax]),
         min_q_max_at=int(2 * h_all[i_minmax]),
-        min_q_hist=_hist(q_min_arr),
+        min_q_hist=_hist(min_q),
         max_gap_max=int(gaps[i_gapmax]),
         max_gap_max_at=int(2 * h_all[i_gapmax]),
         max_gap_hist=_hist(gaps),
-        elapsed_s=_time.monotonic() - t0,
+        elapsed_s=time.monotonic() - t0,
     )

@@ -287,12 +287,15 @@ def test_probe_file_set(tmp_path):
 
 def test_goldbach_sweep_report(tmp_path):
     report = tmp_path / "g.json"
-    code = run("goldbach", "--max", "2000", "--report", str(report))
+    code = run("goldbach", "--max", "20000", "--report", str(report))
     assert code == 0
     blob = _read_json(report)
-    assert blob["evens_checked"] == 999
-    assert blob["min_q_policy"]["largest_min_q"] >= 3
-    assert blob["max_q_policy"]["largest_p_minus_q"] >= 0
+    assert blob["limit"] == 20000
+    assert blob["evens_checked"] == 9999
+    assert blob["min_q_policy"]["largest_min_q"] == 173
+    assert blob["min_q_policy"]["at_m"] == 7426
+    assert blob["max_q_policy"]["largest_p_minus_q"] == 666
+    assert blob["max_q_policy"]["at_m"] == 17008
 
 
 def test_goldbach_tiny_bound(capsys):

@@ -5,15 +5,22 @@ search) are deliberately written without using the package's own sieve or
 Miller-Rabin code, so agreement is meaningful.
 """
 
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadcert import primes
 from quadcert.primes import (
+    HIST_CAP,
     MAX_Q,
     MIN_Q,
     GoldbachFailure,
+    PrimeTable,
     SieveBudgetError,
     UnsupportedIntegerError,
     build_prime_table,
@@ -224,3 +231,66 @@ def test_sweep_tiny():
     rep = goldbach_sweep(4)
     assert rep.evens_checked == 1
     assert rep.min_q_max == 2  # 4 = 2 + 2
+
+
+# sha256 of the sorted-key JSON of to_dict() minus elapsed_s, computed with
+# the sweep that scanned t = (p-q)/2 upward for every open m.
+SWEEP_DIGESTS = {
+    100_000: "4085558324fec5dbbb936f35b1038715983a7b983fb0a1952b824bca0db1692b",
+    1_000_000: "a91d183db3aeae129667f3664bb1d415a98657c56e2f3d065c343044333aa1dd",
+}
+
+
+@pytest.mark.parametrize("limit", sorted(SWEEP_DIGESTS))
+def test_sweep_report_is_pinned(limit):
+    blob = goldbach_sweep(limit).to_dict()
+    del blob["elapsed_s"]
+    digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+    assert digest == SWEEP_DIGESTS[limit]
+
+
+def _capped(counts: Counter) -> dict[int, int]:
+    keys = sorted(counts)
+    out = {k: counts[k] for k in keys[:HIST_CAP]}
+    other = sum(counts[k] for k in keys[HIST_CAP:])
+    if other:
+        out[-1] = other
+    return out
+
+
+# 58 distinct values of p - q below 2,000 and 65 below 5,000, so the second
+# limit exercises the overflow bucket.
+@pytest.mark.parametrize("limit", [2_000, 5_000])
+def test_sweep_histograms_match_bruteforce(limit):
+    rep = goldbach_sweep(limit)
+    min_qs, gaps = Counter(), Counter()
+    for m in range(4, limit + 1, 2):
+        min_qs[oracle_goldbach(m, MIN_Q)[1]] += 1
+        p, q = oracle_goldbach(m, MAX_Q)
+        gaps[p - q] += 1
+    assert rep.min_q_hist == _capped(min_qs)
+    assert rep.max_gap_hist == _capped(gaps)
+
+
+@pytest.mark.parametrize(
+    "cleared, m",
+    [
+        ((3,), 6),  # 6 = 3 + 3 only
+        ((7,), 12),  # 10 = 5 + 5 survives, 12 = 5 + 7 does not
+        ((31, 61), 68),  # 68 = 7 + 61 = 31 + 37
+        ((2,), 4),  # 4 = 2 + 2 only; found by the max-q search
+    ],
+)
+def test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m):
+    real = primes.build_prime_table
+
+    def without(limit, *args, **kwargs):
+        bits = bytearray(real(limit, *args, **kwargs)._bits)
+        for c in cleared:
+            bits[c >> 3] &= ~(1 << (c & 7))
+        return PrimeTable(limit=limit, _bits=bytes(bits))
+
+    monkeypatch.setattr(primes, "build_prime_table", without)
+    with pytest.raises(GoldbachFailure) as exc:
+        goldbach_sweep(1_000)
+    assert exc.value.m == m
