@@ -54,7 +54,7 @@ EXIT_GOLDBACH = 3
 
 
 def _sieve_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "sieve_limit", None):
+    if args.sieve_limit is not None:
         return args.sieve_limit
     env = os.environ.get(ENV_SIEVE_LIMIT)
     if env:
@@ -153,10 +153,12 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
     if args.max < 4:
         print("error: --max must be >= 4", file=sys.stderr)
         return EXIT_USAGE
-    if args.max > _sieve_budget(args):
+    budget = _sieve_budget(args)
+    # The sweep's table covers 0..M', M' the largest even number <= max.
+    if args.max - args.max % 2 + 1 > budget:
         raise SieveBudgetError(
             f"--max {args.max} exceeds the sieve budget"
-            f" {_sieve_budget(args)} bits; raise --sieve-limit"
+            f" {budget} bits; raise --sieve-limit"
         )
     report = goldbach_sweep(args.max)
     _emit(report.to_dict(), args.report)

@@ -14,12 +14,17 @@ established, by a four-way case split:
         the above-frontier prime p and the difference p - q, close on the sum
         slot for the auxiliary fact 2n, then CoprimeQuotient(2n, 2) gives n.
 
+The engine's only output is certificate text: each step is one of `model`'s
+line templates (BASE_LINE, COPRIME_PRODUCT_LINE, ...) filled with its fields,
+so the wire format is defined in `model` alone.
+
 Targets are taken in windows of WINDOW consecutive n. The smallest-prime-
 factor table gives each target's case as numpy columns. Python walks only the
 window's prime powers, cases (ii)-(iv), in ascending order. The splits of
 case (i) that no auxiliary step established earlier are then formatted as one
-block, and the walk's lines are merged in by target. The output is the same
-as a walk over every n in ascending order, because two invariants hold:
+block, the walk's lines are merged in by target, and the window's text is
+written out. The output is the same as a walk over every n in ascending
+order, because two invariants hold:
 
   - a split establishes only its own n, and an auxiliary fact always lies
     above the target that needs it, so a split target can only have been
@@ -43,6 +48,7 @@ recursion is at most two deep (the nested difference is below the frontier).
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass, field
 from math import isqrt
@@ -52,18 +58,14 @@ import numpy as np
 
 from .model import (
     BASE_LIMIT,
-    SLOT_P,
-    SLOT_SUM,
-    SLOTS,
-    Base,
-    CertificateStep,
+    BASE_LINE,
+    CLOSE_P_LINE,
+    CLOSE_SUM_LINE,
+    COPRIME_PRODUCT_LINE,
+    COPRIME_QUOTIENT_LINE,
     CertificateStore,
-    CoprimeProduct,
-    CoprimeQuotient,
-    ParallelogramClose,
+    parse_step,
     serialize_coprime_products,
-    serialize_step,
-    slot_values,
 )
 from .primes import (
     MAX_Q,
@@ -146,26 +148,13 @@ def _spf_array(limit: int) -> np.ndarray:
     return spf
 
 
-def _close_prereqs(p: int, q: int, target: str) -> tuple[int, ...]:
-    vals = slot_values(p, q)
-    out: list[int] = []
-    for slot in SLOTS:
-        if slot == target:
-            continue
-        v = vals[slot]
-        if v not in out:
-            out.append(v)
-    return tuple(out)
-
-
 class _Engine:
     def __init__(
         self,
         limit: int,
         policy: str,
         table: PrimeTable | None,
-        sink: IO[str] | None,
-        retain: bool,
+        sinks: list[IO[str]],
     ):
         self.limit = limit
         self.policy = policy
@@ -175,24 +164,20 @@ class _Engine:
         self.table = table
         self.established = bytearray(self.margin + 1)
         self.spf = _spf_array(limit)
-        self.sink = sink
+        self.sinks = sinks
         # Lines of the current window not yet written, one per _emit.
-        self.text: list[str] | None = [] if sink is not None else None
-        self.steps: list[CertificateStep] | None = [] if retain else None
+        self.text: list[str] = []
         self.frontier = 0
         self.stats = EngineStats(limit=limit, policy=policy)
 
     # -- emission -----------------------------------------------------------
 
-    def _emit(self, step: CertificateStep) -> None:
-        fact = step.fact
+    def _emit(self, template: str, fact: int, *fields) -> None:
+        """Write fact's line: a `model` line template filled with fact, *fields."""
         if self.established[fact]:
             raise BoundViolation(f"fact {fact} emitted twice (memoization broken)")
         self.established[fact] = 1
-        if self.text is not None:
-            self.text.append(serialize_step(step))
-        if self.steps is not None:
-            self.steps.append(step)
+        self.text.append(template % (fact, *fields))
         st = self.stats
         st.steps += 1
         if fact > st.max_fact:
@@ -237,9 +222,7 @@ class _Engine:
                 f"difference {v} = {pow2}*{a} needs both factors below the"
                 f" frontier {self.frontier} (requires p-q <= 2*frontier-6)"
             )
-        self._emit(
-            CertificateStep(v, CoprimeProduct(pow2, a), (pow2, a))
-        )
+        self._emit(COPRIME_PRODUCT_LINE, v, pow2, a, pow2, a)
 
     def _aux_prime(self, p: int) -> None:
         """Establish an above-frontier prime p via r with p+r = 4 (mod 8)."""
@@ -259,13 +242,10 @@ class _Engine:
                 f" (requires p-r <= 2*frontier; p={p}, r={r})"
             )
         if not self.established[s]:
-            self._emit(CertificateStep(s, CoprimeProduct(4, sq), (4, sq)))
+            self._emit(COPRIME_PRODUCT_LINE, s, 4, sq, 4, sq)
         if not self.established[d]:
-            self._emit(CertificateStep(d, CoprimeProduct(2, dh), (2, dh)))
-        self._emit(
-            CertificateStep(p, ParallelogramClose(p, r, SLOT_P),
-                            _close_prereqs(p, r, SLOT_P))
-        )
+            self._emit(COPRIME_PRODUCT_LINE, d, 2, dh, 2, dh)
+        self._emit(CLOSE_P_LINE, p, p, r, s, d, r)
 
     def _aux_pow2(self, v: int, depth: int) -> None:
         """Establish a power of two >= 32 by closing a Goldbach pair's sum."""
@@ -284,11 +264,7 @@ class _Engine:
         self._ensure_fact(q, depth)
         self._ensure_fact(p, depth)
         self._ensure_fact(p - q, depth)
-        self._emit(
-            CertificateStep(v, ParallelogramClose(p, q, SLOT_SUM),
-                            _close_prereqs(p, q, SLOT_SUM),
-                            meta={"policy": self.policy})
-        )
+        self._emit(CLOSE_SUM_LINE, v, p, q, p - q, p, q, self.policy)
 
     # -- per-target cases -----------------------------------------------------
 
@@ -301,11 +277,8 @@ class _Engine:
                 f"(n+q)/2 = {half} must stay below n = {n} (requires n > q)"
             )
         if not self.established[s]:
-            self._emit(CertificateStep(s, CoprimeProduct(2, half), (2, half)))
-        self._emit(
-            CertificateStep(n, ParallelogramClose(n, q, SLOT_P),
-                            _close_prereqs(n, q, SLOT_P))
-        )
+            self._emit(COPRIME_PRODUCT_LINE, s, 2, half, 2, half)
+        self._emit(CLOSE_P_LINE, n, n, q, s, n - q, q)
         self.stats.case_counts["prime"] += 1
 
     def _odd_prime_power(self, n: int) -> None:
@@ -319,14 +292,8 @@ class _Engine:
         self._ensure_fact(p, 0)
         self._ensure_fact(p - q, 0)
         if not self.established[2 * n]:
-            self._emit(
-                CertificateStep(2 * n, ParallelogramClose(p, q, SLOT_SUM),
-                                _close_prereqs(p, q, SLOT_SUM),
-                                meta={"policy": self.policy})
-            )
-        self._emit(
-            CertificateStep(n, CoprimeQuotient(2 * n, 2), (2, 2 * n))
-        )
+            self._emit(CLOSE_SUM_LINE, 2 * n, p, q, p - q, p, q, self.policy)
+        self._emit(COPRIME_QUOTIENT_LINE, n, 2 * n, 2, 2, 2 * n)
         self.stats.case_counts["prime_power"] += 1
 
     # -- driver ----------------------------------------------------------------
@@ -334,7 +301,7 @@ class _Engine:
     def run(self) -> None:
         t0 = time.monotonic()
         for i in range(BASE_LIMIT + 1):
-            self._emit(CertificateStep(i, Base(), ()))
+            self._emit(BASE_LINE, i)
             self.stats.base_steps += 1
         for lo in range(MIN_TARGET, self.limit + 1, WINDOW):
             self._window(lo, min(lo + WINDOW, self.limit + 1))
@@ -388,19 +355,15 @@ class _Engine:
         st.steps += len(cn)
         if len(cn):
             st.max_fact = max(st.max_fact, int(cn[-1]))
+        block = serialize_coprime_products(
+            np.column_stack((cn, ca, cb, ca, cb)).ravel().tolist())
         at = np.searchsorted(cn, anchors).tolist()
-        if self.steps is not None:
-            rows = [CertificateStep(x, CoprimeProduct(y, z), (y, z))
-                    for x, y, z in zip(cn.tolist(), ca.tolist(), cb.tolist())]
-            w = len(self.steps) - walked
-            self.steps[w:] = _merge(rows, self.steps[w:], at, starts)
-        if self.text is not None:
-            block = serialize_coprime_products(
-                np.column_stack((cn, ca, cb, ca, cb)).ravel().tolist())
-            w = len(self.text) - walked
-            self.text[w:] = _merge(block.splitlines(True), self.text[w:], at, starts)
-            self.sink.write("".join(self.text))
-            self.text.clear()
+        w = len(self.text) - walked
+        self.text[w:] = _merge(block.splitlines(True), self.text[w:], at, starts)
+        chunk = "".join(self.text)
+        self.text.clear()
+        for sink in self.sinks:
+            sink.write(chunk)
 
 
 def _merge(rows: list, walk: list, at: list[int], starts: list[int]) -> list:
@@ -423,10 +386,11 @@ def certify_range(
 ) -> EngineResult:
     """Generate a certificate establishing f(n) = n^2 for all 0 <= n <= limit.
 
-    Steps stream to `sink` (a text file object) when given; `retain` controls
-    whether the steps are also kept in memory as a CertificateStore (default:
-    retain only when there is no sink). Deterministic: identical (limit,
-    policy) produce byte-identical serialized output.
+    Lines stream to `sink` (a text file object) when given. With `retain`
+    (default: only when there is no sink) the result's store holds the steps
+    parsed back from exactly the text written; without it no text outlives
+    its window. Deterministic: identical (limit, policy) produce byte-identical
+    output.
     """
     if limit < MIN_TARGET:
         raise ValueError(f"limit must be >= {MIN_TARGET}, got {limit}")
@@ -434,9 +398,12 @@ def certify_range(
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if retain is None:
         retain = sink is None
-    eng = _Engine(limit, policy, table, sink, retain)
+    kept = io.StringIO() if retain else None
+    eng = _Engine(limit, policy, table, [f for f in (sink, kept) if f is not None])
     eng.run()
     store = None
-    if eng.steps is not None:
-        store = CertificateStore(target_bound=limit, steps=eng.steps)
+    if kept is not None:
+        kept.seek(0)
+        steps = [parse_step(line, i) for i, line in enumerate(kept, start=1)]
+        store = CertificateStore(target_bound=limit, steps=steps)
     return EngineResult(stats=eng.stats, store=store)

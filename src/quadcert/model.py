@@ -310,18 +310,30 @@ def serialize_step(step: CertificateStep) -> str:
     return f'{{"n":{step.fact},"just":{js},"prereqs":[{pr}]}}\n'
 
 
-_COPRIME_PRODUCT_LINE = (
-    '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n'
-)
+# One `%` template per line form the generator writes, fields as commented.
+# Each gives serialize_step's line for its step, the prereqs in SLOTS order
+# with the target slot left out.
+BASE_LINE = '{"n":%d,"just":{"type":"base"},"prereqs":[]}\n'  # n
+COPRIME_PRODUCT_LINE = (  # n, a, b, a, b
+    '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n')
+COPRIME_QUOTIENT_LINE = (  # n, product, divisor, divisor, product
+    '{"n":%d,"just":{"type":"coprime_quotient","product":%d,"divisor":%d},'
+    '"prereqs":[%d,%d]}\n')
+CLOSE_P_LINE = (  # p, p, q, p+q, p-q, q
+    '{"n":%d,"just":{"type":"parallelogram","p":%d,"q":%d,"target":"p"},'
+    '"prereqs":[%d,%d,%d]}\n')
+CLOSE_SUM_LINE = (  # p+q, p, q, p-q, p, q, policy (the meta tag)
+    '{"n":%d,"just":{"type":"parallelogram","p":%d,"q":%d,"target":"sum"},'
+    '"prereqs":[%d,%d,%d],"meta":{"policy":"%s"}}\n')
 
 
 def serialize_coprime_products(rows: list[int]) -> str:
-    """serialize_step's lines for CertificateStep(n, CoprimeProduct(a, b), (a, b)).
+    """COPRIME_PRODUCT_LINE for every five integers of `rows`, as one block.
 
     `rows` is flat, five integers per step: n, a, b, a, b. The block is
     formatted with one `%`, so its cost per line stays in C.
     """
-    return (_COPRIME_PRODUCT_LINE * (len(rows) // 5)) % tuple(rows)
+    return (COPRIME_PRODUCT_LINE * (len(rows) // 5)) % tuple(rows)
 
 
 _JUST_FIELDS = {

@@ -366,6 +366,23 @@ def test_goldbach_respects_budget(monkeypatch, capsys):
     assert "sieve budget" in capsys.readouterr().err
 
 
+def test_zero_sieve_limit_is_a_budget_not_a_default(monkeypatch, tmp_path, capsys):
+    # --sieve-limit 0 allows no table at all, whatever the environment allows
+    monkeypatch.setenv(cli.ENV_SIEVE_LIMIT, str(1 << 20))
+    code = run("verify", "--max", "100", "--out", str(tmp_path / "c.jsonl"),
+               "--sieve-limit", "0")
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+    assert run("goldbach", "--max", "100", "--sieve-limit", "0") == 2
+
+
+@pytest.mark.parametrize("m,code", [(1000, 2), (1001, 0)])
+def test_goldbach_budget_counts_the_table_bits(m, code, tmp_path):
+    # the sweep's table over 0..1000 needs 1001 bits
+    assert run("goldbach", "--max", str(m), "--sieve-limit", str(m),
+               "--report", str(tmp_path / "r.json")) == code
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

@@ -13,18 +13,18 @@ from quadcert.engine import (
     WINDOW,
     BoundViolation,
     _Engine,
-    _close_prereqs,
     _spf_array,
     certify_range,
 )
 from quadcert.model import (
     BASE_LIMIT,
-    Base,
+    BASE_LINE,
+    COPRIME_PRODUCT_LINE,
     CertificateStep,
     CoprimeProduct,
-    CoprimeQuotient,
     ParallelogramClose,
     demanded_prereqs,
+    parse_step,
     serialize_step,
 )
 from quadcert.primes import MAX_Q, MIN_Q
@@ -41,10 +41,15 @@ def lines130(res130):
 
 
 def _fresh_engine(limit=130, policy=MAX_Q):
-    eng = _Engine(limit, policy, None, None, True)
+    eng = _Engine(limit, policy, None, [])
     for i in range(21):
-        eng._emit(CertificateStep(i, Base(), ()))
+        eng._emit(BASE_LINE, i)
     return eng
+
+
+def _tail(eng, k):
+    """The engine's last k lines, parsed."""
+    return [parse_step(line, 0) for line in eng.text[-k:]]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ def test_aux_prime_31():
     eng.frontier = 25
     eng.established[13] = 1  # base range anyway; explicit for clarity
     eng._aux_prime(31)
-    tail = eng.steps[-3:]
+    tail = _tail(eng, 3)
     assert tail[0] == CertificateStep(36, CoprimeProduct(4, 9), (4, 9))
     assert tail[1] == CertificateStep(26, CoprimeProduct(2, 13), (2, 13))
     assert tail[2] == CertificateStep(
@@ -215,7 +220,7 @@ def test_aux_prime_41_uses_r_3():
     eng = _fresh_engine()
     eng.frontier = 40
     eng._aux_prime(41)
-    tail = eng.steps[-3:]
+    tail = _tail(eng, 3)
     assert tail[0] == CertificateStep(44, CoprimeProduct(4, 11), (4, 11))
     assert tail[1] == CertificateStep(38, CoprimeProduct(2, 19), (2, 19))
     assert tail[2] == CertificateStep(
@@ -229,7 +234,7 @@ def test_aux_prime_97_uses_r_3():
     eng.established[25] = 1
     eng.established[47] = 1
     eng._aux_prime(97)
-    tail = eng.steps[-3:]
+    tail = _tail(eng, 3)
     assert tail[0] == CertificateStep(100, CoprimeProduct(4, 25), (4, 25))
     assert tail[1] == CertificateStep(94, CoprimeProduct(2, 47), (2, 47))
     assert tail[2] == CertificateStep(
@@ -242,7 +247,7 @@ def test_ensure_fact_splits_even_difference():
     eng.frontier = 25
     eng.established[13] = 1
     eng._ensure_fact(52, 0)  # 52 = 4 * 13
-    assert eng.steps[-1] == CertificateStep(52, CoprimeProduct(4, 13), (4, 13))
+    assert _tail(eng, 1)[0] == CertificateStep(52, CoprimeProduct(4, 13), (4, 13))
 
 
 def test_ensure_fact_pow2_difference_recurses():
@@ -251,7 +256,7 @@ def test_ensure_fact_pow2_difference_recurses():
     eng = _fresh_engine(limit=200)
     eng.frontier = 150
     eng._ensure_fact(128, 0)
-    assert eng.steps[-1] == CertificateStep(
+    assert _tail(eng, 1)[0] == CertificateStep(
         128,
         ParallelogramClose(67, 61, "sum"),
         (6, 67, 61),
@@ -305,13 +310,13 @@ def test_pow2_recursion_depth_capped():
 def test_duplicate_emission_is_a_hard_error():
     eng = _fresh_engine()
     with pytest.raises(BoundViolation, match="twice"):
-        eng._emit(CertificateStep(5, Base(), ()))
+        eng._emit(BASE_LINE, 5)
 
 
 def test_fact_above_four_limit_is_refused():
-    eng = _Engine(21, MAX_Q, None, None, True)
+    eng = _Engine(21, MAX_Q, None, [])
     with pytest.raises(BoundViolation, match=r"4\*limit"):
-        eng._emit(CertificateStep(90, Base(), ()))
+        eng._emit(BASE_LINE, 90)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +355,30 @@ def test_certificate_bytes_are_pinned(policy, sha256, lines, size):
         sha256, lines, size)
 
 
+_COMMON_STATS_1E5 = {
+    "limit": 100_000, "base_steps": 21, "goldbach_calls": 104,
+    "pow2_depth_max": 1,
+}
+
+
+@pytest.mark.parametrize("policy,stats", [
+    (MAX_Q, {"steps": 100_024, "aux_steps": 9_234, "memoized_targets": 9_191,
+             "case_counts": {"coprime_split": 81_192, "pow2": 12,
+                             "prime": 9_493, "prime_power": 92},
+             "max_fact": 195_938}),
+    (MIN_Q, {"steps": 100_116, "aux_steps": 9_367, "memoized_targets": 9_232,
+             "case_counts": {"coprime_split": 81_127, "pow2": 12,
+                             "prime": 9_517, "prime_power": 92},
+             "max_fact": 195_948}),
+])
+def test_engine_stats_are_pinned(policy, stats):
+    # the stats of the pinned files above; the per-target oracle shares _emit
+    # with the engine, so only a pin catches a counting change made there
+    got = certify_range(100_000, policy=policy, retain=False).stats.to_dict()
+    del got["elapsed_s"]
+    assert got == {**_COMMON_STATS_1E5, "policy": policy, **stats}
+
+
 class _PerTargetEngine(_Engine):
     """Reference generator: every n from MIN_TARGET up, one at a time.
 
@@ -358,7 +387,7 @@ class _PerTargetEngine(_Engine):
 
     def run(self) -> None:
         for i in range(BASE_LIMIT + 1):
-            self._emit(CertificateStep(i, Base(), ()))
+            self._emit(BASE_LINE, i)
             self.stats.base_steps += 1
         for n in range(MIN_TARGET, self.limit + 1):
             self.frontier = n
@@ -372,7 +401,7 @@ class _PerTargetEngine(_Engine):
                 a *= p
                 rest //= p
             if rest > 1:
-                self._emit(CertificateStep(n, CoprimeProduct(a, rest), (a, rest)))
+                self._emit(COPRIME_PRODUCT_LINE, n, a, rest, a, rest)
                 self.stats.case_counts["coprime_split"] += 1
             elif p == 2:
                 self._aux_pow2(n, 1)
@@ -381,25 +410,28 @@ class _PerTargetEngine(_Engine):
                 self._prime_case(n)
             else:
                 self._odd_prime_power(n)
-        self.sink.write("".join(self.text))
+        for sink in self.sinks:
+            sink.write("".join(self.text))
 
 
 def _generate(engine_cls, limit, policy):
-    """(streamed text, retained steps as text, stats minus elapsed_s)."""
+    """(streamed text, stats minus elapsed_s)."""
     buf = io.StringIO()
-    eng = engine_cls(limit, policy, None, buf, True)
+    eng = engine_cls(limit, policy, None, [buf])
     eng.run()
     stats = eng.stats.to_dict()
     del stats["elapsed_s"]
-    return buf.getvalue(), "".join(map(serialize_step, eng.steps)), stats
+    return buf.getvalue(), stats
 
 
 def _assert_matches_reference(limit, policy):
-    text, retained, stats = _generate(_Engine, limit, policy)
-    ref_text, _, ref_stats = _generate(_PerTargetEngine, limit, policy)
+    text, stats = _generate(_Engine, limit, policy)
+    ref_text, ref_stats = _generate(_PerTargetEngine, limit, policy)
     assert text == ref_text
-    assert retained == ref_text
     assert stats == ref_stats
+    # every line parses back to a step that serializes to the same line
+    lines = text.splitlines(True)
+    assert [serialize_step(parse_step(x, i)) for i, x in enumerate(lines)] == lines
 
 
 @pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
@@ -424,6 +456,15 @@ def test_sink_stream_equals_retained_store():
     buf = io.StringIO()
     res = certify_range(150, sink=buf, retain=True)
     assert buf.getvalue() == "".join(res.store.to_lines())
+
+
+def test_null_sink_run_counts_what_a_streamed_run_writes():
+    # the derive-only call: no sink, no store, the stats of a streamed run
+    res = certify_range(3000, sink=None, retain=False)
+    streamed = certify_range(3000, sink=io.StringIO())
+    assert res.store is None
+    assert res.stats.to_dict() | {"elapsed_s": 0} == (
+        streamed.stats.to_dict() | {"elapsed_s": 0})
 
 
 def test_sink_only_run_retains_nothing():
@@ -473,9 +514,3 @@ def test_spf_array_small():
     assert list(spf[:10]) == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3]
     assert spf[25] == 5 and spf[29] == 29 and spf[30] == 2
 
-
-def test_close_prereqs_slot_order_and_dedup():
-    assert _close_prereqs(11, 3, "sum") == (8, 11, 3)
-    assert _close_prereqs(11, 3, "p") == (14, 8, 3)
-    # p = q collapses the p and q slots
-    assert _close_prereqs(2, 2, "sum") == (0, 2)

@@ -275,6 +275,23 @@ def test_serialize_fixed_layouts():
     )
 
 
+@pytest.mark.parametrize("template,fields,step", [
+    (M.BASE_LINE, (7,), CertificateStep(7, Base(), ())),
+    (M.COPRIME_PRODUCT_LINE, (24, 8, 3, 8, 3),
+     CertificateStep(24, CoprimeProduct(8, 3), (8, 3))),
+    (M.COPRIME_QUOTIENT_LINE, (25, 50, 2, 2, 50),
+     CertificateStep(25, CoprimeQuotient(50, 2), (2, 50))),
+    (M.CLOSE_P_LINE, (23, 23, 3, 26, 20, 3),
+     CertificateStep(23, ParallelogramClose(23, 3, SLOT_P), (26, 20, 3))),
+    (M.CLOSE_SUM_LINE, (50, 31, 19, 12, 31, 19, "min-q"),
+     CertificateStep(50, ParallelogramClose(31, 19, SLOT_SUM), (12, 31, 19),
+                     meta={"policy": "min-q"})),
+])
+def test_line_templates_match_serialize_step(template, fields, step):
+    # the generator's templates and serialize_step spell one wire format
+    assert template % fields == serialize_step(step)
+
+
 def test_serialize_meta_is_canonical_json():
     step = CertificateStep(
         50, ParallelogramClose(47, 3, SLOT_SUM), (47, 3, 44), meta={"policy": "max-q"}
