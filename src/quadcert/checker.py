@@ -17,23 +17,23 @@ prerequisite that is neither base-range nor previously established is
 classified at end of file: if some later line justifies it, the violation is
 a "cycle" (forward reference); otherwise "missing_prereq".
 
-The file is read once, with the same text-mode line iteration as
-`model.iter_steps` (so line numbers, blank-line skipping, universal newlines
-and decode errors are the reference's), in chunks of CHUNK_LINES lines. Each
-line of a chunk takes one of two paths:
+The file is read once, in chunks of CHUNK_LINES lines: in binary while a
+chunk is ASCII without a carriage return, then with the text-mode line
+iteration of `model.iter_steps` (so line numbers, universal newlines and
+decode errors are the reference's). Each line takes one of two paths:
 
-  fast path   a line in one of the four layouts `serialize_step` writes
-              (base, coprime_product, coprime_quotient, parallelogram; at
-              most three prereqs in any order; an optional meta of
-              {"policy":"max-q"} or {"policy":"min-q"}), where every integer
-              has at most 9 digits and no leading zero, is matched by one
-              anchored regex and validated with numpy for the whole chunk
-              at once. Nine digits keep every product exact in int64;
-              longer integers could wrap around and forge a match.
+  fast path   a line in a layout `serialize_step` writes (any kind, at most
+              three prereqs, no meta or a policy tag) whose integers have at
+              most 9 digits and no leading zero. A line's shape (its bytes
+              with every run of digits written as one 0) names its layout
+              exactly; the chunk's integers are read in one call, and the
+              rows are validated with numpy for the whole chunk at once.
+              Nine digits keep every product exact in int64; longer
+              integers could wrap around and forge a valid row.
   reference   every other non-blank line, and every fast-path row that
-              fails any vectorised check, goes through `model.parse_step`
-              and `model.validate_step`, so its violations, their codes and
-              their text are exactly the reference's.
+              fails any vectorised check, is decoded and goes through
+              `model.parse_step` and `model.validate_step`, so its
+              violations, their codes and their text are the reference's.
 
 Either way a row then becomes one fact index plus a flat list of prereq
 edges, and duplicates, establishment, cycle vs. missing, coverage and the
@@ -55,10 +55,9 @@ from __future__ import annotations
 
 import heapq
 import random
-import re
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -69,6 +68,7 @@ from .model import (
     CYCLE,
     DUPLICATE_FACT,
     MISSING_PREREQ,
+    SLOTS,
     Base,
     CertificateStep,
     CoprimeProduct,
@@ -76,33 +76,46 @@ from .model import (
     ParallelogramClose,
     Violation,
     parse_step,
+    serialize_step,
     slot_values,
     validate_step,
 )
-from .primes import build_prime_table, is_prime
+from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
-
-_INT = "(0|[1-9][0-9]{0,8})"
-_CANONICAL = re.compile(
-    r'^(?:\{"n":' + _INT + r',"just":\{"type":"(?:'
-    r'coprime_product","a":' + _INT + r',"b":' + _INT
-    + r'|coprime_quotient","product":' + _INT + r',"divisor":' + _INT
-    + r'|parallelogram","p":' + _INT + r',"q":' + _INT
-    + r',"target":"(sum|diff|p|q)"|base")\},"prereqs":\[(?:'
-    + _INT + "(?:," + _INT + "(?:," + _INT + r")?)?)?\]"
-    r'(?:,"meta":\{"policy":"(?:max-q|min-q)"\})?\}|.*)$',
-    re.MULTILINE,
-)
-# Slot words as digits 1..4 in SLOTS order; the longest-first order keeps
-# "p"/"q" from hitting the other words (which contain neither letter).
-_TARGET_DIGITS = (("sum", "1"), ("diff", "2"), ("p", "3"), ("q", "4"))
-_POW10 = 10 ** np.arange(11, dtype=np.int64)
+# bytes.translate tables: every non-digit to a space; every digit to "0"
+_SPACED = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+_ZEROED = bytes(48 if 48 <= c <= 57 else c for c in range(256))
+_TENS = 10 ** np.arange(1, 10, dtype=np.int64)
 # Columns of _columns(): kind, n, x (a | product | p), y (b | divisor | q),
-# target, prereqs. Kinds: -1 not canonical, 0 base, 1 coprime_product,
-# 2 coprime_quotient, 3 parallelogram.
+# target (1..4 in SLOTS order), prereqs. Kinds: -1 not canonical, 0 base,
+# 1 coprime_product, 2 coprime_quotient, 3 parallelogram.
 _KIND, _N, _X, _Y, _T = range(5)
 _PRE = slice(5, 8)
+
+
+def _layouts() -> tuple[dict[bytes, int], np.ndarray]:
+    """The canonical line layouts by shape (serialize_step's text for a step
+    whose integers are all 0), and a table row per layout: kind, target,
+    count of integers, then the positions among them of n, x, y and three
+    prereqs (-1 when absent). A last row stands for any other line."""
+    shapes: dict[bytes, int] = {}
+    table = []
+    for i, just in enumerate([Base(), CoprimeProduct(0, 0), CoprimeQuotient(0, 0)]
+                             + [ParallelogramClose(0, 0, s) for s in SLOTS]):
+        first = 3 if i else 1  # the position of the first prereq
+        # i = 3..6 are parallelogram steps on the slots of SLOTS, in order
+        for k in range(4):
+            for meta in (None, {"policy": MAX_Q}, {"policy": MIN_Q}):
+                line = serialize_step(CertificateStep(0, just, (0,) * k, meta))
+                shapes[line[:-1].encode()] = len(table)
+            table.append([min(i, 3), i - 2 if i > 2 else -1, first + k, 0,
+                          *((1, 2) if i else (-1, -1)),
+                          *(first + j if j < k else -1 for j in range(3))])
+    return shapes, np.array(table + [[-1, -1, 0] + [-1] * 6], dtype=np.int64)
+
+
+_SHAPES, _LAYOUT = _layouts()
 _UNSET = np.iinfo(np.int32).max  # first-provider position of an unseen fact
 
 
@@ -127,39 +140,48 @@ def _sort_key(v: Violation):
     return (v.line if v.line is not None else 0, v.code, v.detail)
 
 
-def _columns(lines: list[str]) -> np.ndarray:
-    """One int64 row per line (see the column constants); -1 marks an absent
-    field, and a line that is not canonical has kind -1."""
-    rows = _CANONICAL.findall("".join(lines))
-    del rows[len(lines):]
-    # Prefix every captured field with "1": an absent field reads as 1 and a
-    # present one as 10^digits + value, so one parse call reads them all.
-    text = "1" + ",1".join(chain.from_iterable(rows))
-    for word, digit in _TARGET_DIGITS:
-        text = text.replace(word, digit)
-    raw = np.fromstring(text, dtype=np.int64, sep=",").reshape(len(lines), -1)
-    lead = _POW10[np.searchsorted(_POW10, raw, side="right") - 1]
-    g = np.where(raw == 1, -1, raw - lead)
-    # g: n, a, b, product, divisor, p, q, target, r1, r2, r3
-    out = np.empty((len(lines), 8), dtype=np.int64)
-    out[:, _KIND] = np.select(
-        [g[:, 1] >= 0, g[:, 3] >= 0, g[:, 5] >= 0, g[:, 0] >= 0], [1, 2, 3, 0], -1)
-    out[:, _N] = g[:, 0]
-    out[:, _X] = g[:, [1, 3, 5]].max(axis=1)
-    out[:, _Y] = g[:, [2, 4, 6]].max(axis=1)
-    out[:, _T] = g[:, 7]
-    out[:, _PRE] = g[:, 8:11]
+def _columns(data: bytes) -> np.ndarray:
+    """One int64 row per line of `data` (see the column constants); -1
+    marks an absent field, and a line that is not canonical has kind -1."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    zeroed = np.frombuffer(data.translate(_ZEROED), dtype=np.uint8)
+    digit = zeroed == 48
+    keep = np.ones(len(zeroed), dtype=bool)
+    keep[1:] = ~(digit[1:] & digit[:-1])  # drop all but a run's first digit
+    shape = zeroed[keep]
+    shapes = shape.tobytes().split(b"\n")[:-1]
+    lay = _LAYOUT[np.fromiter(map(_SHAPES.get, shapes, repeat(-1)),
+                              dtype=np.intp, count=len(shapes))]
+    counts = lay[:, 2].copy()  # integers per line
+    other = np.flatnonzero(lay[:, _KIND] < 0)
+    counts[other] = [shapes[i].count(b"0") for i in other.tolist()]
+    ends = np.cumsum(counts)
+    # every integer in order (a run past int64 saturates), then the -1
+    # that absent fields read
+    ints = np.fromstring(data.translate(_SPACED), dtype=np.int64, sep=" ")
+    ints = np.append(ints[: ends[-1]], -1)
+    pos = lay[:, 3:]
+    vals = ints[np.where(pos >= 0, (ends - counts)[:, None] + pos, -1)]
+    # the digits each line loses to its shape against those its values need
+    # differ on a leading zero; a run of 10+ digits reads as >= 10^9
+    lost = np.diff(np.flatnonzero(zeroed == 10) - np.flatnonzero(shape == 10), prepend=0)
+    exact = lost == np.searchsorted(_TENS, vals, side="right").sum(axis=1)
+    out = np.empty((len(shapes), 8), dtype=np.int64)
+    out[:, [_KIND, _T]] = lay[:, :2]
+    out[:, [_N, _X, _Y, 5, 6, 7]] = vals
+    out[~exact | (vals.max(axis=1) >= 10**9)] = -1
     return out
 
 
 def _rows(
-    lines: list[str], line_nos: Sequence[int]
+    lines: list[bytes], data: bytes, line_nos: Sequence[int]
 ) -> tuple[np.ndarray, dict[int, CertificateStep]]:
-    """The chunk's columns, and the parsed step of each non-blank line that
-    is not canonical, by row."""
-    cols = _columns(lines)
-    return cols, {i: parse_step(lines[i], line_nos[i])
-                  for i in np.flatnonzero(cols[:, _KIND] < 0).tolist() if lines[i].strip()}
+    """The columns of a chunk (`data` is its lines joined), and the parsed
+    step of each non-blank line that is not canonical, by row."""
+    cols = _columns(data)
+    texts = {i: lines[i].decode() for i in np.flatnonzero(cols[:, _KIND] < 0).tolist()}
+    return cols, {i: parse_step(t, line_nos[i]) for i, t in texts.items() if t.strip()}
 
 
 def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
@@ -208,7 +230,7 @@ class _Pass:
         self.ids: dict[int, int] = {}  # fact >= size -> index
         self.first = np.full(64, _UNSET, dtype=np.int32)  # index -> position
         self.depth = np.zeros(64, dtype=np.int32)  # index -> first depth
-        self.primes = np.zeros(0, dtype=bool)  # sieve: index -> is prime
+        self.primes: PrimeTable | None = None  # sieved below `size`
         self.slots = 0  # positions handed out so far
         self.steps = 0
         self.max_depth = 0
@@ -255,16 +277,18 @@ class _Pass:
     def _is_prime(self, values: np.ndarray) -> np.ndarray:
         """Sieved primality below `size`. A larger value reads as not prime,
         which only sends its row to the reference path."""
-        if len(self.primes) < self.size and values.max(initial=0) >= len(self.primes):
-            self.primes = build_prime_table(max(self.size - 1, 2)).as_bool_array()
-        inside = values < len(self.primes)
-        return inside & self.primes[np.where(inside, values, 0)]
+        top = self.primes.limit if self.primes else -1
+        if top + 1 < self.size and values.max(initial=0) > top:
+            self.primes = build_prime_table(max(self.size - 1, 2))
+            top = self.primes.limit
+        inside = values <= top
+        return inside & self.primes.lookup(np.where(inside, values, 0))
 
     # -- one chunk ------------------------------------------------------------
 
     def feed(
         self,
-        lines: list[str],
+        lines: list[bytes],
         line_nos: Sequence[int],
         lines_read: int,
         cols: np.ndarray,
@@ -320,7 +344,7 @@ class _Pass:
         clean = _arith_ok(cols, self._is_prime(xy))
         clean[erow[~base_range & (fp >= pos[erow])]] = False
         for i in active[~clean[active]].tolist():
-            step = steps.get(i) or parse_step(lines[i], line_nos[i])
+            step = steps.get(i) or parse_step(lines[i].decode(), line_nos[i])
             here = start + i
 
             def established(v: int, here: int = here) -> bool:
@@ -370,7 +394,8 @@ class _Pass:
                 picked.append(self.sample[j])
             else:
                 i = eligible[j - old]
-                picked.append((line_nos[i], steps.get(i) or parse_step(lines[i], line_nos[i])))
+                picked.append((line_nos[i], steps.get(i)
+                               or parse_step(lines[i].decode(), line_nos[i])))
         self.sample, self.sample_keys = picked, keys[keep]
 
     # -- results ----------------------------------------------------------------
@@ -441,25 +466,37 @@ def _identities_hold(step: CertificateStep) -> bool:
     return False  # pragma: no cover - the sample excludes Base
 
 
-def _read_chunks(path: str) -> Iterator[list[str]]:
-    """The file's lines in CHUNK_LINES batches, read as iter_steps reads
-    them. A decode error is raised only after the lines before it were
-    handed out, so a malformed line before it is reported first, as in a
-    line-by-line read."""
+def _read_chunks(path: str) -> Iterator[tuple[list[bytes], bytes]]:
+    """The file's lines, each with its newline, in CHUNK_LINES batches, and
+    each batch joined. Lines are read in binary while a batch is ASCII
+    without a carriage return. From the first batch that is not, the rest
+    of the file is read as iter_steps reads it (universal newlines; a decode
+    error is raised only after the lines before it were handed out, so a
+    malformed line before it is reported first) and re-encoded."""
+    done = 0  # lines handed out
+    with open(path, "rb") as fh:
+        while lines := list(islice(fh, CHUNK_LINES)):
+            data = b"".join(lines)
+            if not data.isascii() or b"\r" in data:
+                break
+            yield lines, data
+            done += len(lines)
+        else:
+            return
     with open(path, "r", encoding="utf-8") as fh:
-        lines: list[str] = []
+        lines = []
         try:
-            for line in fh:
-                lines.append(line)
+            for line in islice(fh, done, None):
+                lines.append(line.encode())
                 if len(lines) == CHUNK_LINES:
-                    yield lines
+                    yield lines, b"".join(lines)
                     lines = []
         except ValueError:
             if lines:
-                yield lines
+                yield lines, b"".join(lines)
             raise
         if lines:
-            yield lines
+            yield lines, b"".join(lines)
 
 
 def _toposort(facts: list[int], prereqs: list[Sequence[int]]) -> list[int]:
@@ -495,21 +532,21 @@ def _toposort(facts: list[int], prereqs: list[Sequence[int]]) -> list[int]:
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
     """Feed every line of the file to `run`, in file or topological order.
     With `reorder`, the rows of the non-blank lines are kept from the read
-    and fed in sorted order, so no line is matched or parsed twice."""
-    lines: list[str] = []
+    and fed in sorted order, so no line is put into columns or parsed twice."""
+    lines: list[bytes] = []
     line_nos: list[int] = []
     cols: list[np.ndarray] = [np.zeros((0, 8), dtype=np.int32)]
     steps: dict[int, CertificateStep] = {}  # kept line -> parsed step
     facts: list[int] = []
     prereqs: list[Sequence[int]] = []
     read = 0
-    for chunk in _read_chunks(path):
+    for chunk, data in _read_chunks(path):
         nos = range(read + 1, read + 1 + len(chunk))
         read += len(chunk)
         if not reorder:
-            run.feed(chunk, nos, read, *_rows(chunk, nos))
+            run.feed(chunk, nos, read, *_rows(chunk, data, nos))
             continue
-        chunk_cols, chunk_steps = _rows(chunk, nos)
+        chunk_cols, chunk_steps = _rows(chunk, data, nos)
         keep = []
         for i, row in enumerate(chunk_cols.tolist()):
             if row[_KIND] >= 0:

@@ -81,6 +81,12 @@ class PrimeTable:
             raise ValueError(f"{n} outside table range 0..{self.limit}")
         return bool((self._bits[n >> 3] >> (n & 7)) & 1)
 
+    def lookup(self, values: np.ndarray) -> np.ndarray:
+        """Vectorised membership for integers in 0..limit, read off the
+        packed bits (no unpacked copy)."""
+        bits = np.frombuffer(self._bits, dtype=np.uint8)
+        return ((bits[values >> 3] >> (values & 7)) & 1).astype(bool)
+
     def as_bool_array(self) -> np.ndarray:
         """Unpacked bool view (index n -> n is prime), length limit+1."""
         raw = np.frombuffer(self._bits, dtype=np.uint8)

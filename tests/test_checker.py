@@ -61,6 +61,26 @@ def test_genuine_certificate_accepted(cert_2k):
     assert st["topological_depth"] >= 2
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_genuine_lines_never_reach_the_reference_path(cert_2k, tmp_path, newline):
+    # a CRLF copy is read in text mode and re-encoded, then takes the same
+    # fast path; any parse_step call would mean a genuine row left it
+    with open(cert_2k["path"], encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    path = tmp_path / "genuine.jsonl"
+    path.write_bytes(text.replace("\n", newline).encode())
+    calls = []
+
+    def counting(line, line_no):
+        calls.append(line_no)
+        return M.parse_step(line, line_no)
+
+    with mock.patch.object(checker, "parse_step", counting):
+        report = check_store(str(path), cert_2k["limit"], spot_check=0)
+    assert report.accepted
+    assert calls == []
+
+
 def test_duplicate_fact(write_cert):
     path = write_cert(base_rows() + [_product(21, 3, 7), _product(21, 3, 7)])
     report = check_store(path, 21)
@@ -198,9 +218,9 @@ def test_fast_path_takes_nine_digit_integers_only():
     # ten digits could wrap int64 products, so such a line must
     # leave the fast path for the exact reference path
     line = '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n'
-    nine = checker_columns([line % (999999999, 3, 333333333, 3, 333333333)])
-    ten = checker_columns([line % (4294967296, 4294967296, 4294967297,
-                                   4294967296, 4294967297)])
+    nine = checker_columns((line % (999999999, 3, 333333333, 3, 333333333)).encode())
+    ten = checker_columns((line % (4294967296, 4294967296, 4294967297,
+                                   4294967296, 4294967297)).encode())
     assert nine[0, 0] == 1 and nine[0, 1] == 999999999
     assert ten[0, 0] == -1
 

@@ -213,3 +213,62 @@ def test_dict_held_facts_agree_with_object_scan(genuine_prefix, name, chunk):
     fast, slow, want = _three_ways(BIG[name](genuine_prefix), chunk)
     assert fast == want
     assert slow == want
+
+
+def _edit(i, *pairs):
+    """The prefix with line i's text edited by (old, new) pairs."""
+    def build(lines):
+        text = lines[i]
+        for old, new in pairs:
+            text = text.replace(old, new, 1)
+        return "".join(lines[:i] + [text] + lines[i + 1:])
+    return build
+
+
+# Raw texts, each a genuine prefix with an edit that either hides a wrong
+# integer count or value from a columnizer that deleted digits or trusted
+# the integer parser, or puts a line boundary where bytes and text differ.
+FORGED = {
+    # with their digits deleted, these two read as canonical lines
+    "digit_moved_into_type": _edit(201, ('"a":2,', '"a":,'),
+                                   ("coprime_product", "coprime_pro2duct")),
+    "base_without_n": _edit(5, ('"n":5,', '"n":,'), ("[]", "[5]")),
+    # a run of digits that is not one canonical integer
+    "leading_zero": _edit(201, ('"a":2,', '"a":02,')),
+    "minus_zero": _edit(0, ('"n":0,', '"n":-0,')),
+    "plus_sign": _edit(5, ('"n":5,', '"n":+5,')),
+    "exponent": _edit(201, ('"b":101', '"b":1e3')),
+    **{f"digits_{d}": _edit(201, ('"n":202,', f'"n":{10 ** (d - 1) + 7},'),
+                            ("[2,101]", f"[2,{10 ** (d - 1) + 3}]"))
+       for d in (10, 19, 20, 25)},
+    # blank to str.strip() but not to bytes.strip()
+    "control_char_lines": lambda rows: "".join(
+        rows[:100] + [c + "\n" for c in "\x0b\x0c\x1c\x1d\x1e\x1f"] + rows[100:]),
+    "crlf": lambda rows: "".join(rows).replace("\n", "\r\n"),
+    "crlf_only": lambda rows: "\r\n" * 40,
+    # one byte line, two text lines; the duplicate at the end reports the
+    # line number the reference counts
+    "lone_cr": lambda rows: "".join(rows[:150] + [rows[150][:-1] + "\r"]
+                                    + rows[151:] + [rows[21]]),
+    "non_ascii_middle": lambda rows: "".join(
+        rows[:200] + ['{"n":1,"just":{"type":"base"},"prereqs":[],'
+                      '"meta":{"note":"\u00e9"}}\n'] + rows[200:] + [rows[21]]),
+    "no_final_newline": lambda rows: "".join(rows + [rows[21]]).rstrip("\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def genuine_text(cert_2k):
+    with open(cert_2k["path"], encoding="utf-8", newline="") as fh:
+        return [line for _, line in zip(range(PREFIX), fh)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_forged_shapes_and_chunk_edges_agree_with_object_scan(genuine_text, tmp_path,
+                                                              name, chunk):
+    path = tmp_path / "forged.jsonl"
+    path.write_bytes(FORGED[name](genuine_text).encode("utf-8"))
+    with mock.patch.object(checker, "CHUNK_LINES", chunk):
+        got = _run(str(path), BOUND, False)
+    assert got == _object_scan(str(path), BOUND, False)

@@ -77,6 +77,13 @@ def test_table_matches_oracle_sieve_to_100k():
     assert np.array_equal(table.as_bool_array(), oracle_sieve(100_000))
 
 
+def test_lookup_reads_the_packed_bits():
+    table = build_prime_table(100_003)  # a prime limit, not a multiple of 8
+    values = np.arange(100_001)
+    assert np.array_equal(table.lookup(values), table.as_bool_array()[:100_001])
+    assert table.lookup(np.array([table.limit - 1, table.limit])).tolist() == [False, True]
+
+
 def test_prime_count_to_one_million():
     table = build_prime_table(1_000_000)
     assert table.count() == 78_498  # pi(10^6)
