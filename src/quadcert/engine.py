@@ -20,19 +20,16 @@ so the wire format is defined in `model` alone.
 
 Targets are taken in windows of WINDOW consecutive n. The smallest-prime-
 factor table gives each target's case as numpy columns. Python walks only the
-window's prime powers, cases (ii)-(iv), in ascending order. The splits of
-case (i) that no auxiliary step established earlier are then formatted as one
-block, the walk's lines are merged in by target, and the window's text is
-written out. The output is the same as a walk over every n in ascending
-order, because two invariants hold:
-
-  - a split establishes only its own n, and an auxiliary fact always lies
-    above the target that needs it, so a split target can only have been
-    established by the walk of an earlier prime power;
-  - every fact below the frontier (the current target) is established. The
-    walk marks the `established` table up to each prime power with one slice
-    assignment, after copying the old entries: a split target left unmarked
-    at its turn is one no auxiliary step established, and is emitted.
+window's prime powers, cases (ii)-(iv), in ascending order, and the frontier
+is the prime power being walked. One rule makes this the same as a walk over
+every n in ascending order: every fact below the frontier counts as
+established. Reads about such facts go through one predicate, `_known`, and
+`_emit` refuses them. After the walk, the window's splits of case (i) that no
+auxiliary step established are read off `established` once. That is exact,
+because an auxiliary fact lies above the prime power that emits it, so a
+split target is established before its turn only by the walk of an earlier
+prime power. The splits and the walk's lines, in target order, are then
+formatted with one `%` and written out.
 
 Auxiliary facts never exceed 2n + 14 (an above-frontier prime p <= 2n - 3
 needs p + r with r <= 17). They are memoized globally: a fact is justified by
@@ -50,8 +47,7 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
-from math import isqrt
+from dataclasses import asdict, dataclass, field
 from typing import IO
 
 import numpy as np
@@ -65,7 +61,6 @@ from .model import (
     COPRIME_QUOTIENT_LINE,
     CertificateStore,
     parse_step,
-    serialize_coprime_products,
 )
 from .primes import (
     MAX_Q,
@@ -75,6 +70,7 @@ from .primes import (
     goldbach_pair,
     select_q_for_prime,
     select_r,
+    spf_array,
 )
 
 MIN_TARGET = BASE_LIMIT + 1
@@ -114,38 +110,13 @@ class EngineStats:
     elapsed_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "limit": self.limit,
-            "policy": self.policy,
-            "steps": self.steps,
-            "base_steps": self.base_steps,
-            "aux_steps": self.aux_steps,
-            "memoized_targets": self.memoized_targets,
-            "case_counts": dict(self.case_counts),
-            "goldbach_calls": self.goldbach_calls,
-            "pow2_depth_max": self.pow2_depth_max,
-            "max_fact": self.max_fact,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        return asdict(self) | {"elapsed_s": round(self.elapsed_s, 3)}
 
 
 @dataclass
 class EngineResult:
     stats: EngineStats
     store: CertificateStore | None
-
-
-def _spf_array(limit: int) -> np.ndarray:
-    """Smallest prime factor for 0..limit (0 and 1 map to themselves)."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    idx = np.nonzero(spf == 0)[0]
-    spf[idx] = idx
-    return spf
 
 
 class _Engine:
@@ -163,19 +134,27 @@ class _Engine:
             table = build_prime_table(self.margin)
         self.table = table
         self.established = bytearray(self.margin + 1)
-        self.spf = _spf_array(limit)
+        self.spf = spf_array(limit)
         self.sinks = sinks
         # Lines of the current window not yet written, one per _emit.
         self.text: list[str] = []
+        # The target being derived; every fact below it counts as established.
         self.frontier = 0
         self.stats = EngineStats(limit=limit, policy=policy)
 
     # -- emission -----------------------------------------------------------
 
+    def _known(self, v: int) -> bool:
+        """Whether fact v is established: every fact below the frontier is."""
+        return v < self.frontier or self.established[v]
+
     def _emit(self, template: str, fact: int, *fields) -> None:
         """Write fact's line: a `model` line template filled with fact, *fields."""
-        if self.established[fact]:
-            raise BoundViolation(f"fact {fact} emitted twice (memoization broken)")
+        if self._known(fact):
+            raise BoundViolation(
+                f"fact {fact} is already established: emitted twice or below"
+                f" the frontier {self.frontier} (memoization broken)"
+            )
         self.established[fact] = 1
         self.text.append(template % (fact, *fields))
         st = self.stats
@@ -196,13 +175,13 @@ class _Engine:
     # -- auxiliary derivations ------------------------------------------------
 
     def _ensure_fact(self, v: int, depth: int) -> None:
-        """Establish fact v (above the frontier) if it is not already."""
-        if v <= self.margin and self.established[v]:
-            return
+        """Establish fact v if it is not already."""
         if v > self.margin:
             raise BoundViolation(
                 f"required fact {v} exceeds the table margin {self.margin}"
             )
+        if self._known(v):
+            return
         if v % 2 == 1:
             if v not in self.table:
                 raise BoundViolation(
@@ -243,7 +222,7 @@ class _Engine:
             )
         if not self.established[s]:
             self._emit(COPRIME_PRODUCT_LINE, s, 4, sq, 4, sq)
-        if not self.established[d]:
+        if not self._known(d):
             self._emit(COPRIME_PRODUCT_LINE, d, 2, dh, 2, dh)
         self._emit(CLOSE_P_LINE, p, p, r, s, d, r)
 
@@ -305,11 +284,10 @@ class _Engine:
             self.stats.base_steps += 1
         for lo in range(MIN_TARGET, self.limit + 1, WINDOW):
             self._window(lo, min(lo + WINDOW, self.limit + 1))
-        self.frontier = self.limit + 1
         self.stats.elapsed_s = time.monotonic() - t0
 
     def _window(self, lo: int, hi: int) -> None:
-        """Targets lo..hi-1: walk the prime powers, then merge in the splits."""
+        """Targets lo..hi-1: walk the prime powers, then write the splits."""
         n = np.arange(lo, hi, dtype=np.int64)
         p = self.spf[lo:hi].astype(np.int64)
         a = p.copy()  # the largest power of spf(n) dividing n
@@ -320,23 +298,17 @@ class _Engine:
             rest[i] //= p[i]
             i = i[rest[i] % p[i] == 0]
         st = self.stats
-        est = self.established
-        s0 = st.steps
         anchors: list[int] = []  # walked targets, ascending
-        starts: list[int] = []  # index of each one's first step in the window
-        seen: list[bytearray] = []  # est[lo:hi] as it was at each n's turn
-        low = lo
+        slots: list[int] = []  # where in self.text the splits below each go
         powers = np.flatnonzero(rest == 1)
         for m, q in zip(n[powers].tolist(), p[powers].tolist()):
-            # Everything below the frontier is established, splits included.
-            seen.append(est[low:m])
-            est[low:m] = b"\x01" * (m - low)
-            low = self.frontier = m
-            if est[m]:
+            self.frontier = m
+            if self.established[m]:
                 st.memoized_targets += 1
                 continue
             anchors.append(m)
-            starts.append(st.steps - s0)
+            slots.append(len(self.text))
+            self.text.append("")
             if q == 2:
                 self._aux_pow2(m, 1)
                 st.case_counts["pow2"] += 1
@@ -344,37 +316,31 @@ class _Engine:
                 self._prime_case(m)
             else:
                 self._odd_prime_power(m)
-        walked = st.steps - s0
-        seen.append(est[low:hi])
-        est[low:hi] = b"\x01" * (hi - low)
+        slots.append(len(self.text))  # and the splits above the last one
+        self.text.append("")
+        # The whole window is below the frontier now: a split still unset in
+        # `established` is one no auxiliary step made, and its line is due.
+        self.frontier = hi
         split = rest > 1
-        todo = split & (np.frombuffer(b"".join(seen), np.uint8) == 0)
+        est = np.frombuffer(self.established, np.uint8, hi - lo, lo)
+        todo = split & (est == 0)
         cn, ca, cb = n[todo], a[todo], rest[todo]
         st.memoized_targets += int(np.count_nonzero(split)) - len(cn)
         st.case_counts["coprime_split"] += len(cn)
         st.steps += len(cn)
         if len(cn):
             st.max_fact = max(st.max_fact, int(cn[-1]))
-        block = serialize_coprime_products(
+        # Each slot takes a template line per split between the previous
+        # walked target and its own; walked lines hold no '%', so the one
+        # '%' below passes them through and fills in only the splits.
+        counts = np.diff(np.searchsorted(cn, anchors + [hi]), prepend=0)
+        for k, c in zip(slots, counts.tolist()):
+            self.text[k] = COPRIME_PRODUCT_LINE * c
+        chunk = "".join(self.text) % tuple(
             np.column_stack((cn, ca, cb, ca, cb)).ravel().tolist())
-        at = np.searchsorted(cn, anchors).tolist()
-        w = len(self.text) - walked
-        self.text[w:] = _merge(block.splitlines(True), self.text[w:], at, starts)
-        chunk = "".join(self.text)
         self.text.clear()
         for sink in self.sinks:
             sink.write(chunk)
-
-
-def _merge(rows: list, walk: list, at: list[int], starts: list[int]) -> list:
-    """rows with walk[starts[k]:starts[k+1]] inserted before rows[at[k]]."""
-    out: list = []
-    r = 0
-    for i, w, e in zip(at, starts, starts[1:] + [len(walk)]):
-        out += rows[r:i]
-        out += walk[w:e]
-        r = i
-    return out + rows[r:]
 
 
 def certify_range(

@@ -327,15 +327,6 @@ CLOSE_SUM_LINE = (  # p+q, p, q, p-q, p, q, policy (the meta tag)
     '"prereqs":[%d,%d,%d],"meta":{"policy":"%s"}}\n')
 
 
-def serialize_coprime_products(rows: list[int]) -> str:
-    """COPRIME_PRODUCT_LINE for every five integers of `rows`, as one block.
-
-    `rows` is flat, five integers per step: n, a, b, a, b. The block is
-    formatted with one `%`, so its cost per line stays in C.
-    """
-    return (COPRIME_PRODUCT_LINE * (len(rows) // 5)) % tuple(rows)
-
-
 _JUST_FIELDS = {
     "base": (),
     "coprime_product": ("a", "b"),

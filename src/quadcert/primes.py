@@ -9,7 +9,8 @@ stay available downstream).
 The table is a true bitset (one bit per integer) built by a segmented sieve,
 so construction memory stays O(segment) on top of the packed result. Queries
 above the table limit fall back to deterministic Miller-Rabin, valid for all
-64-bit inputs.
+64-bit inputs. The plain smallest-prime-factor sieve gives the engine each
+target's factorization and the segmented sieve its base primes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 20  # sieve segment length; a multiple of 8, so it packs
 # Refuse tables above this many bits (packed size 1 GiB). Desk-scale runs
 # need ~2x the certification bound, far below this.
 DEFAULT_MAX_TABLE_BITS = 1 << 33
@@ -96,37 +97,35 @@ class PrimeTable:
         return int(self.as_bool_array().sum())
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Plain sieve of Eratosthenes up to limit, bool array, for base primes."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+def spf_array(limit: int) -> np.ndarray:
+    """Smallest prime factor for 0..limit (0 and 1 map to themselves).
 
-
-def build_prime_table(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    max_bits: int = DEFAULT_MAX_TABLE_BITS,
-) -> PrimeTable:
-    """Segmented sieve of Eratosthenes packed into a bitset.
-
-    segment_size is rounded to a multiple of 8 so segments pack cleanly.
+    A plain sieve of Eratosthenes: n >= 2 is prime iff spf[n] == n.
     """
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            spf[p] = p
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    idx = np.nonzero(spf == 0)[0]
+    spf[idx] = idx
+    return spf
+
+
+def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> PrimeTable:
+    """Segmented sieve of Eratosthenes packed into a bitset."""
     if limit < 2:
         raise ValueError(f"table limit must be >= 2, got {limit}")
     if limit + 1 > max_bits:
         raise SieveBudgetError(
             f"limit {limit} needs {limit + 1} bits, budget is {max_bits}"
         )
-    segment_size = max(8, (segment_size // 8) * 8)
-    base_flags = _simple_sieve(math.isqrt(limit))
-    base_primes = np.flatnonzero(base_flags)
+    spf = spf_array(math.isqrt(limit))
+    base_primes = np.flatnonzero(spf == np.arange(spf.size))[2:]  # past 0, 1
     chunks: list[np.ndarray] = []
-    for low in range(0, limit + 1, segment_size):
-        high = min(low + segment_size, limit + 1)
+    for low in range(0, limit + 1, SEGMENT_SIZE):
+        high = min(low + SEGMENT_SIZE, limit + 1)
         seg = np.ones(high - low, dtype=bool)
         if low == 0:
             seg[:2] = False
@@ -181,7 +180,8 @@ def primes_upto(limit: int) -> list[int]:
     """Ascending primes <= limit (convenience for small bounds)."""
     if limit < 2:
         return []
-    return [int(p) for p in np.flatnonzero(_simple_sieve(limit))]
+    spf = spf_array(limit)
+    return np.flatnonzero(spf == np.arange(limit + 1))[2:].tolist()  # past 0, 1
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from quadcert.engine import (
     WINDOW,
     BoundViolation,
     _Engine,
-    _spf_array,
     certify_range,
 )
 from quadcert.model import (
@@ -27,7 +26,7 @@ from quadcert.model import (
     parse_step,
     serialize_step,
 )
-from quadcert.primes import MAX_Q, MIN_Q
+from quadcert.primes import MAX_Q, MIN_Q, spf_array
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +217,7 @@ def test_aux_prime_31():
 def test_aux_prime_41_uses_r_3():
     # 41 = 1 (mod 8) selects r = 3: 44 = 4 * 11 and 38 = 2 * 19
     eng = _fresh_engine()
-    eng.frontier = 40
+    eng.frontier = 38
     eng._aux_prime(41)
     tail = _tail(eng, 3)
     assert tail[0] == CertificateStep(44, CoprimeProduct(4, 11), (4, 11))
@@ -254,7 +253,7 @@ def test_ensure_fact_pow2_difference_recurses():
     # a difference that is exactly a power of two is closed from its own
     # Goldbach pair instead of a coprime split
     eng = _fresh_engine(limit=200)
-    eng.frontier = 150
+    eng.frontier = 128
     eng._ensure_fact(128, 0)
     assert _tail(eng, 1)[0] == CertificateStep(
         128,
@@ -311,6 +310,22 @@ def test_duplicate_emission_is_a_hard_error():
     eng = _fresh_engine()
     with pytest.raises(BoundViolation, match="twice"):
         eng._emit(BASE_LINE, 5)
+
+
+def test_emission_below_the_frontier_is_a_hard_error():
+    # 30 was never emitted, but every fact below the frontier counts as made
+    eng = _fresh_engine()
+    eng.frontier = 40
+    with pytest.raises(BoundViolation, match="below the frontier 40"):
+        eng._emit(COPRIME_PRODUCT_LINE, 30, 2, 15, 2, 15)
+
+
+def test_ensure_fact_below_the_frontier_emits_nothing():
+    eng = _fresh_engine(limit=200)
+    eng.frontier = 150
+    for v in (31, 52, 128):  # an odd prime, a coprime split, a power of two
+        eng._ensure_fact(v, 0)
+    assert len(eng.text) == 21 and eng.stats.goldbach_calls == 0
 
 
 def test_fact_above_four_limit_is_refused():
@@ -510,7 +525,7 @@ def test_aux_margin_covers_worst_case(res130):
 
 
 def test_spf_array_small():
-    spf = _spf_array(30)
+    spf = spf_array(30)
     assert list(spf[:10]) == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3]
     assert spf[25] == 5 and spf[29] == 29 and spf[30] == 2
 

@@ -89,10 +89,11 @@ def test_prime_count_to_one_million():
     assert table.count() == 78_498  # pi(10^6)
 
 
-def test_table_membership_and_segmentation_boundaries():
+def test_table_membership_and_segmentation_boundaries(monkeypatch):
     # A tiny segment size forces many segment joins; results must not differ.
-    small = build_prime_table(10_000, segment_size=64)
     big = build_prime_table(10_000)
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 64)
+    small = build_prime_table(10_000)
     assert small.as_bool_array().tolist() == big.as_bool_array().tolist()
 
 
