@@ -10,7 +10,9 @@ A certificate file is accepted iff:
      produced by tools that do not guarantee ordering);
   4. every step passes the core validation rules with primality, gcd, and
      congruence facts recomputed here (never read from the certificate);
-  5. every n in 1..claimed_bound has a justifying step.
+  5. every n in 1..claimed_bound has a justifying step (gaps are reported
+     as [lo, hi] runs, one violation each);
+  6. the bootstrap, rerun here, pins f(n) = n^2 on 1..20 on one branch.
 
 All violations are collected and reported, never just the first. A
 prerequisite that is neither base-range nor previously established is
@@ -56,14 +58,17 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .bootstrap import BootstrapError, solve_bootstrap
 from .model import (
     BASE_LIMIT,
+    BOOTSTRAP_FAILED,
     COVERAGE_GAP,
     CYCLE,
     DUPLICATE_FACT,
@@ -123,8 +128,9 @@ _UNSET = np.iinfo(np.int32).max  # first-provider position of an unseen fact
 class CheckReport:
     accepted: bool
     violations: list[Violation]
-    coverage_gaps: list[int]
+    coverage_gaps: list[list[int]]  # [lo, hi] runs of unjustified facts
     stats: dict
+    bootstrap: dict
     spot_check: dict | None = None
 
     def to_dict(self) -> dict:
@@ -133,11 +139,8 @@ class CheckReport:
             "violations": [v.to_dict() for v in self.violations],
             "coverage_gaps": list(self.coverage_gaps),
             "stats": dict(self.stats),
+            "bootstrap": dict(self.bootstrap),
         }
-
-
-def _sort_key(v: Violation):
-    return (v.line if v.line is not None else 0, v.code, v.detail)
 
 
 def _columns(data: bytes) -> np.ndarray:
@@ -400,30 +403,32 @@ class _Pass:
 
     # -- results ----------------------------------------------------------------
 
-    def report(self, claimed_bound: int) -> tuple[list[Violation], list[int]]:
+    def report(self, bound: int) -> tuple[list[Violation], list[list[int]]]:
         violations = list(self.immediate)
         for v in self.deferred:
-            if self._first_pos(v.value) != _UNSET:
-                violations.append(Violation(
-                    CYCLE,
-                    f"prerequisite {v.value} is justified only on a later line"
-                    " (line order must be topological)",
-                    line=v.line, fact=v.fact, value=v.value))
-            else:
-                violations.append(Violation(
-                    MISSING_PREREQ, f"prerequisite {v.value} is never justified",
-                    line=v.line, fact=v.fact, value=v.value))
-        violations.sort(key=_sort_key)
-        top = min(claimed_bound, self.size - 1)
-        gaps = (np.flatnonzero(self.first[1: top + 1] == _UNSET) + 1).tolist()
-        gaps.extend(n for n in range(self.size, claimed_bound + 1) if n not in self.ids)
-        for n in gaps:
-            violations.append(
-                Violation(COVERAGE_GAP, f"no step justifies fact {n}", value=n))
+            later = self._first_pos(v.value) != _UNSET
+            violations.append(Violation(
+                CYCLE if later else MISSING_PREREQ,
+                f"prerequisite {v.value} is justified only on a later line"
+                " (line order must be topological)" if later
+                else f"prerequisite {v.value} is never justified",
+                line=v.line, fact=v.fact, value=v.value))
+        violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
+        # the facts 1..bound no step provides, as [lo, hi] runs: of `first`
+        # below `size`, then between the sorted facts of `ids` above it
+        miss = np.flatnonzero(self.first[1: min(bound, self.size - 1) + 1] == _UNSET) + 1
+        cut = np.flatnonzero(np.diff(miss) > 1)
+        gaps = np.column_stack([np.r_[miss[:1], miss[cut + 1]],
+                                np.r_[miss[cut], miss[-1:]]]).tolist()
+        lo = gaps.pop()[0] if gaps and gaps[-1][1] == self.size - 1 else self.size
+        for v in sorted(v for v in self.ids if v <= bound) + [bound + 1]:
+            if v > lo:
+                gaps.append([lo, v - 1])
+            lo = v + 1
+        for lo, hi in gaps:
+            facts = f"fact {lo}" if lo == hi else f"facts {lo}..{hi}"
+            violations.append(Violation(COVERAGE_GAP, f"no step justifies {facts}", value=lo))
         return violations, gaps
-
-    def distinct_facts(self) -> int:
-        return int((self.first[: self.size] != _UNSET).sum()) + len(self.ids)
 
     def spot_check(self) -> dict:
         for line_no, step in sorted(self.sample, key=lambda s: s[0]):
@@ -589,25 +594,37 @@ def check_store(
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
     t0 = time.monotonic()
     run = _Pass(spot_check, seed)
+    boot = _bootstrap(run.immediate)
     _scan(path, run, reorder)
     violations, gaps = run.report(claimed_bound)
     stats = {
         "steps": run.steps,
-        "distinct_facts": run.distinct_facts(),
+        "distinct_facts": int((run.first[: run.size] != _UNSET).sum()) + len(run.ids),
         "topological_depth": run.max_depth,
         "claimed_bound": claimed_bound,
-        "coverage_gap_count": len(gaps),
+        "coverage_gap_count": sum(hi - lo + 1 for lo, hi in gaps),
+        "violation_counts": dict(sorted(Counter(v.code for v in violations).items())),
         "reordered": reorder,
         "elapsed_s": round(time.monotonic() - t0, 3),
     }
-    accepted = not violations
-    return CheckReport(
-        accepted=accepted,
-        violations=violations,
-        coverage_gaps=gaps,
-        stats=stats,
-        spot_check=run.spot_check() if accepted and spot_check > 0 else None,
-    )
+    spot = run.spot_check() if not violations and spot_check > 0 else None
+    return CheckReport(not violations, violations, gaps, stats, boot, spot)
+
+
+def _bootstrap(violations: list[Violation]) -> dict:
+    """Rerun the bootstrap and return its report block; add a violation
+    unless it pins f(n) = n^2 on 1..BASE_LIMIT on one surviving branch."""
+    try:
+        boot = solve_bootstrap()
+    except BootstrapError as exc:
+        violations.append(Violation(BOOTSTRAP_FAILED, f"bootstrap failed: {exc}"))
+        return {"facts_pinned": 0, "surviving_branches": None}
+    live = len(boot.leaves) - len(boot.pruned)
+    if boot.table != {n: n * n for n in range(1, BASE_LIMIT + 1)} or live != 1:
+        violations.append(Violation(BOOTSTRAP_FAILED, f"bootstrap pinned {len(boot.table)}"
+                                    f" facts on {live} surviving branches; f(n) = n^2 on"
+                                    f" 1..{BASE_LIMIT} on exactly one is required"))
+    return {"facts_pinned": len(boot.table), "surviving_branches": live}
 
 
 def spot_check_numeric(path: str, sample_size: int, seed: int = 0) -> dict:

@@ -97,6 +97,7 @@ BASE_OUT_OF_RANGE = "base_out_of_range"
 BAD_FACTOR = "bad_factor"
 EXTRA_PREREQ = "extra_prereq"
 UNSUPPORTED_INTEGER = "unsupported_integer"  # p or q beyond 64-bit primality
+BOOTSTRAP_FAILED = "bootstrap_failed"  # f(1..20) not pinned to n^2 on one branch
 
 
 class CertificateFormatError(ValueError):

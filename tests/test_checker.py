@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from quadcert import checker
 from quadcert import model as M
+from quadcert.bootstrap import BootstrapError
 from quadcert.checker import _columns as checker_columns
 from quadcert.checker import check_store, spot_check_numeric
 from quadcert.model import CertificateFormatError
@@ -162,10 +164,11 @@ def test_inexact_division(write_cert):
 def test_coverage_gap(write_cert):
     report = check_store(write_cert(base_rows()), 25)
     assert not report.accepted
-    assert report.coverage_gaps == [21, 22, 23, 24, 25]
+    assert report.coverage_gaps == [[21, 25]]
     gap_viols = [v for v in report.violations if v.code == M.COVERAGE_GAP]
-    assert {v.value for v in gap_viols} == {21, 22, 23, 24, 25}
+    assert [(v.value, v.detail) for v in gap_viols] == [(21, "no step justifies facts 21..25")]
     assert report.stats["coverage_gap_count"] == 5
+    assert report.stats["violation_counts"] == {M.COVERAGE_GAP: 1}
 
 
 def test_base_out_of_range(write_cert):
@@ -197,8 +200,8 @@ def test_quotient_by_one_citing_itself_is_a_cycle(write_cert):
 def test_fact_above_the_fact_table_counts_for_coverage(write_cert):
     # 9991 is far above 4 * (lines read) + 64, so it never indexes itself
     report = check_store(write_cert(base_rows() + [_product(9991, 97, 103)]), 10_000)
-    assert 9991 not in report.coverage_gaps
-    assert len(report.coverage_gaps) == 10_000 - 21
+    assert report.coverage_gaps == [[21, 9990], [9992, 10000]]
+    assert report.stats["coverage_gap_count"] == 10_000 - 21
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 14])
@@ -347,8 +350,100 @@ def test_empty_file_is_all_gaps(tmp_path):
     p.write_text("", encoding="utf-8")
     report = check_store(str(p), 3)
     assert not report.accepted
-    assert report.coverage_gaps == [1, 2, 3]
+    assert report.coverage_gaps == [[1, 3]]
     assert report.stats["steps"] == 0
+
+
+# ---------------------------------------------------------------------------
+# coverage gaps as ranges
+# ---------------------------------------------------------------------------
+
+
+def _bases(facts):
+    return [{"n": n, "just": {"type": "base"}, "prereqs": []} for n in facts]
+
+
+@pytest.mark.parametrize("extra, bound, want", [
+    # one run from below the fact table's size (64 here) to far above it
+    ([], 10**9, [[21, 10**9]]),
+    ([], 63, [[21, 63]]),
+    ([], 64, [[21, 64]]),
+    # a fact held above the table splits the run; one above the bound does not
+    (_bases([500]), 1000, [[21, 499], [501, 1000]]),
+    (_bases([10**12]), 30, [[21, 30]]),
+    (_bases([10**12]), 0, []),
+    ([], 0, []),
+    ([], 20, []),
+    ([], 21, [[21, 21]]),
+])
+def test_gap_ranges(write_cert, extra, bound, want):
+    report = check_store(write_cert(base_rows() + extra), bound)
+    assert report.coverage_gaps == want
+    gaps = [v for v in report.violations if v.code == M.COVERAGE_GAP]
+    assert [v.value for v in gaps] == [lo for lo, _ in want]
+    assert report.stats["coverage_gap_count"] == sum(hi - lo + 1 for lo, hi in want)
+    assert report.accepted == (not want and not extra)
+
+
+def test_gap_ranges_around_a_fact_at_the_table_size(write_cert):
+    # 13 lines leave room for 4 * 13 + 64 = 116 self-indexed facts; 65
+    # grows the table to that size, so 116 is held above it
+    path = write_cert(_bases(range(11)) + _bases([65, 116]))
+    run = checker._Pass()
+    checker._scan(path, run, reorder=False)
+    assert run.size == 116 and 116 in run.ids
+    report = check_store(path, 120)
+    assert report.coverage_gaps == [[11, 64], [66, 115], [117, 120]]
+    assert [v.detail for v in report.violations if v.code == M.COVERAGE_GAP] == [
+        "no step justifies facts 11..64", "no step justifies facts 66..115",
+        "no step justifies facts 117..120"]
+    assert report.stats["violation_counts"] == {M.BASE_OUT_OF_RANGE: 2, M.COVERAGE_GAP: 3}
+
+
+def test_single_fact_gap_keeps_the_per_fact_text(write_cert):
+    rows = [r for r in base_rows() if r["n"] != 7]
+    report = check_store(write_cert(rows), 20)
+    assert report.coverage_gaps == [[7, 7]]
+    assert [v.detail for v in report.violations] == ["no step justifies fact 7"]
+
+
+# ---------------------------------------------------------------------------
+# the bootstrap runs inside check
+# ---------------------------------------------------------------------------
+
+
+def test_check_reports_the_bootstrap(cert_2k):
+    report = check_store(cert_2k["path"], cert_2k["limit"])
+    assert report.bootstrap == {"facts_pinned": 20, "surviving_branches": 1}
+    assert report.to_dict()["bootstrap"] == report.bootstrap
+
+
+def test_bootstrap_error_rejects(cert_2k, monkeypatch):
+    def boom():
+        raise BootstrapError("expected exactly one surviving branch, got 2 of 4")
+
+    monkeypatch.setattr(checker, "solve_bootstrap", boom)
+    report = check_store(cert_2k["path"], cert_2k["limit"])
+    assert not report.accepted
+    assert _codes(report) == {M.BOOTSTRAP_FAILED}
+    assert report.bootstrap == {"facts_pinned": 0, "surviving_branches": None}
+    assert report.stats["violation_counts"] == {M.BOOTSTRAP_FAILED: 1}
+
+
+@pytest.mark.parametrize("table, pruned", [
+    ({n: n * n for n in range(1, 20)}, 1),            # f(20) not pinned
+    ({n: n * n + (n == 7) for n in range(1, 21)}, 1),  # f(7) wrong
+    ({n: n * n for n in range(1, 21)}, 0),            # two branches survive
+])
+def test_bootstrap_with_a_wrong_table_or_branch_count_rejects(cert_2k, monkeypatch,
+                                                               table, pruned):
+    boot = SimpleNamespace(table=table, leaves=["kept", "pruned"],
+                           pruned=["pruned"][:pruned])
+    monkeypatch.setattr(checker, "solve_bootstrap", lambda: boot)
+    report = check_store(cert_2k["path"], cert_2k["limit"])
+    assert _codes(report) == {M.BOOTSTRAP_FAILED}
+    assert report.bootstrap == {"facts_pinned": len(table),
+                                "surviving_branches": 2 - pruned}
 
 
 # ---------------------------------------------------------------------------

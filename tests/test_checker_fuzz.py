@@ -2,9 +2,9 @@
 
 Hypothesis truncates the file at any byte, flips bytes, inserts invalid
 UTF-8, NUL and CR bytes, and writes 25-digit and 5,000-digit integers over
-the file's numbers. Whatever the bytes, `check_store` returns a report or
-raises one of the errors the CLI reports with exit 2, and `check` exits 0,
-1 or 2.
+the file's numbers; the claimed bound is the genuine one or any up to 10^12.
+Whatever the bytes and the bound, `check_store` returns a report or raises
+one of the errors the CLI reports with exit 2, and `check` exits 0, 1 or 2.
 """
 
 import os
@@ -59,16 +59,17 @@ def genuine_bytes(cert_2k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(ops=st.lists(op, min_size=1, max_size=4), reorder=st.booleans())
-def test_any_bytes_end_in_a_report_or_a_clean_error(genuine_bytes, ops, reorder):
+@given(ops=st.lists(op, min_size=1, max_size=4), reorder=st.booleans(),
+       bound=st.one_of(st.just(BOUND), st.integers(0, 10**12)))
+def test_any_bytes_end_in_a_report_or_a_clean_error(genuine_bytes, ops, reorder, bound):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cert.jsonl")
         with open(path, "wb") as fh:
             fh.write(_mutate(genuine_bytes, ops))
         try:
-            assert isinstance(check_store(path, BOUND, reorder=reorder), CheckReport)
+            assert isinstance(check_store(path, bound, reorder=reorder), CheckReport)
         except (CertificateFormatError, UnicodeDecodeError, OSError):
             pass
-        argv = ["check", "--in", path, "--max", str(BOUND),
+        argv = ["check", "--in", path, "--max", str(bound),
                 "--report", os.path.join(tmp, "report.json")]
         assert cli.main(argv + ["--reorder"] * reorder) in (0, 1, 2)

@@ -2,8 +2,11 @@
 wire layouts, must give byte-for-byte the report the object-based checker
 gave before the column-wise pass replaced it.
 
-The digest is the sha256 of `report.to_dict()` as sorted-key JSON, with
-`stats.elapsed_s` (a timing) and the retired `stats.threads` left out. The spaced layout (`json.dumps`
+The digest is the sha256 of `legacy(report.to_dict())` as sorted-key JSON, with
+`stats.elapsed_s` (a timing) and the retired `stats.threads` left out.
+`legacy` turns today's report back into the shape the digests were taken
+from: coverage gaps one fact at a time, each with its own violation, and no
+`bootstrap` block or `stats.violation_counts`. The spaced layout (`json.dumps`
 defaults) never matches a canonical fast-path line, so it exercises the
 reference path; the canonical layout (`separators=(",", ":")`) is what the
 generator writes, so it exercises the fast path. Both must pin to the same
@@ -13,6 +16,7 @@ digest.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -164,8 +168,29 @@ DIGESTS = {
 }
 
 
+def legacy(blob: dict) -> dict:
+    """The report in its per-fact shape, after checking that each coverage
+    gap range has one violation, placed after all the others."""
+    ranges = blob["coverage_gaps"]
+    ranged = [{"code": "coverage_gap", "value": lo,
+               "detail": f"no step justifies fact {lo}" if lo == hi
+               else f"no step justifies facts {lo}..{hi}"} for lo, hi in ranges]
+    others = blob["violations"][: len(blob["violations"]) - len(ranged)]
+    assert others + ranged == blob["violations"]
+    assert blob.pop("bootstrap") == {"facts_pinned": 20, "surviving_branches": 1}
+    counts = blob["stats"].pop("violation_counts")
+    assert counts == dict(Counter(v["code"] for v in blob["violations"]))
+    gaps = [n for lo, hi in ranges for n in range(lo, hi + 1)]
+    assert blob["stats"]["coverage_gap_count"] == len(gaps)
+    blob["coverage_gaps"] = gaps
+    blob["violations"] = others + [
+        {"code": "coverage_gap", "detail": f"no step justifies fact {n}", "value": n}
+        for n in gaps]
+    return blob
+
+
 def report_digest(report) -> str:
-    blob = report.to_dict()
+    blob = legacy(report.to_dict())
     blob["stats"].pop("elapsed_s")
     blob["stats"].pop("threads", None)  # only the object-based checker had it
     text = json.dumps(blob, sort_keys=True, separators=(",", ":"))

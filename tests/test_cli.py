@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, report files, environment knobs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quadcert import cli
+from quadcert import checker, cli
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
 from quadcert.primes import GoldbachFailure
@@ -151,7 +155,62 @@ def test_check_rejects_coverage_gap(tmp_path, capsys):
     assert code == 1
     blob = _read_json(report)
     assert blob["accepted"] is False
-    assert blob["coverage_gaps"] == [21, 22, 23, 24, 25]
+    assert blob["coverage_gaps"] == [[21, 25]]
+    assert blob["stats"]["violation_counts"] == {"coverage_gap": 1}
+    assert blob["bootstrap"] == {"facts_pinned": 20, "surviving_branches": 1}
+
+
+# Runs a command and prints its exit code, wall time and peak RSS. A child's
+# ru_maxrss starts at its parent's peak, so the command is started from this
+# small process rather than from the test process itself.
+_MEASURE = """
+import os, subprocess, sys, time
+start = time.monotonic()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.monotonic() - start,
+      usage.ru_maxrss / 1024)
+"""
+
+
+def test_check_gap_range_far_above_the_file_is_bounded(tmp_path):
+    path = _write_rows(tmp_path, base_rows())
+    report = tmp_path / "r.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quadcert.cli",
+         "check", "--in", path, "--max", str(10**9), "--report", str(report)],
+        capture_output=True, text=True, env=env, check=True).stdout.split()
+    code, wall, rss_mb = int(out[0]), float(out[1]), float(out[2])
+    assert code == 1
+    blob = _read_json(report)
+    assert blob["coverage_gaps"] == [[21, 10**9]]
+    assert [v["code"] for v in blob["violations"]] == ["coverage_gap"]
+    assert blob["stats"]["coverage_gap_count"] == 10**9 - 20
+    assert wall < 1.0, f"{wall:.2f} s"
+    assert rss_mb < 100, f"{rss_mb:.1f} MB"
+
+
+def test_check_max_zero_accepts_the_base_lines(tmp_path):
+    path = _write_rows(tmp_path, base_rows())
+    report = tmp_path / "r.json"
+    assert run("check", "--in", path, "--max", "0", "--report", str(report)) == 0
+    assert _read_json(report)["coverage_gaps"] == []
+
+
+def test_check_bootstrap_failure_is_a_rejection(monkeypatch, tmp_path):
+    def boom():
+        raise BootstrapError("expected exactly one surviving branch, got 2 of 4")
+
+    monkeypatch.setattr(checker, "solve_bootstrap", boom)
+    path = _write_rows(tmp_path, base_rows())
+    report = tmp_path / "r.json"
+    assert run("check", "--in", path, "--max", "20", "--report", str(report)) == 1
+    blob = _read_json(report)
+    assert [v["code"] for v in blob["violations"]] == ["bootstrap_failed"]
+    assert blob["bootstrap"]["surviving_branches"] is None
 
 
 def test_check_missing_file(tmp_path, capsys):
