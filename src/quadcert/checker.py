@@ -39,11 +39,12 @@ decode errors are the reference's). Each line takes one of two paths:
 
 Either way a row then becomes one fact index plus a flat list of prereq
 edges, and duplicates, establishment, cycle vs. missing, coverage and the
-exact topological depth are computed once for all rows of a chunk, from two
-index-keyed arrays of first-provider positions and depths. A fact below the
-table size (at most 4 * (lines read) + 64) is its own index; a larger one is
-given the next index above that size when first provided. So memory follows
-the lines read, never an integer the file or the caller typed.
+exact topological depth are computed once for all rows of a chunk, from one
+byte per fact index, its first provider's depth (0: not yet provided; over
+254: in a dict); first-provider rows are read off the chunk itself. A fact
+below the table size (at most 4 * (lines read) + 64) is its own index; a
+larger one is given the next index above that size when first provided. So
+memory follows the lines read, never an integer the file or the caller typed.
 
 The optional numeric spot check re-evaluates a seeded random sample of steps
 directly against f(x) = x^2 in exact integer arithmetic: for a parallelogram
@@ -58,8 +59,10 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import Iterator, Sequence
 
@@ -121,7 +124,7 @@ def _layouts() -> tuple[dict[bytes, int], np.ndarray]:
 
 
 _SHAPES, _LAYOUT = _layouts()
-_UNSET = np.iinfo(np.int32).max  # first-provider position of an unseen fact
+_DEEP = 255  # a depth table entry whose depth is held in `_Pass.deep`
 
 
 @dataclass
@@ -220,21 +223,20 @@ def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
 class _Pass:
     """The state of one pass over certificate steps in check order.
 
-    A step's position is its index in check order (blank lines take a
-    position and provide nothing); "established before a step" means
-    provided at a smaller position. Every fact has an index into `first`
-    (first-provider position) and `depth` (that provider's depth): a fact
-    below `size` is its own index, a larger one is given the next index
-    above `size` in `ids` when it is first provided.
+    "Established before a step" means provided by an earlier step in check
+    order: of an earlier chunk, or on an earlier row of the same chunk.
+    Every fact has an index into `depth`, the depth of its first provider
+    in one byte (0: none yet; 255: see `deep`): a fact below `size` is its
+    own index, a larger one is given the next index above `size` in `ids`
+    when it is first provided.
     """
 
     def __init__(self, sample_size: int = 0, seed: int = 0):
         self.size = 64
         self.ids: dict[int, int] = {}  # fact >= size -> index
-        self.first = np.full(64, _UNSET, dtype=np.int32)  # index -> position
-        self.depth = np.zeros(64, dtype=np.int32)  # index -> first depth
+        self.depth = np.zeros(64, dtype=np.uint8)  # index -> first depth
+        self.deep: dict[int, int] = {}  # index -> first depth >= _DEEP
         self.primes: PrimeTable | None = None  # sieved below `size`
-        self.slots = 0  # positions handed out so far
         self.steps = 0
         self.max_depth = 0
         self.immediate: list[Violation] = []
@@ -256,26 +258,27 @@ class _Pass:
             return [v if v < size else ids.setdefault(v, size + len(ids)) for v in values]
         return [v if v < size else ids.get(v, -1) for v in values]
 
-    def _first_pos(self, v: int) -> int:
+    def _before(self, v: int, rows: dict[int, int], row: int) -> bool:
+        """Whether fact v is established before `row` of a chunk whose facts
+        are first provided on `rows` (by index)."""
         i = v if v < self.size else self.ids.get(v)
-        return _UNSET if i is None else int(self.first[i])
+        return 0 <= v <= BASE_LIMIT or i is not None and (
+            self.depth[i] != 0 or rows.get(i, row) < row)
 
     def _grow(self, need: int, cap: int, room: int) -> None:
         """Let facts below `need` (at most `cap`) index themselves, renumber
         the larger ones above the new size, and leave room for `room` more."""
         old = self.size
         size = min(cap, max(need, 2 * old)) if need > old else old
-        if size == old and size + len(self.ids) + room <= len(self.first):
+        if size == old and size + len(self.ids) + room <= len(self.depth):
             return
         facts, src = list(self.ids), list(self.ids.values())
         self.size, self.ids = size, {}
         dst = self._index(facts, True)
-        length = size + 2 * (len(self.ids) + room)
-        first = np.full(length, _UNSET, dtype=np.int32)
-        depth = np.zeros(length, dtype=np.int32)
-        first[:old], depth[:old] = self.first[:old], self.depth[:old]
-        first[dst], depth[dst] = self.first[src], self.depth[src]
-        self.first, self.depth = first, depth
+        depth = np.zeros(size + 2 * (len(self.ids) + room), dtype=np.uint8)
+        depth[:old], depth[dst] = self.depth[:old], self.depth[src]
+        moved = dict(zip(src, dst))
+        self.depth, self.deep = depth, {moved.get(i, i): d for i, d in self.deep.items()}
 
     def _is_prime(self, values: np.ndarray) -> np.ndarray:
         """Sieved primality below `size`. A larger value reads as not prime,
@@ -301,9 +304,6 @@ class _Pass:
         file line numbers, `lines_read` counts the file's lines read and
         `cols, steps` are the chunk's `_rows`."""
         k = len(lines)
-        start = self.slots
-        if start + k >= _UNSET:
-            raise ValueError(f"more than {_UNSET - 1} certificate lines")
         kind = cols[:, _KIND]
 
         # every non-blank row as a fact index and prereq edges (erow[j]
@@ -327,58 +327,63 @@ class _Pass:
         eix = np.concatenate([evals, np.array(self._index(pvals, False), dtype=np.int64)])
         erow = np.concatenate([erow, np.array(prow, dtype=np.int64)])
 
-        # providers: first positions, duplicates
-        pos = start + np.arange(k)
+        # providers: each fact's first row in this chunk; a row is a
+        # duplicate unless it is that row of a fact not provided before
+        depth = self.depth
         active = np.flatnonzero(fix >= 0)
         new_facts, first_idx = np.unique(fix[active], return_index=True)
         new_rows = active[first_idx]
-        was = self.first[new_facts]
-        self.first[new_facts] = np.minimum(was, pos[new_rows])
-        for i in active[self.first[fix[active]] < pos[active]].tolist():
+        fresh = depth[new_facts] == 0
+        dup = np.ones(k, dtype=bool)
+        dup[new_rows] = ~fresh
+        for i in active[dup[active]].tolist():
             f = steps[i].fact if i in steps else int(cols[i, _N])
             self.immediate.append(Violation(
                 DUPLICATE_FACT, f"fact {f} was already justified",
                 line=line_nos[i], fact=f))
 
+        # per edge, the cited fact's first row here: -1 if an earlier chunk
+        # provided it, k if none has yet (eix -1 reads an entry it drops)
+        loc = np.searchsorted(new_facts, eix)
+        fr = np.where(np.append(new_facts, -2)[loc] == eix, np.append(new_rows, k)[loc], k)
+        fr[(eix >= 0) & (depth[eix] != 0)] = -1
+
         # establishment and arithmetic; any other row goes to the reference
-        fp = np.where(eix >= 0, self.first[eix], _UNSET)
         base_range = (eix >= 0) & (eix <= BASE_LIMIT)
         xy = np.where(kind[:, None] == 3, cols[:, [_X, _Y]], 0)
         clean = _arith_ok(cols, self._is_prime(xy))
-        clean[erow[~base_range & (fp >= pos[erow])]] = False
-        for i in active[~clean[active]].tolist():
+        clean[erow[~base_range & (fr >= erow)]] = False
+        todo = active[~clean[active]].tolist()
+        rows = dict(zip(new_facts.tolist(), new_rows.tolist())) if todo else {}
+        for i in todo:
             step = steps.get(i) or parse_step(lines[i].decode(), line_nos[i])
-            here = start + i
-
-            def established(v: int, here: int = here) -> bool:
-                return 0 <= v <= BASE_LIMIT or self._first_pos(v) < here
-
+            established = partial(self._before, rows=rows, row=i)
             for v in validate_step(step, established, is_prime, line=line_nos[i]):
                 (self.deferred if v.establishment else self.immediate).append(v)
 
-        # depth: edges to providers before this chunk read the depth array
-        # (eix -1 reads an entry np.where drops); edges inside it are
-        # relaxed in position order
-        inside = (fp >= start) & (fp < pos[erow])
-        rd = np.ones(k, dtype=np.int32)  # as `outside`: .at is slow on mixed dtypes
-        outside = 1 + np.where(fp < start, self.depth[eix], base_range)
+        # depth: edges to providers before this chunk read the depth table,
+        # edges inside it are relaxed in row order
+        inside = (fr >= 0) & (fr < erow)
+        before = depth[eix].astype(np.int64)
+        for j in np.flatnonzero((before == _DEEP) & (fr < 0)).tolist():
+            before[j] = self.deep[int(eix[j])]
+        rd = np.ones(k, dtype=np.int64)
+        outside = 1 + np.where(fr < 0, before, base_range)
         np.maximum.at(rd, erow[~inside], outside[~inside])
-        src = (fp[inside] - start).tolist()
-        dst = erow[inside].tolist()
-        rd = rd.tolist()
+        src, dst, rd = fr[inside].tolist(), erow[inside].tolist(), rd.tolist()
         for j in np.argsort(dst, kind="stable").tolist():
             if rd[src[j]] + 1 > rd[dst[j]]:
                 rd[dst[j]] = rd[src[j]] + 1
         rd = np.array(rd, dtype=np.int64)
         self.max_depth = max(self.max_depth, int(rd[active].max(initial=0)))
-        fresh = was == _UNSET
-        self.depth[new_facts[fresh]] = rd[new_rows[fresh]]
+        new_facts, got = new_facts[fresh], rd[new_rows[fresh]]
+        depth[new_facts] = np.minimum(got, _DEEP)
+        self.deep.update(zip(new_facts[got >= _DEEP].tolist(), got[got >= _DEEP].tolist()))
 
         base = kind == 0
         base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
         self._sample(lines, line_nos, steps, active[~base[active]].tolist())
         self.steps += len(active)
-        self.slots += k
 
     def _sample(self, lines, line_nos, steps, eligible: list[int]) -> None:
         """Priority sampling: every eligible (non-base) step draws a seeded
@@ -390,23 +395,18 @@ class _Pass:
         keep = np.arange(len(keys))
         if len(keys) > self.sample_size:
             keep = np.sort(np.argpartition(keys, self.sample_size - 1)[: self.sample_size])
-        old = len(self.sample)
-        picked = []
-        for j in keep.tolist():
-            if j < old:
-                picked.append(self.sample[j])
-            else:
-                i = eligible[j - old]
-                picked.append((line_nos[i], steps.get(i)
-                               or parse_step(lines[i].decode(), line_nos[i])))
-        self.sample, self.sample_keys = picked, keys[keep]
+        old = len(self.sample)  # keep is sorted: old entries come first
+        self.sample = [self.sample[j] for j in keep.tolist() if j < old] + [
+            (line_nos[i], steps.get(i) or parse_step(lines[i].decode(), line_nos[i]))
+            for i in (eligible[j - old] for j in keep.tolist() if j >= old)]
+        self.sample_keys = keys[keep]
 
     # -- results ----------------------------------------------------------------
 
     def report(self, bound: int) -> tuple[list[Violation], list[list[int]]]:
         violations = list(self.immediate)
         for v in self.deferred:
-            later = self._first_pos(v.value) != _UNSET
+            later = self._before(v.value, {}, 0)  # v.value is above the base range
             violations.append(Violation(
                 CYCLE if later else MISSING_PREREQ,
                 f"prerequisite {v.value} is justified only on a later line"
@@ -414,9 +414,9 @@ class _Pass:
                 else f"prerequisite {v.value} is never justified",
                 line=v.line, fact=v.fact, value=v.value))
         violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
-        # the facts 1..bound no step provides, as [lo, hi] runs: of `first`
+        # the facts 1..bound no step provides, as [lo, hi] runs: of `depth`
         # below `size`, then between the sorted facts of `ids` above it
-        miss = np.flatnonzero(self.first[1: min(bound, self.size - 1) + 1] == _UNSET) + 1
+        miss = np.flatnonzero(self.depth[1: min(bound, self.size - 1) + 1] == 0) + 1
         cut = np.flatnonzero(np.diff(miss) > 1)
         gaps = np.column_stack([np.r_[miss[:1], miss[cut + 1]],
                                 np.r_[miss[cut], miss[-1:]]]).tolist()
@@ -504,75 +504,75 @@ def _read_chunks(path: str) -> Iterator[tuple[list[bytes], bytes]]:
             yield lines, b"".join(lines)
 
 
-def _toposort(facts: list[int], prereqs: list[Sequence[int]]) -> list[int]:
-    """Kahn's algorithm keyed on first-provider lines, smallest original
-    index first; unsortable steps (true cycles) are appended in original
-    order so validation reports them."""
-    provider: dict[int, int] = {}
-    for idx, fact in enumerate(facts):
-        provider.setdefault(fact, idx)
-    adj: list[list[int]] = [[] for _ in facts]
-    indeg = [0] * len(facts)
-    for idx, pre in enumerate(prereqs):
-        for pv in set(pre):
-            j = provider.get(pv)
-            if j is not None and j != idx:
-                adj[j].append(idx)
-                indeg[idx] += 1
+def _toposort(cols: np.ndarray, steps: dict[int, CertificateStep]) -> np.ndarray:
+    """Kahn's algorithm over kept lines (`_rows` columns, parsed steps by
+    line) in int32 CSR arrays, keyed on first-provider lines, smallest
+    original index first; unsortable steps (true cycles) are appended in
+    original order so validation reports them. A prereq listed twice gives
+    two edges, both removed when its provider is placed: the same order."""
+    n = len(cols)
+    # parsed values of 2^62 and above may not fit in int64: number them
+    big = {v for s in steps.values() for v in (s.fact, *s.prereqs) if v >= 1 << 62}
+    key = {v: (1 << 62) + j for j, v in enumerate(big)}
+    facts = cols[:, _N].astype(np.int64)
+    facts[list(steps)] = [key.get(s.fact, s.fact) for s in steps.values()]
+    cited = cols[:, _PRE] >= 0
+    pairs = np.array([(i, key.get(v, v)) for i, s in steps.items() for v in s.prereqs],
+                     dtype=np.int64).reshape(-1, 2)
+    rows = np.append(np.flatnonzero(cited) // 3, pairs[:, 0])
+    cites = np.append(cols[:, _PRE][cited], pairs[:, 1])
+    uniq, first = np.unique(facts, return_index=True)
+    loc = np.searchsorted(uniq, cites)
+    hit = np.append(uniq, -1)[loc] == cites
+    src, dst = first[loc[hit]].astype(np.int32), rows[hit].astype(np.int32)
+    src, dst = src[src != dst], dst[src != dst]  # no self-loops
+    starts = memoryview(np.append(0, np.cumsum(np.bincount(src, minlength=n))))
+    adj = memoryview(dst[np.argsort(src, kind="stable")])  # by provider
+    indeg = memoryview(np.bincount(dst, minlength=n).astype(np.int32))
     ready = [i for i, d in enumerate(indeg) if d == 0]
     heapq.heapify(ready)
-    order: list[int] = []
+    placed = array("i")
     while ready:
         i = heapq.heappop(ready)
-        order.append(i)
-        for k in adj[i]:
+        placed.append(i)
+        for k in adj[starts[i]: starts[i + 1]]:
             indeg[k] -= 1
             if indeg[k] == 0:
                 heapq.heappush(ready, k)
-    placed = set(order)
-    order.extend(i for i in range(len(facts)) if i not in placed)
-    return order
+    left = np.ones(n, dtype=bool)
+    left[placed] = False
+    return np.concatenate([placed, np.flatnonzero(left)])
 
 
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
     """Feed every line of the file to `run`, in file or topological order.
     With `reorder`, the rows of the non-blank lines are kept from the read
-    and fed in sorted order, so no line is put into columns or parsed twice."""
+    (int32 columns, as fields have <= 9 digits, then the line number) and
+    fed in sorted order, so no line is put into columns or parsed twice."""
     lines: list[bytes] = []
-    line_nos: list[int] = []
-    cols: list[np.ndarray] = [np.zeros((0, 8), dtype=np.int32)]
+    blocks: list[np.ndarray] = [np.zeros((0, 9), dtype=np.int32)]
     steps: dict[int, CertificateStep] = {}  # kept line -> parsed step
-    facts: list[int] = []
-    prereqs: list[Sequence[int]] = []
     read = 0
     for chunk, data in _read_chunks(path):
         nos = range(read + 1, read + 1 + len(chunk))
         read += len(chunk)
+        cols, parsed = _rows(chunk, data, nos)
         if not reorder:
-            run.feed(chunk, nos, read, *_rows(chunk, data, nos))
+            run.feed(chunk, nos, read, cols, parsed)
             continue
-        chunk_cols, chunk_steps = _rows(chunk, data, nos)
-        keep = []
-        for i, row in enumerate(chunk_cols.tolist()):
-            if row[_KIND] >= 0:
-                facts.append(row[_N])
-                prereqs.append([v for v in row[_PRE] if v >= 0])
-            elif i in chunk_steps:
-                steps[len(lines)] = chunk_steps[i]
-                facts.append(chunk_steps[i].fact)
-                prereqs.append(chunk_steps[i].prereqs)
-            else:
-                continue
-            keep.append(i)
-            lines.append(chunk[i])
-            line_nos.append(nos[i])
-        cols.append(chunk_cols[keep].astype(np.int32))  # fields have <= 9 digits
-    order = _toposort(facts, prereqs)
-    kept = np.concatenate(cols)
+        keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
+        steps.update((len(lines) + j, parsed[i])
+                     for j, i in enumerate(keep.tolist()) if i in parsed)
+        lines.extend(chunk[i] for i in keep.tolist())
+        blocks.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
+    kept = np.concatenate(blocks)
+    del blocks  # the per-chunk copies, before the sort's peak
+    order = _toposort(kept, steps)
     for lo in range(0, len(order), CHUNK_LINES):
         idx = order[lo: lo + CHUNK_LINES]
-        run.feed([lines[i] for i in idx], [line_nos[i] for i in idx], read,
-                 kept[idx].astype(np.int64), {j: steps[i] for j, i in enumerate(idx) if i in steps})
+        run.feed([lines[i] for i in idx.tolist()], kept[idx, 8].tolist(), read,
+                 kept[idx, :8].astype(np.int64),
+                 {j: steps[i] for j, i in enumerate(idx.tolist()) if i in steps})
 
 
 def check_store(
@@ -599,7 +599,7 @@ def check_store(
     violations, gaps = run.report(claimed_bound)
     stats = {
         "steps": run.steps,
-        "distinct_facts": int((run.first[: run.size] != _UNSET).sum()) + len(run.ids),
+        "distinct_facts": int(np.count_nonzero(run.depth[: run.size])) + len(run.ids),
         "topological_depth": run.max_depth,
         "claimed_bound": claimed_bound,
         "coverage_gap_count": sum(hi - lo + 1 for lo, hi in gaps),

@@ -9,9 +9,11 @@ both must give the report of a line-by-line, object-based scan, or raise
 CertificateFormatError on the same line.
 """
 
+import heapq
 import json
 import os
 import tempfile
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -106,6 +108,36 @@ def _run(path, bound, reorder):
         return ("format error", exc.line_no)
 
 
+def _toposort(facts: list[int], prereqs: list[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm keyed on first-provider lines, smallest original
+    index first; unsortable steps (true cycles) are appended in original
+    order so validation reports them."""
+    provider: dict[int, int] = {}
+    for idx, fact in enumerate(facts):
+        provider.setdefault(fact, idx)
+    adj: list[list[int]] = [[] for _ in facts]
+    indeg = [0] * len(facts)
+    for idx, pre in enumerate(prereqs):
+        for pv in set(pre):
+            j = provider.get(pv)
+            if j is not None and j != idx:
+                adj[j].append(idx)
+                indeg[idx] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for k in adj[i]:
+            indeg[k] -= 1
+            if indeg[k] == 0:
+                heapq.heappush(ready, k)
+    placed = set(order)
+    order.extend(i for i in range(len(facts)) if i not in placed)
+    return order
+
+
 def _object_scan(path, bound, reorder):
     """The checker as a line-by-line scan over parsed step objects."""
     try:
@@ -113,8 +145,8 @@ def _object_scan(path, bound, reorder):
     except M.CertificateFormatError as exc:
         return ("format error", exc.line_no)
     if reorder:
-        order = checker._toposort([s.fact for _, s in steps],
-                                  [s.prereqs for _, s in steps])
+        order = _toposort([s.fact for _, s in steps],
+                          [s.prereqs for _, s in steps])
         steps = [steps[i] for i in order]
     seen, depth, max_depth = set(), {}, 0
     out, deferred = [], []
@@ -223,6 +255,53 @@ BIG = {
 @pytest.mark.parametrize("name", sorted(BIG))
 def test_dict_held_facts_agree_with_object_scan(genuine_prefix, name, chunk):
     fast, slow, want = _three_ways(BIG[name](genuine_prefix), chunk)
+    assert fast == want
+    assert slow == want
+
+
+def _cites(n, prev):
+    """A line for fact n citing fact prev (rejected: wrong arithmetic)."""
+    return {"n": n, "just": {"type": "coprime_product", "a": prev, "b": 1},
+            "prereqs": [prev]}
+
+
+def _chain(length, offset):
+    """The 21 base lines, then `length` lines in which each cites the fact
+    of the line before it, then a line for fact 1000, which makes the fact
+    table grow, citing the chain's fact of depth 300."""
+    facts = [20] + [offset + i for i in range(length)]
+    return ([_base(n) for n in range(21)]
+            + [_cites(n, prev) for prev, n in zip(facts, facts[1:])]
+            + [_cites(1000, facts[299])])
+
+
+# Depths above 254 live in the overflow dict: facts in the table (offset
+# 21) and facts held in `ids`, renumbered when the table grows (10^6).
+@pytest.mark.parametrize("reorder", [False, True])
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("offset", [21, 10**6])
+def test_depth_above_254_agrees_with_object_scan(offset, chunk, reorder):
+    rows = _chain(320, offset)
+    fast, slow, want = _three_ways(rows, chunk, reorder=reorder)
+    assert want["stats"]["topological_depth"] == 321
+    assert fast["stats"]["topological_depth"] == 321
+    assert slow["stats"]["topological_depth"] == 321
+    assert fast == want
+    assert slow == want
+
+
+# Line 22 cites its own fact 30, which line 23 provides again. The sort
+# ignores the self-citation, so line 23 stays the duplicate.
+SELF_CITATION = [_base(n) for n in range(21)] + [
+    _cites(30, 30), _product(30, 3, 10)]
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+@pytest.mark.parametrize("reorder", [False, True])
+def test_self_citation_agrees_with_object_scan(reorder, chunk):
+    fast, slow, want = _three_ways(SELF_CITATION, chunk, reorder=reorder)
+    assert [v["line"] for v in want["violations"]
+            if v["code"] == "duplicate_fact"] == [23]
     assert fast == want
     assert slow == want
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,29 @@ def test_check_gap_range_far_above_the_file_is_bounded(tmp_path):
     assert blob["stats"]["coverage_gap_count"] == 10**9 - 20
     assert wall < 1.0, f"{wall:.2f} s"
     assert rss_mb < 100, f"{rss_mb:.1f} MB"
+
+
+def test_check_reorder_memory_is_bounded(tmp_path):
+    cert = tmp_path / "c.jsonl"
+    assert run("verify", "--max", str(10**5), "--out", str(cert),
+               "--stats", str(tmp_path / "s.json")) == 0
+    lines = cert.read_text(encoding="utf-8").splitlines(keepends=True)
+    rng = random.Random(16)
+    for lo in range(0, len(lines), 16):  # shuffled within windows of 16
+        window = lines[lo:lo + 16]
+        rng.shuffle(window)
+        lines[lo:lo + 16] = window
+    cert.write_text("".join(lines), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quadcert.cli",
+         "check", "--in", str(cert), "--max", str(10**5), "--reorder"],
+        capture_output=True, text=True, env=env, check=True).stdout.split()
+    code, rss_mb = int(out[0]), float(out[2])
+    assert code == 0
+    assert rss_mb < 75, f"{rss_mb:.1f} MB"
 
 
 def test_check_max_zero_accepts_the_base_lines(tmp_path):
