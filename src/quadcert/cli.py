@@ -35,6 +35,7 @@ from .bootstrap import (
 from .checker import check_store
 from .engine import MIN_TARGET, BoundViolation, certify_range, table_limit
 from .model import CertificateFormatError
+from .phases import Phases
 from .primes import (
     DEFAULT_MAX_TABLE_BITS,
     MAX_Q,
@@ -97,12 +98,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     t0 = time.monotonic()
+    phases = Phases()
     boot = solve_bootstrap()
     if args.transcript:
         _write_lines(boot.transcript, args.transcript)
+    t = phases.add("bootstrap", t0, len(boot.table))
     table = build_prime_table(table_limit(args.max), max_bits=_sieve_budget(args))
+    phases.add("table", t, table.limit + 1)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        result = certify_range(args.max, policy=args.policy, table=table, sink=fh)
+        result = certify_range(args.max, policy=args.policy, table=table,
+                               sink=fh, phases=phases)
     stats: dict = {
         "command": "verify",
         "out": args.out,
@@ -113,6 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "elapsed_s": round(boot.elapsed_s, 3),
         },
         "engine": result.stats.to_dict(),
+        "phases": phases.to_dict(),
     }
     code = EXIT_OK
     if args.check:

@@ -18,17 +18,27 @@ The engine's only output is certificate text: each step is one of `model`'s
 line templates (BASE_LINE, COPRIME_PRODUCT_LINE, ...) filled with its fields,
 so the wire format is defined in `model` alone.
 
-Targets are taken in windows of WINDOW consecutive n. The smallest-prime-
-factor table gives each target's case as numpy columns. Python walks only the
-window's prime powers, cases (ii)-(iv), in ascending order, and the frontier
-is the prime power being walked. One rule makes this the same as a walk over
-every n in ascending order: every fact below the frontier counts as
-established. Reads about such facts go through one predicate, `_known`, and
-`_emit` refuses them. After the walk, the window's splits of case (i) that no
-auxiliary step established are read off `established` once. That is exact,
-because an auxiliary fact lies above the prime power that emits it, so a
-split target is established before its turn only by the walk of an earlier
-prime power. The splits and the walk's lines, in target order, are then
+Targets are taken in windows of WINDOW consecutive n. Each window's
+smallest prime factors come from a segment of SEGMENT targets sieved from the
+primes below its square root, so no table as long as the bound is built. They
+give each target's case as numpy columns. Python walks only the window's
+powers of two and odd prime powers with e >= 2, cases (ii) and (iv), in
+ascending order, and the frontier is the target being walked. One rule makes
+this the same as a walk over every n in ascending order: every fact below the
+frontier counts as established. Facts made above it are bits of the 2N-bit
+`established` bitset. Python reads go through one predicate, `_known`, and
+`_emit` refuses such facts; Python writes go through `_mark`.
+
+The primes between two walked targets, case (iii), are settled as one numpy
+batch. They write only even auxiliary facts, so which of them a walked target
+already made is read off the bitset once, before the batch. Their n + q never
+decreases (twins m, m + 2 with m = 1 (mod 4) share it), so its line is due at
+its first occurrence among the batch's unmade primes, where its bit is unset.
+After the walk, the window's splits of case (i) that no auxiliary step made
+are read off the bitset once. That is exact, because an auxiliary fact lies
+above the target that makes it, so a split target is made before its turn
+only at an earlier frontier. Each target that writes then takes its
+templates, or a walked target its finished lines, and the window is
 formatted with one `%` and written out.
 
 Auxiliary facts never exceed 2n + 14 (an above-frontier prime p <= 2n - 3
@@ -46,6 +56,7 @@ recursion is at most two deep (the nested difference is below the frontier).
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import IO
@@ -62,21 +73,43 @@ from .model import (
     CertificateStore,
     parse_step,
 )
+from .phases import Phases
 from .primes import (
     MAX_Q,
     POLICIES,
     PrimeTable,
     build_prime_table,
     goldbach_pair,
+    lookup_bits,
+    primes_upto,
     select_q_for_prime,
     select_r,
-    spf_array,
+    spf_segment,
 )
 
 MIN_TARGET = BASE_LIMIT + 1
 AUX_MARGIN = 64  # auxiliary facts reach at most 2*limit + 14; pad a little
 POW2_DEPTH_LIMIT = 2
 WINDOW = 2048  # targets per window; its columns and text take well under 1 MB
+SEGMENT = 32 * WINDOW  # targets per spf sieve: one numpy pass per base prime
+
+# q of select_q_for_prime, indexed by n % 4 for odd n.
+_Q_BY_MOD4 = np.array([0, select_q_for_prime(1), 0, select_q_for_prime(3)])
+
+# What a target writes at its place in the window's text, by kind: nothing
+# (memoized, or walked: its finished lines go in the template's place), a
+# split, or a prime with or without its auxiliary n + q line. A row's 11
+# columns are (s, a, b, a, b, n, n, q, n+q, n-q, q): a split takes the first
+# five with s = n, a prime its n + q line's (s = n+q, a = 2, b = s/2) and the
+# last six.
+_NONE, _SPLIT, _PRIME_AUX, _PRIME = range(4)
+_TEMPLATES = np.array(
+    ["", COPRIME_PRODUCT_LINE, COPRIME_PRODUCT_LINE + CLOSE_P_LINE, CLOSE_P_LINE],
+    dtype=object,
+)
+_FIELDS = np.array(
+    [[0] * 11, [1] * 5 + [0] * 6, [1] * 11, [0] * 5 + [1] * 6], dtype=bool
+)
 
 
 def table_limit(limit: int) -> int:
@@ -126,17 +159,23 @@ class _Engine:
         policy: str,
         table: PrimeTable | None,
         sinks: list[IO[str]],
+        phases: Phases | None = None,
     ):
         self.limit = limit
         self.policy = policy
         self.margin = table_limit(limit)
+        self.phases = Phases() if phases is None else phases
         if table is None or table.limit < self.margin:
+            t = time.monotonic()
             table = build_prime_table(self.margin)
+            self.phases.add("table", t, table.limit + 1)
         self.table = table
-        self.established = bytearray(self.margin + 1)
-        self.spf = spf_array(limit)
+        # Bit v set: a step wrote fact v. Bits below the frontier are never
+        # read, because every fact there counts as established.
+        self.established = bytearray((self.margin >> 3) + 1)
+        self.bits = np.frombuffer(self.established, dtype=np.uint8)
         self.sinks = sinks
-        # Lines of the current window not yet written, one per _emit.
+        # Lines of the target being walked not yet placed, one per _emit.
         self.text: list[str] = []
         # The target being derived; every fact below it counts as established.
         self.frontier = 0
@@ -146,7 +185,11 @@ class _Engine:
 
     def _known(self, v: int) -> bool:
         """Whether fact v is established: every fact below the frontier is."""
-        return v < self.frontier or self.established[v]
+        return v < self.frontier or bool(self.established[v >> 3] >> (v & 7) & 1)
+
+    def _mark(self, v: int) -> None:
+        """Record fact v as established."""
+        self.established[v >> 3] |= 1 << (v & 7)
 
     def _emit(self, template: str, fact: int, *fields) -> None:
         """Write fact's line: a `model` line template filled with fact, *fields."""
@@ -155,7 +198,7 @@ class _Engine:
                 f"fact {fact} is already established: emitted twice or below"
                 f" the frontier {self.frontier} (memoization broken)"
             )
-        self.established[fact] = 1
+        self._mark(fact)
         self.text.append(template % (fact, *fields))
         st = self.stats
         st.steps += 1
@@ -220,7 +263,7 @@ class _Engine:
                 f"(p-r)/2 = {dh} is not below the frontier {self.frontier}"
                 f" (requires p-r <= 2*frontier; p={p}, r={r})"
             )
-        if not self.established[s]:
+        if not self._known(s):
             self._emit(COPRIME_PRODUCT_LINE, s, 4, sq, 4, sq)
         if not self._known(d):
             self._emit(COPRIME_PRODUCT_LINE, d, 2, dh, 2, dh)
@@ -247,18 +290,50 @@ class _Engine:
 
     # -- per-target cases -----------------------------------------------------
 
-    def _prime_case(self, n: int) -> None:
-        q = select_q_for_prime(n)
-        s = n + q
-        half = s // 2
-        if half >= n:
+    def _primes(self, rows: np.ndarray, lo: int, kind: np.ndarray,
+                q: np.ndarray) -> None:
+        """Settle the primes lo + rows (ascending, no walked target among
+        them) as the walk would one at a time; kind and q of their rows record
+        what each writes."""
+        m = rows + lo
+        fresh = ~lookup_bits(self.bits, m)
+        st = self.stats
+        st.memoized_targets += m.size - int(np.count_nonzero(fresh))
+        rows, m = rows[fresh], m[fresh]
+        if not m.size:
+            return
+        mq = _Q_BY_MOD4[m & 3]
+        s = m + mq
+        low = np.flatnonzero(s // 2 >= m)
+        if low.size:
+            n = int(m[low[0]])
             raise BoundViolation(
-                f"(n+q)/2 = {half} must stay below n = {n} (requires n > q)"
+                f"(n+q)/2 = {int(s[low[0]]) // 2} must stay below n = {n}"
+                " (requires n > q)"
             )
-        if not self.established[s]:
-            self._emit(COPRIME_PRODUCT_LINE, s, 2, half, 2, half)
-        self._emit(CLOSE_P_LINE, n, n, q, s, n - q, q)
-        self.stats.case_counts["prime"] += 1
+        aux = np.ones(m.size, dtype=bool)  # the first occurrence of each n + q
+        aux[1:] = s[1:] != s[:-1]
+        aux &= ~lookup_bits(self.bits, s)
+        made = s[aux]
+        twice = np.flatnonzero(made[1:] <= made[:-1])
+        if twice.size:  # n + q decreased: a line would be written twice
+            raise BoundViolation(
+                f"fact {int(made[twice[0] + 1])} is already established:"
+                f" emitted twice or below the frontier {int(m[-1])}"
+                " (memoization broken)"
+            )
+        if made.size and made[-1] > 4 * self.limit:
+            raise BoundViolation(
+                f"auxiliary fact {int(made[-1])} exceeds 4*limit = {4 * self.limit}"
+            )
+        np.bitwise_or.at(self.bits, made >> 3,
+                         np.left_shift(1, made & 7).astype(np.uint8))
+        kind[rows] = np.where(aux, _PRIME_AUX, _PRIME)
+        q[rows] = mq
+        st.case_counts["prime"] += m.size
+        st.aux_steps += made.size
+        st.steps += m.size + made.size
+        st.max_fact = max(st.max_fact, int(m[-1]), *made[-1:].tolist())
 
     def _odd_prime_power(self, n: int) -> None:
         gp = self._goldbach(2 * n)
@@ -270,7 +345,7 @@ class _Engine:
             )
         self._ensure_fact(p, 0)
         self._ensure_fact(p - q, 0)
-        if not self.established[2 * n]:
+        if not self._known(2 * n):
             self._emit(CLOSE_SUM_LINE, 2 * n, p, q, p - q, p, q, self.policy)
         self._emit(COPRIME_QUOTIENT_LINE, n, 2 * n, 2, 2, 2 * n)
         self.stats.case_counts["prime_power"] += 1
@@ -282,14 +357,27 @@ class _Engine:
         for i in range(BASE_LIMIT + 1):
             self._emit(BASE_LINE, i)
             self.stats.base_steps += 1
-        for lo in range(MIN_TARGET, self.limit + 1, WINDOW):
-            self._window(lo, min(lo + WINDOW, self.limit + 1))
+        for sink in self.sinks:
+            sink.write("".join(self.text))
+        self.text.clear()
+        base = primes_upto(math.isqrt(self.limit))
+        for seg_lo in range(MIN_TARGET, self.limit + 1, SEGMENT):
+            t = time.monotonic()
+            seg_hi = min(seg_lo + SEGMENT, self.limit + 1)
+            spf = spf_segment(seg_lo, seg_hi, base)
+            self.phases.add("spf", t, seg_hi - seg_lo)
+            for lo in range(seg_lo, seg_hi, WINDOW):
+                self._window(lo, min(lo + WINDOW, seg_hi), spf[lo - seg_lo :])
+            del spf  # so the next segment is not sieved while this one lives
         self.stats.elapsed_s = time.monotonic() - t0
 
-    def _window(self, lo: int, hi: int) -> None:
-        """Targets lo..hi-1: walk the prime powers, then write the splits."""
+    def _window(self, lo: int, hi: int, spf: np.ndarray) -> None:
+        """Targets lo..hi-1, whose smallest prime factors spf starts with."""
+        ph, st = self.phases, self.stats
+        t = time.monotonic()
+        steps = st.steps
         n = np.arange(lo, hi, dtype=np.int64)
-        p = self.spf[lo:hi].astype(np.int64)
+        p = spf[: hi - lo]
         a = p.copy()  # the largest power of spf(n) dividing n
         rest = n // p
         i = np.flatnonzero(rest % p == 0)
@@ -297,50 +385,57 @@ class _Engine:
             a[i] *= p[i]
             rest[i] //= p[i]
             i = i[rest[i] % p[i] == 0]
-        st = self.stats
-        anchors: list[int] = []  # walked targets, ascending
-        slots: list[int] = []  # where in self.text the splits below each go
-        powers = np.flatnonzero(rest == 1)
-        for m, q in zip(n[powers].tolist(), p[powers].tolist()):
-            self.frontier = m
-            if self.established[m]:
+        t = ph.add("spf", t)
+        kind = np.zeros(hi - lo, dtype=np.int8)
+        q = np.zeros(hi - lo, dtype=np.int64)
+        prime = np.flatnonzero(p == n)
+        stops = np.flatnonzero((rest == 1) & (p != n))
+        walked: list[tuple[int, str]] = []  # (row, its lines)
+        done = 0  # primes settled so far
+        for k, upto, f in zip(stops.tolist(),
+                              np.searchsorted(prime, stops).tolist(),
+                              p[stops].tolist()):
+            self._primes(prime[done:upto], lo, kind, q)
+            done = upto
+            self.frontier = m = lo + k
+            if self._known(m):
                 st.memoized_targets += 1
                 continue
-            anchors.append(m)
-            slots.append(len(self.text))
-            self.text.append("")
-            if q == 2:
+            if f == 2:
                 self._aux_pow2(m, 1)
                 st.case_counts["pow2"] += 1
-            elif q == m:
-                self._prime_case(m)
             else:
                 self._odd_prime_power(m)
-        slots.append(len(self.text))  # and the splits above the last one
-        self.text.append("")
+            walked.append((k, "".join(self.text)))
+            self.text.clear()
+        self._primes(prime[done:], lo, kind, q)
         # The whole window is below the frontier now: a split still unset in
         # `established` is one no auxiliary step made, and its line is due.
         self.frontier = hi
         split = rest > 1
-        est = np.frombuffer(self.established, np.uint8, hi - lo, lo)
-        todo = split & (est == 0)
-        cn, ca, cb = n[todo], a[todo], rest[todo]
-        st.memoized_targets += int(np.count_nonzero(split)) - len(cn)
-        st.case_counts["coprime_split"] += len(cn)
-        st.steps += len(cn)
-        if len(cn):
-            st.max_fact = max(st.max_fact, int(cn[-1]))
-        # Each slot takes a template line per split between the previous
-        # walked target and its own; walked lines hold no '%', so the one
-        # '%' below passes them through and fills in only the splits.
-        counts = np.diff(np.searchsorted(cn, anchors + [hi]), prepend=0)
-        for k, c in zip(slots, counts.tolist()):
-            self.text[k] = COPRIME_PRODUCT_LINE * c
-        chunk = "".join(self.text) % tuple(
-            np.column_stack((cn, ca, cb, ca, cb)).ravel().tolist())
-        self.text.clear()
+        todo = split & ~lookup_bits(self.bits, n)
+        count = int(np.count_nonzero(todo))
+        st.memoized_targets += int(np.count_nonzero(split)) - count
+        st.case_counts["coprime_split"] += count
+        st.steps += count
+        if count:
+            st.max_fact = max(st.max_fact, lo + int(np.flatnonzero(todo)[-1]))
+        kind[todo] = _SPLIT
+        t = ph.add("walk", t, len(walked))
+        if not self.sinks:  # a derive-only run: no one reads the text
+            return
+        s = n + q
+        a[prime] = 2
+        rest[prime] = s[prime] // 2
+        cols = np.column_stack((s, a, rest, a, rest, n, n, q, s, n - q, q))
+        templates = _TEMPLATES[kind]
+        for k, lines in walked:
+            templates[k] = lines
+        chunk = "".join(templates.tolist()) % tuple(cols[_FIELDS[kind]].tolist())
+        t = ph.add("format", t, st.steps - steps)
         for sink in self.sinks:
             sink.write(chunk)
+        ph.add("write", t, len(chunk))
 
 
 def certify_range(
@@ -349,6 +444,7 @@ def certify_range(
     table: PrimeTable | None = None,
     sink: IO[str] | None = None,
     retain: bool | None = None,
+    phases: Phases | None = None,
 ) -> EngineResult:
     """Generate a certificate establishing f(n) = n^2 for all 0 <= n <= limit.
 
@@ -356,7 +452,8 @@ def certify_range(
     (default: only when there is no sink) the result's store holds the steps
     parsed back from exactly the text written; without it no text outlives
     its window. Deterministic: identical (limit, policy) produce byte-identical
-    output.
+    output. `phases`, when given, accumulates the run's table, spf, walk,
+    format and write phases.
     """
     if limit < MIN_TARGET:
         raise ValueError(f"limit must be >= {MIN_TARGET}, got {limit}")
@@ -365,7 +462,8 @@ def certify_range(
     if retain is None:
         retain = sink is None
     kept = io.StringIO() if retain else None
-    eng = _Engine(limit, policy, table, [f for f in (sink, kept) if f is not None])
+    eng = _Engine(limit, policy, table,
+                  [f for f in (sink, kept) if f is not None], phases)
     eng.run()
     store = None
     if kept is not None:

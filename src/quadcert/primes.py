@@ -9,8 +9,9 @@ stay available downstream).
 The table is a true bitset (one bit per integer) built by a segmented sieve,
 so construction memory stays O(segment) on top of the packed result. Queries
 above the table limit fall back to deterministic Miller-Rabin, valid for all
-64-bit inputs. The plain smallest-prime-factor sieve gives the engine each
-target's factorization and the segmented sieve its base primes.
+64-bit inputs. A segmented smallest-prime-factor sieve gives the engine each
+target's factorization one segment at a time, and both sieves their base
+primes.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ class PrimeTable:
     def lookup(self, values: np.ndarray) -> np.ndarray:
         """Vectorised membership for integers in 0..limit, read off the
         packed bits (no unpacked copy)."""
-        bits = np.frombuffer(self._bits, dtype=np.uint8)
-        return ((bits[values >> 3] >> (values & 7)) & 1).astype(bool)
+        return lookup_bits(np.frombuffer(self._bits, dtype=np.uint8), values)
 
     def as_bool_array(self) -> np.ndarray:
         """Unpacked bool view (index n -> n is prime), length limit+1."""
@@ -97,20 +97,34 @@ class PrimeTable:
         return int(self.as_bool_array().sum())
 
 
+def lookup_bits(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bit v of a little-endian packed uint8 bitset, for each v in values."""
+    return ((bits[values >> 3] >> (values & 7)) & 1).astype(bool)
+
+
+def spf_segment(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
+    """Smallest prime factor of each n in lo..hi-1 (0 and 1 map to themselves).
+
+    A segmented sieve of Eratosthenes (Bays and Hudson, BIT 1977):
+    `base_primes` must hold, ascending, every prime <= isqrt(hi - 1). Each
+    prime, largest first, writes itself on its multiples from its square up,
+    so the last write on n is its smallest prime factor; n is prime (or 0, 1)
+    iff nothing was written, and then maps to itself.
+    """
+    spf = np.zeros(hi - lo, dtype=np.int64)
+    for p in reversed(base_primes):
+        spf[max(p * p, -(-lo // p) * p) - lo :: p] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset + lo
+    return spf
+
+
 def spf_array(limit: int) -> np.ndarray:
     """Smallest prime factor for 0..limit (0 and 1 map to themselves).
 
-    A plain sieve of Eratosthenes: n >= 2 is prime iff spf[n] == n.
+    n >= 2 is prime iff spf[n] == n.
     """
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    idx = np.nonzero(spf == 0)[0]
-    spf[idx] = idx
-    return spf
+    return spf_segment(0, limit + 1, primes_upto(math.isqrt(limit)))
 
 
 def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> PrimeTable:
@@ -121,8 +135,7 @@ def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> Pri
         raise SieveBudgetError(
             f"limit {limit} needs {limit + 1} bits, budget is {max_bits}"
         )
-    spf = spf_array(math.isqrt(limit))
-    base_primes = np.flatnonzero(spf == np.arange(spf.size))[2:]  # past 0, 1
+    base_primes = primes_upto(math.isqrt(limit))
     chunks: list[np.ndarray] = []
     for low in range(0, limit + 1, SEGMENT_SIZE):
         high = min(low + SEGMENT_SIZE, limit + 1)
@@ -130,7 +143,6 @@ def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> Pri
         if low == 0:
             seg[:2] = False
         for p in base_primes:
-            p = int(p)
             start = max(p * p, ((low + p - 1) // p) * p)
             if start < high:
                 seg[start - low :: p] = False

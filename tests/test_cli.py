@@ -45,6 +45,23 @@ def test_verify_writes_certificate_and_stats(tmp_path, capsys):
     assert capsys.readouterr().out == ""  # stats went to the file
 
 
+def test_verify_stats_report_phases(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert run("verify", "--max", "5000", "--out", str(out)) == 0
+    blob = json.loads(capsys.readouterr().out)
+    phases = blob["phases"]
+    assert list(phases) == ["bootstrap", "table", "spf", "walk", "format", "write"]
+    assert all(p["s"] >= 0 and p["peak_rss_mb"] > 0 for p in phases.values())
+    assert phases["bootstrap"]["count"] == 20
+    assert phases["table"]["count"] == 2 * 5000 + 65  # bits, 0..table_limit
+    assert phases["spf"]["count"] == 5000 - 20  # targets 21..5000
+    # lines after the 21 base lines, and every character written after them
+    assert phases["format"]["count"] == blob["engine"]["steps"] - 21
+    text = out.read_text(encoding="utf-8")
+    assert phases["write"]["count"] == len(text) - text.index('{"n":21,')
+    assert "phases" not in blob["engine"]
+
+
 def test_verify_stats_to_stdout(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     assert run("verify", "--max", "60", "--out", str(out)) == 0

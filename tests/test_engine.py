@@ -2,7 +2,10 @@
 
 import hashlib
 import io
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import quadcert.engine
@@ -13,11 +16,16 @@ from quadcert.engine import (
     WINDOW,
     BoundViolation,
     _Engine,
+    _NONE,
+    _PRIME,
+    _PRIME_AUX,
     certify_range,
+    table_limit,
 )
 from quadcert.model import (
     BASE_LIMIT,
     BASE_LINE,
+    CLOSE_P_LINE,
     COPRIME_PRODUCT_LINE,
     CertificateStep,
     CoprimeProduct,
@@ -26,7 +34,13 @@ from quadcert.model import (
     parse_step,
     serialize_step,
 )
-from quadcert.primes import MAX_Q, MIN_Q, spf_array
+from quadcert.primes import (
+    MAX_Q,
+    MIN_Q,
+    build_prime_table,
+    select_q_for_prime,
+    spf_array,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +218,7 @@ def test_close_targets_square_consistently():
 def test_aux_prime_31():
     eng = _fresh_engine()
     eng.frontier = 25
-    eng.established[13] = 1  # base range anyway; explicit for clarity
+    eng._mark(13)  # base range anyway; explicit for clarity
     eng._aux_prime(31)
     tail = _tail(eng, 3)
     assert tail[0] == CertificateStep(36, CoprimeProduct(4, 9), (4, 9))
@@ -230,8 +244,8 @@ def test_aux_prime_41_uses_r_3():
 def test_aux_prime_97_uses_r_3():
     eng = _fresh_engine(limit=200)
     eng.frontier = 60
-    eng.established[25] = 1
-    eng.established[47] = 1
+    eng._mark(25)
+    eng._mark(47)
     eng._aux_prime(97)
     tail = _tail(eng, 3)
     assert tail[0] == CertificateStep(100, CoprimeProduct(4, 25), (4, 25))
@@ -244,7 +258,7 @@ def test_aux_prime_97_uses_r_3():
 def test_ensure_fact_splits_even_difference():
     eng = _fresh_engine()
     eng.frontier = 25
-    eng.established[13] = 1
+    eng._mark(13)
     eng._ensure_fact(52, 0)  # 52 = 4 * 13
     assert _tail(eng, 1)[0] == CertificateStep(52, CoprimeProduct(4, 13), (4, 13))
 
@@ -328,6 +342,47 @@ def test_ensure_fact_below_the_frontier_emits_nothing():
     assert len(eng.text) == 21 and eng.stats.goldbach_calls == 0
 
 
+def _settle(eng, primes):
+    """Run the batch prime case over `primes` (window start 0)."""
+    rows = np.array(primes, dtype=np.int64)
+    kind = np.zeros(max(primes) + 1, dtype=np.int8)
+    eng._primes(rows, 0, kind, np.zeros_like(kind, dtype=np.int64))
+    return kind
+
+
+def test_batch_prime_needs_half_below_n():
+    # 3 + 3 = 6 and 6 / 2 = 3 is not below 3; no base facts are marked here
+    eng = _Engine(130, MAX_Q, None, [])
+    with pytest.raises(BoundViolation, match=r"\(n\+q\)/2 = 3 must stay below n = 3"):
+        _settle(eng, [3])
+
+
+def test_batch_prime_aux_above_four_limit_is_refused():
+    eng = _Engine(21, MAX_Q, None, [])  # 83 + 3 = 86 > 84
+    with pytest.raises(BoundViolation, match=r"auxiliary fact 86 exceeds 4\*limit"):
+        _settle(eng, [83])
+
+
+def test_batch_primes_out_of_order_are_refused():
+    # n + q must not decrease along a batch, or a line could be written twice
+    eng = _fresh_engine()
+    with pytest.raises(BoundViolation, match="fact 42 is already established"):
+        _settle(eng, [41, 37])
+
+
+def test_batch_reads_memoized_primes_and_made_aux_off_the_bitset():
+    eng = _fresh_engine()
+    eng._mark(31)  # as if a walked target had made prime 31
+    eng._mark(34)  # and 29's n + q
+    aux = eng.stats.aux_steps
+    kind = _settle(eng, [29, 31, 37, 41, 43])
+    # 29 finds 34 made; 41 = 1 (mod 4) writes 46, which its twin 43 shares
+    assert kind[[29, 31, 37, 41, 43]].tolist() == [
+        _PRIME, _NONE, _PRIME_AUX, _PRIME_AUX, _PRIME]
+    assert eng.stats.memoized_targets == 1 and eng.stats.aux_steps == aux + 2
+    assert eng._known(42) and eng._known(46) and not eng._known(48)
+
+
 def test_fact_above_four_limit_is_refused():
     eng = _Engine(21, MAX_Q, None, [])
     with pytest.raises(BoundViolation, match=r"4\*limit"):
@@ -397,19 +452,22 @@ def test_engine_stats_are_pinned(policy, stats):
 class _PerTargetEngine(_Engine):
     """Reference generator: every n from MIN_TARGET up, one at a time.
 
-    The windowed `_Engine.run` must reproduce its lines and its stats.
+    The windowed `_Engine.run` must reproduce its lines and its stats. It
+    factors from its own full-length spf table and settles each prime on its
+    own, so it shares no window, segment or batch code with the engine.
     """
 
     def run(self) -> None:
+        spf = spf_array(self.limit)
         for i in range(BASE_LIMIT + 1):
             self._emit(BASE_LINE, i)
             self.stats.base_steps += 1
         for n in range(MIN_TARGET, self.limit + 1):
             self.frontier = n
-            if self.established[n]:
+            if self._known(n):
                 self.stats.memoized_targets += 1
                 continue
-            p = int(self.spf[n])
+            p = int(spf[n])
             a = p
             rest = n // p
             while rest % p == 0:
@@ -427,6 +485,19 @@ class _PerTargetEngine(_Engine):
                 self._odd_prime_power(n)
         for sink in self.sinks:
             sink.write("".join(self.text))
+
+    def _prime_case(self, n: int) -> None:
+        q = select_q_for_prime(n)
+        s = n + q
+        half = s // 2
+        if half >= n:
+            raise BoundViolation(
+                f"(n+q)/2 = {half} must stay below n = {n} (requires n > q)"
+            )
+        if not self._known(s):
+            self._emit(COPRIME_PRODUCT_LINE, s, 2, half, 2, half)
+        self._emit(CLOSE_P_LINE, n, n, q, s, n - q, q)
+        self.stats.case_counts["prime"] += 1
 
 
 def _generate(engine_cls, limit, policy):
@@ -465,6 +536,84 @@ def test_small_windows_match_the_per_target_walk(monkeypatch, window, policy):
     # memoized targets and auxiliary facts land on every side of a window edge
     monkeypatch.setattr(quadcert.engine, "WINDOW", window)
     _assert_matches_reference(2000, policy)
+
+
+class _RecordingEngine(_PerTargetEngine):
+    """The per-target walk, noting the frontier at which each fact is made."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made_at: dict[int, int] = {}
+
+    def _emit(self, template, fact, *fields):
+        self.made_at[fact] = self.frontier
+        super()._emit(template, fact, *fields)
+
+
+def _made_at(limit, policy):
+    eng = _RecordingEngine(limit, policy, None, [])
+    eng.run()
+    return eng.made_at
+
+
+@pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
+@pytest.mark.parametrize("edge", ["WINDOW", "SEGMENT"])
+@pytest.mark.parametrize("m", [41, 1481])
+def test_twin_primes_across_an_edge_match_the_per_target_walk(
+        monkeypatch, m, edge, policy):
+    # m = 1 (mod 4) and m + 2 share n + q = m + 5: m writes its line and
+    # m + 2, the first target past the edge, must find it made
+    assert m % 4 == 1 and spf_array(m + 2)[[m, m + 2]].tolist() == [m, m + 2]
+    made = _made_at(2 * m, policy)
+    assert made[m] == m and made[m + 2] == m + 2 and made[m + 5] == m
+    monkeypatch.setattr(quadcert.engine, edge, m + 2 - MIN_TARGET)
+    _assert_matches_reference(2 * m, policy)
+
+
+@pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
+@pytest.mark.parametrize("edge", ["WINDOW", "SEGMENT"])
+@pytest.mark.parametrize("n", [49, 125, 343])
+def test_window_starting_on_an_odd_prime_power_matches_the_per_target_walk(
+        monkeypatch, n, edge, policy):
+    spf = int(spf_array(n)[n])
+    assert spf not in (2, n) and spf ** round(math.log(n, spf)) == n
+    assert _made_at(2 * n, policy)[n] == n  # walked, not memoized
+    monkeypatch.setattr(quadcert.engine, edge, n - MIN_TARGET)
+    _assert_matches_reference(2 * n, policy)
+
+
+@pytest.mark.parametrize("policy,prime,walked", [
+    (MAX_Q, 47, 25), (MAX_Q, 131, 125), (MAX_Q, 1453, 729),
+    (MIN_Q, 37, 25), (MIN_Q, 71, 49), (MIN_Q, 1031, 529),
+])
+@pytest.mark.parametrize("window", [None, "between"])
+def test_prime_whose_aux_a_walked_target_made_matches_the_per_target_walk(
+        monkeypatch, policy, prime, walked, window):
+    # the prime's n + q was written while walking an earlier prime power, so
+    # the batch must read it off the bitset, in the same window or a later one
+    made = _made_at(prime + 64, policy)
+    assert made[prime] == prime
+    assert made[prime + select_q_for_prime(prime)] == walked
+    if window == "between":
+        monkeypatch.setattr(quadcert.engine, "WINDOW", prime - MIN_TARGET)
+    _assert_matches_reference(prime + 64, policy)
+
+
+def test_generator_memory_does_not_grow_with_the_bound():
+    # the only table as long as the bound is the 2N-bit established bitset:
+    # 0.25 byte per n, against ~6 with an int32 spf table and a byte per
+    # established fact. The prime table is built outside the traced call,
+    # because below 4*10^6 its sieve segment grows with the bound too.
+    def peak(limit):
+        table = build_prime_table(table_limit(limit))
+        tracemalloc.start()
+        try:
+            certify_range(limit, table=table, sink=None, retain=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(400_000) - peak(100_000)) / 300_000 < 1
 
 
 def test_sink_stream_equals_retained_store():

@@ -7,6 +7,7 @@ Miller-Rabin code, so agreement is meaningful.
 
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,7 @@ from quadcert.primes import (
     primes_upto,
     select_q_for_prime,
     select_r,
+    spf_segment,
 )
 
 
@@ -70,6 +72,23 @@ def oracle_goldbach(m: int, policy: str) -> tuple[int, int]:
 
 def test_primes_up_to_30_exact():
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def trial_division_spf(n: int) -> int:
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
+            return i
+        i += 1
+    return n
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 2), (0, 500), (21, 22), (97, 98),
+                                   (1000, 1100), (9_990, 10_050)])
+def test_spf_segment_matches_trial_division(lo, hi):
+    base = primes_upto(math.isqrt(hi - 1))
+    expect = [n if n < 2 else trial_division_spf(n) for n in range(lo, hi)]
+    assert spf_segment(lo, hi, base).tolist() == expect
 
 
 def test_table_matches_oracle_sieve_to_100k():
