@@ -30,7 +30,6 @@ from .model import (
     Base,
     CertificateFormatError,
     CertificateStep,
-    CertificateStore,
     CoprimeProduct,
     CoprimeQuotient,
     ParallelogramClose,
@@ -39,7 +38,6 @@ from .model import (
     iter_steps,
     parallelogram_solve,
     parse_step,
-    read_store,
     serialize_step,
     slot_values,
     validate_step,
@@ -73,7 +71,6 @@ __all__ = [
     "BoundViolation",
     "CertificateFormatError",
     "CertificateStep",
-    "CertificateStore",
     "CheckReport",
     "CoprimeProduct",
     "CoprimeQuotient",
@@ -102,7 +99,6 @@ __all__ = [
     "parse_step",
     "prime_powers_upto",
     "primes_upto",
-    "read_store",
     "select_q_for_prime",
     "select_r",
     "serialize_step",

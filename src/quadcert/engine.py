@@ -55,7 +55,6 @@ recursion is at most two deep (the nested difference is below the frontier).
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -70,8 +69,6 @@ from .model import (
     CLOSE_SUM_LINE,
     COPRIME_PRODUCT_LINE,
     COPRIME_QUOTIENT_LINE,
-    CertificateStore,
-    parse_step,
 )
 from .phases import Phases
 from .primes import (
@@ -149,7 +146,6 @@ class EngineStats:
 @dataclass
 class EngineResult:
     stats: EngineStats
-    store: CertificateStore | None
 
 
 class _Engine:
@@ -158,7 +154,7 @@ class _Engine:
         limit: int,
         policy: str,
         table: PrimeTable | None,
-        sinks: list[IO[str]],
+        sink: IO[str] | None,
         phases: Phases | None = None,
     ):
         self.limit = limit
@@ -174,7 +170,7 @@ class _Engine:
         # read, because every fact there counts as established.
         self.established = bytearray((self.margin >> 3) + 1)
         self.bits = np.frombuffer(self.established, dtype=np.uint8)
-        self.sinks = sinks
+        self.sink = sink
         # Lines of the target being walked not yet placed, one per _emit.
         self.text: list[str] = []
         # The target being derived; every fact below it counts as established.
@@ -357,8 +353,8 @@ class _Engine:
         for i in range(BASE_LIMIT + 1):
             self._emit(BASE_LINE, i)
             self.stats.base_steps += 1
-        for sink in self.sinks:
-            sink.write("".join(self.text))
+        if self.sink is not None:
+            self.sink.write("".join(self.text))
         self.text.clear()
         base = primes_upto(math.isqrt(self.limit))
         for seg_lo in range(MIN_TARGET, self.limit + 1, SEGMENT):
@@ -422,7 +418,7 @@ class _Engine:
             st.max_fact = max(st.max_fact, lo + int(np.flatnonzero(todo)[-1]))
         kind[todo] = _SPLIT
         t = ph.add("walk", t, len(walked))
-        if not self.sinks:  # a derive-only run: no one reads the text
+        if self.sink is None:  # a derive-only run: no one reads the text
             return
         s = n + q
         a[prime] = 2
@@ -433,8 +429,7 @@ class _Engine:
             templates[k] = lines
         chunk = "".join(templates.tolist()) % tuple(cols[_FIELDS[kind]].tolist())
         t = ph.add("format", t, st.steps - steps)
-        for sink in self.sinks:
-            sink.write(chunk)
+        self.sink.write(chunk)
         ph.add("write", t, len(chunk))
 
 
@@ -443,31 +438,25 @@ def certify_range(
     policy: str = MAX_Q,
     table: PrimeTable | None = None,
     sink: IO[str] | None = None,
-    retain: bool | None = None,
+    retain: bool = False,
     phases: Phases | None = None,
 ) -> EngineResult:
     """Generate a certificate establishing f(n) = n^2 for all 0 <= n <= limit.
 
-    Lines stream to `sink` (a text file object) when given. With `retain`
-    (default: only when there is no sink) the result's store holds the steps
-    parsed back from exactly the text written; without it no text outlives
-    its window. Deterministic: identical (limit, policy) produce byte-identical
-    output. `phases`, when given, accumulates the run's table, spf, walk,
-    format and write phases.
+    Lines stream to `sink` (a text file object), and no text outlives its
+    window; with no sink the run derives and counts every step but formats
+    none. Only stats are returned: read the steps back from the file with
+    `model.iter_steps`. `retain` accepts only False. Deterministic: identical
+    (limit, policy) produce byte-identical output. `phases`, when given,
+    accumulates the run's table, spf, walk, format and write phases.
     """
     if limit < MIN_TARGET:
         raise ValueError(f"limit must be >= {MIN_TARGET}, got {limit}")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if retain is None:
-        retain = sink is None
-    kept = io.StringIO() if retain else None
-    eng = _Engine(limit, policy, table,
-                  [f for f in (sink, kept) if f is not None], phases)
+    if retain:
+        raise ValueError("certify_range keeps no steps: pass sink= and read"
+                         " the file back with model.iter_steps")
+    eng = _Engine(limit, policy, table, sink, phases)
     eng.run()
-    store = None
-    if kept is not None:
-        kept.seek(0)
-        steps = [parse_step(line, i) for i, line in enumerate(kept, start=1)]
-        store = CertificateStore(target_bound=limit, steps=steps)
-    return EngineResult(stats=eng.stats, store=store)
+    return EngineResult(stats=eng.stats)

@@ -275,24 +275,6 @@ def validate_step(
     return out
 
 
-@dataclass
-class CertificateStore:
-    """A certificate: ordered steps targeting coverage of 1..target_bound.
-
-    Fact 0 is an axiom (f(0) = 0 forces the 0 slot) and is established in
-    every store even before its base step is read.
-    """
-
-    target_bound: int
-    steps: list[CertificateStep]
-
-    def facts(self) -> set[int]:
-        return {s.fact for s in self.steps}
-
-    def to_lines(self) -> list[str]:
-        return [serialize_step(s) for s in self.steps]
-
-
 def serialize_step(step: CertificateStep) -> str:
     """One wire line, LF-terminated. Fixed field order for byte determinism."""
     j = step.just
@@ -405,9 +387,3 @@ def iter_steps(path: str) -> Iterator[tuple[int, CertificateStep]]:
                 continue
             yield line_no, parse_step(line, line_no)
 
-
-def read_store(path: str, target_bound: int | None = None) -> CertificateStore:
-    steps = [s for _, s in iter_steps(path)]
-    if target_bound is None:
-        target_bound = max((s.fact for s in steps), default=0)
-    return CertificateStore(target_bound=target_bound, steps=steps)

@@ -136,18 +136,21 @@ def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> Pri
             f"limit {limit} needs {limit + 1} bits, budget is {max_bits}"
         )
     base_primes = primes_upto(math.isqrt(limit))
-    chunks: list[np.ndarray] = []
+    bits = bytearray((limit >> 3) + 1)
+    packed = np.frombuffer(bits, dtype=np.uint8)
+    whole = np.empty(min(SEGMENT_SIZE, limit + 1), dtype=bool)  # refilled per segment
     for low in range(0, limit + 1, SEGMENT_SIZE):
         high = min(low + SEGMENT_SIZE, limit + 1)
-        seg = np.ones(high - low, dtype=bool)
+        seg = whole[: high - low]
+        seg[:] = True
         if low == 0:
             seg[:2] = False
         for p in base_primes:
             start = max(p * p, ((low + p - 1) // p) * p)
             if start < high:
                 seg[start - low :: p] = False
-        chunks.append(np.packbits(seg, bitorder="little"))
-    return PrimeTable(limit=limit, _bits=b"".join(c.tobytes() for c in chunks))
+        packed[low >> 3 : (high + 7) >> 3] = np.packbits(seg, bitorder="little")
+    return PrimeTable(limit=limit, _bits=bits)
 
 
 def _miller_rabin(n: int) -> bool:

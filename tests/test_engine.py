@@ -43,18 +43,26 @@ from quadcert.primes import (
 )
 
 
-@pytest.fixture(scope="module")
-def res130():
-    return certify_range(130)
+def _streamed(limit, policy=MAX_Q):
+    """(stats, steps) of a run streamed to a buffer, its lines parsed back."""
+    buf = io.StringIO()
+    stats = certify_range(limit, policy=policy, sink=buf).stats
+    buf.seek(0)
+    return stats, [parse_step(line, i) for i, line in enumerate(buf, start=1)]
 
 
 @pytest.fixture(scope="module")
-def lines130(res130):
-    return {s.fact: serialize_step(s) for s in res130.store.steps}
+def run130():
+    return _streamed(130)
+
+
+@pytest.fixture(scope="module")
+def lines130(run130):
+    return {s.fact: serialize_step(s) for s in run130[1]}
 
 
 def _fresh_engine(limit=130, policy=MAX_Q):
-    eng = _Engine(limit, policy, None, [])
+    eng = _Engine(limit, policy, None, None)
     for i in range(21):
         eng._emit(BASE_LINE, i)
     return eng
@@ -170,9 +178,9 @@ def test_powers_of_two_close_a_goldbach_pair(lines130):
     )
 
 
-def test_aux_facts_precede_their_use(res130):
+def test_aux_facts_precede_their_use(run130):
     position = {}
-    for i, s in enumerate(res130.store.steps):
+    for i, s in enumerate(run130[1]):
         position[s.fact] = i
     assert position[26] < position[23]
     assert position[36] < position[31] < position[50] < position[25]
@@ -185,9 +193,9 @@ def test_aux_facts_precede_their_use(res130):
 
 
 def test_every_step_cites_only_prior_facts():
-    res = certify_range(400)
+    _, steps = _streamed(400)
     seen = set()
-    for s in res.store.steps:
+    for s in steps:
         for v in demanded_prereqs(s):
             assert v == 0 or v <= 20 or v in seen, (s.fact, v)
         assert s.fact not in seen, s.fact
@@ -199,8 +207,8 @@ def test_close_targets_square_consistently():
     # every parallelogram step in a run names slots making the target exact
     from quadcert.model import parallelogram_solve, slot_values
 
-    res = certify_range(300)
-    closes = [s for s in res.store.steps if isinstance(s.just, ParallelogramClose)]
+    _, steps = _streamed(300)
+    closes = [s for s in steps if isinstance(s.just, ParallelogramClose)]
     assert closes
     for s in closes:
         j = s.just
@@ -352,13 +360,13 @@ def _settle(eng, primes):
 
 def test_batch_prime_needs_half_below_n():
     # 3 + 3 = 6 and 6 / 2 = 3 is not below 3; no base facts are marked here
-    eng = _Engine(130, MAX_Q, None, [])
+    eng = _Engine(130, MAX_Q, None, None)
     with pytest.raises(BoundViolation, match=r"\(n\+q\)/2 = 3 must stay below n = 3"):
         _settle(eng, [3])
 
 
 def test_batch_prime_aux_above_four_limit_is_refused():
-    eng = _Engine(21, MAX_Q, None, [])  # 83 + 3 = 86 > 84
+    eng = _Engine(21, MAX_Q, None, None)  # 83 + 3 = 86 > 84
     with pytest.raises(BoundViolation, match=r"auxiliary fact 86 exceeds 4\*limit"):
         _settle(eng, [83])
 
@@ -384,7 +392,7 @@ def test_batch_reads_memoized_primes_and_made_aux_off_the_bitset():
 
 
 def test_fact_above_four_limit_is_refused():
-    eng = _Engine(21, MAX_Q, None, [])
+    eng = _Engine(21, MAX_Q, None, None)
     with pytest.raises(BoundViolation, match=r"4\*limit"):
         eng._emit(BASE_LINE, 90)
 
@@ -405,9 +413,10 @@ def test_unknown_policy_rejected():
 
 
 def test_runs_are_byte_identical():
-    a = certify_range(250).store.to_lines()
-    b = certify_range(250).store.to_lines()
-    assert a == b
+    a, b = io.StringIO(), io.StringIO()
+    certify_range(250, sink=a)
+    certify_range(250, sink=b)
+    assert a.getvalue() == b.getvalue()
 
 
 @pytest.mark.parametrize("policy,sha256,lines,size", [
@@ -483,8 +492,8 @@ class _PerTargetEngine(_Engine):
                 self._prime_case(n)
             else:
                 self._odd_prime_power(n)
-        for sink in self.sinks:
-            sink.write("".join(self.text))
+        if self.sink is not None:
+            self.sink.write("".join(self.text))
 
     def _prime_case(self, n: int) -> None:
         q = select_q_for_prime(n)
@@ -503,7 +512,7 @@ class _PerTargetEngine(_Engine):
 def _generate(engine_cls, limit, policy):
     """(streamed text, stats minus elapsed_s)."""
     buf = io.StringIO()
-    eng = engine_cls(limit, policy, None, [buf])
+    eng = engine_cls(limit, policy, None, buf)
     eng.run()
     stats = eng.stats.to_dict()
     del stats["elapsed_s"]
@@ -551,7 +560,7 @@ class _RecordingEngine(_PerTargetEngine):
 
 
 def _made_at(limit, policy):
-    eng = _RecordingEngine(limit, policy, None, [])
+    eng = _RecordingEngine(limit, policy, None, None)
     eng.run()
     return eng.made_at
 
@@ -616,17 +625,16 @@ def test_generator_memory_does_not_grow_with_the_bound():
     assert (peak(400_000) - peak(100_000)) / 300_000 < 1
 
 
-def test_sink_stream_equals_retained_store():
-    buf = io.StringIO()
-    res = certify_range(150, sink=buf, retain=True)
-    assert buf.getvalue() == "".join(res.store.to_lines())
+def test_retain_is_refused():
+    # a run keeps no steps; they are read back from the text it wrote
+    with pytest.raises(ValueError, match="iter_steps"):
+        certify_range(150, sink=io.StringIO(), retain=True)
 
 
 def test_null_sink_run_counts_what_a_streamed_run_writes():
-    # the derive-only call: no sink, no store, the stats of a streamed run
+    # the derive-only call: no sink, the stats of a streamed run
     res = certify_range(3000, sink=None, retain=False)
     streamed = certify_range(3000, sink=io.StringIO())
-    assert res.store is None
     assert res.stats.to_dict() | {"elapsed_s": 0} == (
         streamed.stats.to_dict() | {"elapsed_s": 0})
 
@@ -634,26 +642,25 @@ def test_null_sink_run_counts_what_a_streamed_run_writes():
 def test_sink_only_run_retains_nothing():
     buf = io.StringIO()
     res = certify_range(60, sink=buf)
-    assert res.store is None
     assert buf.getvalue().count("\n") == res.stats.steps
 
 
 def test_min_q_policy_also_covers_and_validates():
-    res = certify_range(200, policy=MIN_Q)
+    _, steps = _streamed(200, MIN_Q)
     seen = set()
-    for s in res.store.steps:
+    for s in steps:
         for v in demanded_prereqs(s):
             assert v == 0 or v <= 20 or v in seen
         seen.add(s.fact)
     assert set(range(201)) <= seen
-    metas = {s.meta["policy"] for s in res.store.steps if s.meta}
+    metas = {s.meta["policy"] for s in steps if s.meta}
     assert metas == {"min-q"}
 
 
-def test_stats_account_for_every_target(res130):
-    st = res130.stats
+def test_stats_account_for_every_target(run130):
+    st, steps = run130
     assert st.base_steps == 21
-    assert st.steps == len(res130.store.steps)
+    assert st.steps == len(steps)
     handled = sum(st.case_counts.values())
     assert handled + st.memoized_targets == 130 - 20
     assert st.case_counts["pow2"] == 3  # 32, 64, 128
@@ -663,9 +670,9 @@ def test_stats_account_for_every_target(res130):
     assert d["limit"] == 130 and d["policy"] == "max-q"
 
 
-def test_aux_margin_covers_worst_case(res130):
+def test_aux_margin_covers_worst_case(run130):
     assert AUX_MARGIN >= 14
-    assert res130.stats.max_fact <= 2 * 130 + AUX_MARGIN
+    assert run130[0].max_fact <= 2 * 130 + AUX_MARGIN
 
 
 # ---------------------------------------------------------------------------

@@ -399,22 +399,6 @@ def test_iter_steps_skips_blank_lines(tmp_path):
     assert [s.fact for _, s in rows] == [0, 1]
 
 
-def test_read_store_infers_bound(tmp_path):
-    p = tmp_path / "c.jsonl"
-    p.write_text(
-        '{"n":0,"just":{"type":"base"},"prereqs":[]}\n'
-        '{"n":9,"just":{"type":"base"},"prereqs":[]}\n',
-        encoding="utf-8",
-    )
-    store = M.read_store(str(p))
-    assert store.target_bound == 9
-    assert store.facts() == {0, 9}
-    assert store.to_lines() == [
-        '{"n":0,"just":{"type":"base"},"prereqs":[]}\n',
-        '{"n":9,"just":{"type":"base"},"prereqs":[]}\n',
-    ]
-
-
 def test_base_limit_is_twenty():
     # the induction in the certifying engine starts at 21
     assert BASE_LIMIT == 20

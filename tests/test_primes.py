@@ -8,6 +8,7 @@ Miller-Rabin code, so agreement is meaningful.
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -119,6 +120,18 @@ def test_table_membership_and_segmentation_boundaries(monkeypatch):
 def test_table_budget_guard():
     with pytest.raises(SieveBudgetError):
         build_prime_table(100, max_bits=50)
+
+
+def test_table_build_memory_stays_near_the_table():
+    # the table of `verify --max 10^7`: each segment is packed straight into
+    # the result, so no list of packed segments or joined copy coexists with it
+    tracemalloc.start()
+    try:
+        table = build_prime_table(2 * 10**7 + 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(table._bits)
 
 
 # --- single-number primality ------------------------------------------------
