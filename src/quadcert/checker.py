@@ -32,9 +32,10 @@ decode errors are the reference's). Each line takes one of two paths:
               rows are validated with numpy for the whole chunk at once.
               Nine digits keep every product exact in int64; longer
               integers could wrap around and forge a valid row.
-  reference   every other non-blank line, and every fast-path row that
-              fails any vectorised check, is decoded and goes through
-              `model.parse_step` and `model.validate_step`, so its
+  reference   every other non-blank line is decoded and parsed by
+              `model.parse_step`. It, and every fast-path row that fails
+              any vectorised check (its step rebuilt from its columns by
+              `_step`), goes through `model.validate_step`, so its
               violations, their codes and their text are the reference's.
 
 Either way a row then becomes one fact index plus a flat list of prereq
@@ -46,12 +47,12 @@ below the table size (at most 4 * (lines read) + 64) is its own index; a
 larger one is given the next index above that size when first provided. So
 memory follows the lines read, never an integer the file or the caller typed.
 
-The optional numeric spot check re-evaluates a seeded random sample of steps
-directly against f(x) = x^2 in exact integer arithmetic: for a parallelogram
-step (p+q)^2 + (p-q)^2 = 2p^2 + 2q^2, for products a^2 b^2 = (ab)^2. The
-sample is drawn during the same pass. On an accepted store these are
-identities, so any mismatch is a fatal internal inconsistency rather than a
-reportable rejection.
+The optional numeric spot check draws a seeded random sample of non-base
+steps during the same pass and, once the file is accepted, runs each of them
+through `model.validate_step` again, with primality from Miller-Rabin rather
+than the sieve of the fast path (establishment was the pass's to judge). A
+step the pass accepted and the reference rejects is a fault of the checker
+itself, so it raises RuntimeError rather than making a reportable rejection.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from .model import (
     Violation,
     parse_step,
     serialize_step,
-    slot_values,
     validate_step,
 )
 from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
@@ -190,6 +190,14 @@ def _rows(
     return cols, {i: parse_step(t, line_nos[i]) for i, t in texts.items() if t.strip()}
 
 
+def _step(row: np.ndarray) -> CertificateStep:
+    """The step of a canonical row of `_columns`, without its meta."""
+    kind, n, x, y, t, *pre = row.tolist()
+    just = (Base() if kind == 0 else CoprimeProduct(x, y) if kind == 1
+            else CoprimeQuotient(x, y) if kind == 2 else ParallelogramClose(x, y, SLOTS[t - 1]))
+    return CertificateStep(n, just, tuple(v for v in pre if v >= 0))
+
+
 def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
     """Rows for which validate_step would report nothing but establishment:
     the kind's arithmetic holds and the listed prereqs are exactly the
@@ -292,18 +300,12 @@ class _Pass:
 
     # -- one chunk ------------------------------------------------------------
 
-    def feed(
-        self,
-        lines: list[bytes],
-        line_nos: Sequence[int],
-        lines_read: int,
-        cols: np.ndarray,
-        steps: dict[int, CertificateStep],
-    ) -> None:
+    def feed(self, line_nos: Sequence[int], lines_read: int, cols: np.ndarray,
+             steps: dict[int, CertificateStep]) -> None:
         """Check the next chunk of lines in check order; `line_nos` are their
         file line numbers, `lines_read` counts the file's lines read and
         `cols, steps` are the chunk's `_rows`."""
-        k = len(lines)
+        k = len(cols)
         kind = cols[:, _KIND]
 
         # every non-blank row as a fact index and prereq edges (erow[j]
@@ -356,7 +358,7 @@ class _Pass:
         todo = active[~clean[active]].tolist()
         rows = dict(zip(new_facts.tolist(), new_rows.tolist())) if todo else {}
         for i in todo:
-            step = steps.get(i) or parse_step(lines[i].decode(), line_nos[i])
+            step = steps.get(i) or _step(cols[i])
             established = partial(self._before, rows=rows, row=i)
             for v in validate_step(step, established, is_prime, line=line_nos[i]):
                 (self.deferred if v.establishment else self.immediate).append(v)
@@ -382,10 +384,10 @@ class _Pass:
 
         base = kind == 0
         base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
-        self._sample(lines, line_nos, steps, active[~base[active]].tolist())
+        self._sample(line_nos, cols, steps, active[~base[active]].tolist())
         self.steps += len(active)
 
-    def _sample(self, lines, line_nos, steps, eligible: list[int]) -> None:
+    def _sample(self, line_nos, cols, steps, eligible: list[int]) -> None:
         """Priority sampling: every eligible (non-base) step draws a seeded
         uniform key and the sample_size smallest keys so far are kept."""
         self.eligible += len(eligible)
@@ -397,7 +399,7 @@ class _Pass:
             keep = np.sort(np.argpartition(keys, self.sample_size - 1)[: self.sample_size])
         old = len(self.sample)  # keep is sorted: old entries come first
         self.sample = [self.sample[j] for j in keep.tolist() if j < old] + [
-            (line_nos[i], steps.get(i) or parse_step(lines[i].decode(), line_nos[i]))
+            (line_nos[i], steps.get(i) or _step(cols[i]))
             for i in (eligible[j - old] for j in keep.tolist() if j >= old)]
         self.sample_keys = keys[keep]
 
@@ -431,11 +433,13 @@ class _Pass:
         return violations, gaps
 
     def spot_check(self) -> dict:
+        """Re-validate the sample with the reference rules and Miller-Rabin
+        primality; establishment was judged by the pass."""
         for line_no, step in sorted(self.sample, key=lambda s: s[0]):
-            if not _identities_hold(step):
+            if bad := validate_step(step, lambda _: True, is_prime, line=line_no):
                 raise RuntimeError(
                     f"numeric spot check failed on line {line_no}: step for fact"
-                    f" {step.fact} does not satisfy the f(x) = x^2 identities"
+                    f" {step.fact} fails {'; '.join(v.detail for v in bad)}"
                 )
         return {
             "sampled": len(self.sample),
@@ -455,20 +459,6 @@ def _random_keys(rng: random.Random, count: int) -> np.ndarray:
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
                           dtype="<u4")
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
-
-
-def _identities_hold(step: CertificateStep) -> bool:
-    j = step.just
-    n = step.fact
-    if isinstance(j, CoprimeProduct):
-        return j.a * j.b == n and (j.a**2) * (j.b**2) == (j.a * j.b) ** 2
-    if isinstance(j, CoprimeQuotient):
-        return j.divisor * n == j.product and (n**2) * (j.divisor**2) == j.product**2
-    if isinstance(j, ParallelogramClose):
-        vals = slot_values(j.p, j.q)
-        s, d = vals["sum"], vals["diff"]
-        return vals[j.target] == n and s * s + d * d == 2 * j.p * j.p + 2 * j.q * j.q
-    return False  # pragma: no cover - the sample excludes Base
 
 
 def _read_chunks(path: str) -> Iterator[tuple[list[bytes], bytes]]:
@@ -547,31 +537,29 @@ def _toposort(cols: np.ndarray, steps: dict[int, CertificateStep]) -> np.ndarray
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
     """Feed every line of the file to `run`, in file or topological order.
     With `reorder`, the rows of the non-blank lines are kept from the read
-    (int32 columns, as fields have <= 9 digits, then the line number) and
-    fed in sorted order, so no line is put into columns or parsed twice."""
-    lines: list[bytes] = []
+    (int32 columns, as fields have <= 9 digits, then the line number) with
+    the parsed steps of those that are not canonical, and fed in sorted
+    order, so no line is put into columns or parsed twice."""
     blocks: list[np.ndarray] = [np.zeros((0, 9), dtype=np.int32)]
-    steps: dict[int, CertificateStep] = {}  # kept line -> parsed step
-    read = 0
+    steps: dict[int, CertificateStep] = {}  # kept row -> parsed step
+    read = kept = 0
     for chunk, data in _read_chunks(path):
         nos = range(read + 1, read + 1 + len(chunk))
         read += len(chunk)
         cols, parsed = _rows(chunk, data, nos)
         if not reorder:
-            run.feed(chunk, nos, read, cols, parsed)
+            run.feed(nos, read, cols, parsed)
             continue
         keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
-        steps.update((len(lines) + j, parsed[i])
-                     for j, i in enumerate(keep.tolist()) if i in parsed)
-        lines.extend(chunk[i] for i in keep.tolist())
+        steps.update((kept + j, parsed[i]) for j, i in enumerate(keep.tolist()) if i in parsed)
+        kept += len(keep)
         blocks.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
-    kept = np.concatenate(blocks)
+    rows = np.concatenate(blocks)
     del blocks  # the per-chunk copies, before the sort's peak
-    order = _toposort(kept, steps)
+    order = _toposort(rows, steps)
     for lo in range(0, len(order), CHUNK_LINES):
         idx = order[lo: lo + CHUNK_LINES]
-        run.feed([lines[i] for i in idx.tolist()], kept[idx, 8].tolist(), read,
-                 kept[idx, :8].astype(np.int64),
+        run.feed(rows[idx, 8].tolist(), read, rows[idx, :8].astype(np.int64),
                  {j: steps[i] for j, i in enumerate(idx.tolist()) if i in steps})
 
 
@@ -588,7 +576,9 @@ def check_store(
     Raises CertificateFormatError (parse) and OSError (I/O) rather than
     reporting them as logical violations. `reorder` topologically sorts the
     steps first. With `spot_check` K > 0, an accepted report also carries
-    the numeric spot check of K seeded sample steps, drawn in the same pass.
+    the spot check of K seeded sample steps, drawn in the same pass and
+    validated again by the reference rules with Miller-Rabin primality; a
+    sampled step they reject raises RuntimeError.
     """
     if claimed_bound < 0:
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
@@ -628,15 +618,14 @@ def _bootstrap(violations: list[Violation]) -> dict:
 
 
 def spot_check_numeric(path: str, sample_size: int, seed: int = 0) -> dict:
-    """Re-evaluate a seeded sample of non-base steps against f(x) = x^2.
+    """Validate a seeded sample of non-base steps again, by themselves.
 
     Each non-base step, in file order, gets the next `random.Random(seed)`
     value as its key, so the sample does not depend on how the file is
-    chunked.
-
-    These are exact integer identities on any structurally accepted store, so
-    a mismatch raises RuntimeError (it would mean the validator itself is
-    inconsistent, not that the certificate is merely invalid).
+    chunked. Each sampled step goes through `model.validate_step` with
+    Miller-Rabin primality and every prereq taken as established; any
+    violation raises RuntimeError. This checks the steps only, not the file:
+    on a file `check_store` accepts, a failure is a fault of the checker.
     """
     run = _Pass(sample_size, seed)
     _scan(path, run, reorder=False)

@@ -1,7 +1,10 @@
 """Independent verification: fault injection for every rejection code."""
 
+import dataclasses
 import json
+import math
 import random
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -13,6 +16,7 @@ from quadcert import model as M
 from quadcert.bootstrap import BootstrapError
 from quadcert.checker import _columns as checker_columns
 from quadcert.checker import check_store, spot_check_numeric
+from quadcert.engine import certify_range
 from quadcert.model import CertificateFormatError
 from tests.conftest import base_rows
 
@@ -226,6 +230,22 @@ def test_fast_path_takes_nine_digit_integers_only():
                                    4294967296, 4294967297)).encode())
     assert nine[0, 0] == 1 and nine[0, 1] == 999999999
     assert ten[0, 0] == -1
+
+
+def test_step_from_columns_is_the_parsed_step_without_meta():
+    # every canonical layout, its integers filled with random 1-9 digit values
+    rng = random.Random(7)
+    forms = set()
+    for shape in checker._SHAPES:
+        for _ in range(20):
+            line = re.sub("0", lambda _: str(rng.randrange(1, 10**rng.randint(1, 9))),
+                          shape.decode())
+            step = checker._step(checker_columns(line.encode())[0])
+            parsed = M.parse_step(line, 1)
+            assert step == dataclasses.replace(parsed, meta=None), line
+        forms.add((type(parsed.just), getattr(parsed.just, "target", None),
+                   len(parsed.prereqs), str(parsed.meta)))
+    assert len(forms) == (3 + len(M.SLOTS)) * 4 * 3
 
 
 def test_extra_prereq(write_cert):
@@ -547,6 +567,43 @@ def test_spot_check_flags_internal_inconsistency(write_cert):
     rows = base_rows() + [_product(22, 3, 7)]  # 3 * 7 != 22
     with pytest.raises(RuntimeError):
         spot_check_numeric(write_cert(rows), 8)
+
+
+def test_spot_check_catches_a_fast_path_without_gcd(tmp_path):
+    # 2% of the product rows of a genuine certificate become n = p * (n/p)
+    # with p^2 | n: right but for coprimality. A fast path that lost its gcd
+    # accepts them, and the spot check must then fail for most seeds.
+    limit = 30_000
+    with open(tmp_path / "genuine.jsonl", "w+", encoding="utf-8", newline="") as fh:
+        certify_range(limit, sink=fh)
+        fh.seek(0)
+        steps = [json.loads(line) for line in fh]
+    seen, squareful = set(), []
+    for i, s in enumerate(steps):
+        n = s["n"]
+        p = next((p for p in range(2, math.isqrt(n) + 1) if n % (p * p) == 0), 0)
+        if s["just"]["type"] == "coprime_product" and p and {p, n // p} <= seen:
+            squareful.append((i, p))
+        seen.add(n)
+    products = sum(s["just"]["type"] == "coprime_product" for s in steps)
+    changed = random.Random(0).sample(squareful, products // 50)
+    for i, p in changed:
+        n = steps[i]["n"]
+        steps[i] = _product(n, p, n // p)
+    path = tmp_path / "squareful.jsonl"
+    path.write_text("".join(json.dumps(s, separators=(",", ":")) + "\n" for s in steps))
+
+    report = check_store(str(path), limit)
+    assert report.stats["violation_counts"] == {M.NOT_COPRIME: len(changed)}
+    caught = 0
+    with mock.patch.object(np, "gcd", lambda a, b: np.ones_like(a)):
+        for seed in range(10):
+            try:
+                check_store(str(path), limit, spot_check=256, seed=seed)
+            except RuntimeError as exc:
+                assert "gcd(" in str(exc)
+                caught += 1
+    assert caught >= 9
 
 
 def test_report_to_dict_round_trips_json(write_cert):

@@ -231,7 +231,7 @@ def test_check_reorder_memory_is_bounded(tmp_path):
         capture_output=True, text=True, env=env, check=True).stdout.split()
     code, rss_mb = int(out[0]), float(out[2])
     assert code == 0
-    assert rss_mb < 75, f"{rss_mb:.1f} MB"
+    assert rss_mb < 60, f"{rss_mb:.1f} MB"
 
 
 def test_check_max_zero_accepts_the_base_lines(tmp_path):
