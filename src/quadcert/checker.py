@@ -19,19 +19,24 @@ prerequisite that is neither base-range nor previously established is
 classified at end of file: if some later line justifies it, the violation is
 a "cycle" (forward reference); otherwise "missing_prereq".
 
-The file is read once, in chunks of CHUNK_LINES lines: in binary while a
-chunk is ASCII without a carriage return, then with the text-mode line
-iteration of `model.iter_steps` (so line numbers, universal newlines and
-decode errors are the reference's). Each line takes one of two paths:
+The file is read once, in blocks of whole lines: in binary (a block is
+CHUNK_LINES * 64 bytes and the rest of its last line) while a block is ASCII
+without a carriage return, then with the text-mode line iteration of
+`model.iter_steps` (so line numbers, universal newlines and decode errors
+are the reference's). A block's line ends are found in one pass, and its
+lines are checked in chunks of at most CHUNK_LINES. Each line takes one of
+two paths:
 
   fast path   a line in a layout `serialize_step` writes (any kind, at most
               three prereqs, no meta or a policy tag) whose integers have at
               most 9 digits and no leading zero. A line's shape (its bytes
               with every run of digits written as one 0) names its layout
-              exactly; the chunk's integers are read in one call, and the
-              rows are validated with numpy for the whole chunk at once.
-              Nine digits keep every product exact in int64; longer
-              integers could wrap around and forge a valid row.
+              exactly. The runs are found from one digit mask, each is read
+              from the 8 bytes at its start by a multiply-and-shift parse,
+              and its length alone tells whether its line stays: nine digits
+              keep every product exact in int64; longer integers could wrap
+              around and forge a valid row. The rows are validated with numpy
+              for the whole chunk at once.
   reference   every other non-blank line is decoded and parsed by
               `model.parse_step`. It, and every fast-path row that fails
               any vectorised check (its step rebuilt from its columns by
@@ -62,9 +67,9 @@ import random
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -84,17 +89,16 @@ from .model import (
     CoprimeQuotient,
     ParallelogramClose,
     Violation,
+    as_decimal,
     parse_step,
     serialize_step,
     validate_step,
 )
+from .phases import Phases
 from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
-# bytes.translate tables: every non-digit to a space; every digit to "0"
-_SPACED = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
-_ZEROED = bytes(48 if 48 <= c <= 57 else c for c in range(256))
-_TENS = 10 ** np.arange(1, 10, dtype=np.int64)
+_PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apart
 # Columns of _columns(): kind, n, x (a | product | p), y (b | divisor | q),
 # target (1..4 in SLOTS order), prereqs. Kinds: -1 not canonical, 0 base,
 # 1 coprime_product, 2 coprime_quotient, 3 parallelogram.
@@ -105,8 +109,8 @@ _PRE = slice(5, 8)
 def _layouts() -> tuple[dict[bytes, int], np.ndarray]:
     """The canonical line layouts by shape (serialize_step's text for a step
     whose integers are all 0), and a table row per layout: kind, target,
-    count of integers, then the positions among them of n, x, y and three
-    prereqs (-1 when absent). A last row stands for any other line."""
+    then the positions among its integers of n, x, y and three prereqs (-1
+    when absent). A last row stands for any other line."""
     shapes: dict[bytes, int] = {}
     table = []
     for i, just in enumerate([Base(), CoprimeProduct(0, 0), CoprimeQuotient(0, 0)]
@@ -117,10 +121,10 @@ def _layouts() -> tuple[dict[bytes, int], np.ndarray]:
             for meta in (None, {"policy": MAX_Q}, {"policy": MIN_Q}):
                 line = serialize_step(CertificateStep(0, just, (0,) * k, meta))
                 shapes[line[:-1].encode()] = len(table)
-            table.append([min(i, 3), i - 2 if i > 2 else -1, first + k, 0,
+            table.append([min(i, 3), i - 2 if i > 2 else -1, 0,
                           *((1, 2) if i else (-1, -1)),
                           *(first + j if j < k else -1 for j in range(3))])
-    return shapes, np.array(table + [[-1, -1, 0] + [-1] * 6], dtype=np.int64)
+    return shapes, np.array(table + [[-1] * 8], dtype=np.int64)
 
 
 _SHAPES, _LAYOUT = _layouts()
@@ -135,6 +139,7 @@ class CheckReport:
     stats: dict
     bootstrap: dict
     spot_check: dict | None = None
+    phases: dict = field(default_factory=dict)  # not part of to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -146,48 +151,45 @@ class CheckReport:
         }
 
 
-def _columns(data: bytes) -> np.ndarray:
-    """One int64 row per line of `data` (see the column constants); -1
-    marks an absent field, and a line that is not canonical has kind -1."""
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    zeroed = np.frombuffer(data.translate(_ZEROED), dtype=np.uint8)
-    digit = zeroed == 48
-    keep = np.ones(len(zeroed), dtype=bool)
-    keep[1:] = ~(digit[1:] & digit[:-1])  # drop all but a run's first digit
-    shape = zeroed[keep]
-    shapes = shape.tobytes().split(b"\n")[:-1]
+def _columns(data: bytes, ends: np.ndarray) -> np.ndarray:
+    """One int64 row per line of `data`, whose line ends are `ends` (see
+    `_read_chunks` and the column constants); -1 marks an absent field, and
+    a line that is not canonical has kind -1."""
+    size = int(ends[-1]) + 1  # a last line without a newline gets one
+    buf = np.frombuffer(bytearray(data) + b"\n" + bytes(8), dtype=np.uint8)  # 8 pad the loads
+    text = buf[:size]
+    digit = text - np.uint8(48) < np.uint8(10)
+    step = np.flatnonzero(np.diff(digit, prepend=False))  # runs of digits
+    starts, length = step[0::2], step[1::2] - step[0::2]
+    # a run's first 8 digits: the little-endian word at its start, shifted so
+    # that the bytes past the run fall off the top and zeros lead, read by
+    # Lemire's three multiply-and-shift steps; a 9th digit is added apart
+    shift = np.uint64(8) * (np.uint64(8) - np.minimum(length, 8).astype(np.uint64))
+    v = np.ndarray((size,), dtype="<u8", buffer=buf, strides=(1,))[starts] << shift
+    v -= np.uint64(0x3030303030303030) << shift
+    v = v * np.uint64(10) + (v >> np.uint64(8))
+    v = ((v & _PAIRS) * np.uint64(100 + (10**6 << 32))
+         + ((v >> np.uint64(16)) & _PAIRS) * np.uint64(1 + (10**4 << 32))) >> np.uint64(32)
+    val = np.append(v.astype(np.int64), -1)  # then the -1 absent fields read
+    nine = np.flatnonzero(length == 9)
+    val[nine] = val[nine] * 10 + buf[starts[nine] + 8] - 48
+    # exact, canonical JSON integers: at most 9 digits (so products stay
+    # exact in int64) and no leading zero; bad[j] counts the others before j
+    bad = np.cumsum(np.append(False, (length > 9) | ((length > 1) & (buf[starts] == 48))))
+    text[starts] = 48  # a line's shape: each run of digits as one 0
+    keep = ~digit
+    keep[starts] = True
+    shapes = text[keep].tobytes().split(b"\n")
     lay = _LAYOUT[np.fromiter(map(_SHAPES.get, shapes, repeat(-1)),
-                              dtype=np.intp, count=len(shapes))]
-    counts = lay[:, 2].copy()  # integers per line
-    other = np.flatnonzero(lay[:, _KIND] < 0)
-    counts[other] = [shapes[i].count(b"0") for i in other.tolist()]
-    ends = np.cumsum(counts)
-    # every integer in order (a run past int64 saturates), then the -1
-    # that absent fields read
-    ints = np.fromstring(data.translate(_SPACED), dtype=np.int64, sep=" ")
-    ints = np.append(ints[: ends[-1]], -1)
-    pos = lay[:, 3:]
-    vals = ints[np.where(pos >= 0, (ends - counts)[:, None] + pos, -1)]
-    # the digits each line loses to its shape against those its values need
-    # differ on a leading zero; a run of 10+ digits reads as >= 10^9
-    lost = np.diff(np.flatnonzero(zeroed == 10) - np.flatnonzero(shape == 10), prepend=0)
-    exact = lost == np.searchsorted(_TENS, vals, side="right").sum(axis=1)
-    out = np.empty((len(shapes), 8), dtype=np.int64)
+                              dtype=np.intp, count=len(ends))]
+    last = np.searchsorted(starts, ends)  # the runs before each line's end
+    first = np.append(0, last[:-1])
+    pos = np.where(lay[:, 2:] >= 0, first[:, None] + lay[:, 2:], -1)
+    out = np.empty((len(ends), 8), dtype=np.int64)
     out[:, [_KIND, _T]] = lay[:, :2]
-    out[:, [_N, _X, _Y, 5, 6, 7]] = vals
-    out[~exact | (vals.max(axis=1) >= 10**9)] = -1
+    out[:, [_N, _X, _Y, 5, 6, 7]] = val[pos]
+    out[bad[last] > bad[first]] = -1
     return out
-
-
-def _rows(
-    lines: list[bytes], data: bytes, line_nos: Sequence[int]
-) -> tuple[np.ndarray, dict[int, CertificateStep]]:
-    """The columns of a chunk (`data` is its lines joined), and the parsed
-    step of each non-blank line that is not canonical, by row."""
-    cols = _columns(data)
-    texts = {i: lines[i].decode() for i in np.flatnonzero(cols[:, _KIND] < 0).tolist()}
-    return cols, {i: parse_step(t, line_nos[i]) for i, t in texts.items() if t.strip()}
 
 
 def _step(row: np.ndarray) -> CertificateStep:
@@ -198,34 +200,37 @@ def _step(row: np.ndarray) -> CertificateStep:
     return CertificateStep(n, just, tuple(v for v in pre if v >= 0))
 
 
+def _sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Three columns sorted across each row, by a min/max sorting network."""
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    b, c = np.minimum(b, c), np.maximum(b, c)
+    return np.minimum(a, b), np.maximum(a, b), c
+
+
 def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
     """Rows for which validate_step would report nothing but establishment:
     the kind's arithmetic holds and the listed prereqs are exactly the
     demanded set, without repeats. `prime` tells, per row, whether x and y
     are prime. Values are below 10^9, so int64 is exact."""
     kind, n, x, y, t = (cols[:, c] for c in (_KIND, _N, _X, _Y, _T))
-    listed = np.sort(cols[:, _PRE], axis=1)
-    no_repeats = ((listed[:, 1:] > listed[:, :-1]) | (listed[:, :-1] < 0)).all(axis=1)
-    none = np.full(len(cols), -1, dtype=np.int64)
-    slots = np.stack([x + y, x - y, x, y], axis=1)
+    l0, l1, l2 = _sort3(*cols[:, _PRE].T)
+    no_repeats = ((l1 > l0) | (l0 < 0)) & ((l2 > l1) | (l1 < 0))
+    slots = (x + y, x - y, x, y)
     par = kind == 3
-    others = slots[par][np.arange(4) != t[par, None] - 1].reshape(-1, 3)
-    demanded = np.sort(np.stack([none, x, y], axis=1), axis=1)
-    demanded[par] = np.sort(others, axis=1)
+    # a parallelogram step demands the three slots besides its target; a
+    # product or quotient its two operands (and -1, an absent field)
+    d0, d1, d2 = _sort3(np.where(par, np.where(t > 1, slots[0], slots[1]), -1),
+                        np.where(par, np.where(t > 2, slots[1], slots[2]), x),
+                        np.where(par, np.where(t > 3, slots[2], slots[3]), y))
     # The parallelogram equation forces the target slot's square for every
     # integer p and q, so with p >= q it holds exactly when the slot is n.
-    slot = np.take_along_axis(slots, np.clip(t - 1, 0, 3)[:, None], axis=1)[:, 0]
-    arith = np.select(
-        [kind == 0, kind == 1, kind == 2, kind == 3],
-        [
-            n <= BASE_LIMIT,
-            (x > 1) & (y > 1) & (x * y == n) & (np.gcd(x, y) == 1),
-            (x >= 1) & (y >= 1) & (y * n == x) & (np.gcd(y, n) == 1),
-            prime.all(axis=1) & (x >= y) & (slot == n),
-        ],
-        False,
-    )
-    return arith & no_repeats & (listed == demanded).all(axis=1)
+    slot = np.choose(np.clip(t - 1, 0, 3), slots)
+    arith = np.select([kind == 0, kind == 1, kind == 2, kind == 3], [
+        n <= BASE_LIMIT,
+        (x > 1) & (y > 1) & (x * y == n) & (np.gcd(x, y) == 1),
+        (x >= 1) & (y >= 1) & (y * n == x) & (np.gcd(y, n) == 1),
+        prime.all(axis=1) & (x >= y) & (slot == n)], False)
+    return arith & no_repeats & (l0 == d0) & (l1 == d1) & (l2 == d2)
 
 
 class _Pass:
@@ -255,6 +260,7 @@ class _Pass:
         self.sample_keys = np.zeros(0)
         self.sample: list[tuple[int, CertificateStep]] = []
         self.eligible = 0
+        self.phases = Phases()
 
     # -- the fact-index table -------------------------------------------------
 
@@ -304,7 +310,8 @@ class _Pass:
              steps: dict[int, CertificateStep]) -> None:
         """Check the next chunk of lines in check order; `line_nos` are their
         file line numbers, `lines_read` counts the file's lines read and
-        `cols, steps` are the chunk's `_rows`."""
+        `cols, steps` the chunk's columns and parsed steps (see `_scan`)."""
+        t = time.monotonic()
         k = len(cols)
         kind = cols[:, _KIND]
 
@@ -352,8 +359,10 @@ class _Pass:
 
         # establishment and arithmetic; any other row goes to the reference
         base_range = (eix >= 0) & (eix <= BASE_LIMIT)
+        t = self.phases.add("bookkeeping", t)
         xy = np.where(kind[:, None] == 3, cols[:, [_X, _Y]], 0)
         clean = _arith_ok(cols, self._is_prime(xy))
+        t = self.phases.add("arithmetic", t, k)
         clean[erow[~base_range & (fr >= erow)]] = False
         todo = active[~clean[active]].tolist()
         rows = dict(zip(new_facts.tolist(), new_rows.tolist())) if todo else {}
@@ -362,6 +371,7 @@ class _Pass:
             established = partial(self._before, rows=rows, row=i)
             for v in validate_step(step, established, is_prime, line=line_nos[i]):
                 (self.deferred if v.establishment else self.immediate).append(v)
+        t = self.phases.add("reference", t, len(todo))
 
         # depth: edges to providers before this chunk read the depth table,
         # edges inside it are relaxed in row order
@@ -386,21 +396,27 @@ class _Pass:
         base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
         self._sample(line_nos, cols, steps, active[~base[active]].tolist())
         self.steps += len(active)
+        self.phases.add("bookkeeping", t, k)
 
     def _sample(self, line_nos, cols, steps, eligible: list[int]) -> None:
         """Priority sampling: every eligible (non-base) step draws a seeded
-        uniform key and the sample_size smallest keys so far are kept."""
+        uniform key and the sample_size smallest keys so far are kept. Keys
+        are below 1; once the sample is full, only those below its largest
+        can enter it."""
         self.eligible += len(eligible)
         if self.sample_size <= 0 or not eligible:
             return
-        keys = np.concatenate([self.sample_keys, _random_keys(self.rng, len(eligible))])
+        new = _random_keys(self.rng, len(eligible))
+        old = len(self.sample)
+        enter = np.flatnonzero(new < (self.sample_keys.max() if old == self.sample_size else 1))
+        keys = np.concatenate([self.sample_keys, new[enter]])
         keep = np.arange(len(keys))
         if len(keys) > self.sample_size:
             keep = np.sort(np.argpartition(keys, self.sample_size - 1)[: self.sample_size])
-        old = len(self.sample)  # keep is sorted: old entries come first
+        # keep is sorted: old entries come first
         self.sample = [self.sample[j] for j in keep.tolist() if j < old] + [
             (line_nos[i], steps.get(i) or _step(cols[i]))
-            for i in (eligible[j - old] for j in keep.tolist() if j >= old)]
+            for i in (eligible[enter[j - old]] for j in keep.tolist() if j >= old)]
         self.sample_keys = keys[keep]
 
     # -- results ----------------------------------------------------------------
@@ -411,9 +427,9 @@ class _Pass:
             later = self._before(v.value, {}, 0)  # v.value is above the base range
             violations.append(Violation(
                 CYCLE if later else MISSING_PREREQ,
-                f"prerequisite {v.value} is justified only on a later line"
+                f"prerequisite {as_decimal(v.value)} is justified only on a later line"
                 " (line order must be topological)" if later
-                else f"prerequisite {v.value} is never justified",
+                else f"prerequisite {as_decimal(v.value)} is never justified",
                 line=v.line, fact=v.fact, value=v.value))
         violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
         # the facts 1..bound no step provides, as [lo, hi] runs: of `depth`
@@ -461,60 +477,80 @@ def _random_keys(rng: random.Random, count: int) -> np.ndarray:
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
-def _read_chunks(path: str) -> Iterator[tuple[list[bytes], bytes]]:
-    """The file's lines, each with its newline, in CHUNK_LINES batches, and
-    each batch joined. Lines are read in binary while a batch is ASCII
-    without a carriage return. From the first batch that is not, the rest
-    of the file is read as iter_steps reads it (universal newlines; a decode
-    error is raised only after the lines before it were handed out, so a
-    malformed line before it is reported first) and re-encoded."""
-    done = 0  # lines handed out
+def _whole_lines(path: str) -> Iterator[bytes]:
+    """The file as blocks of whole lines (see the module docstring); a text
+    block is CHUNK_LINES lines, re-encoded. A decode error is raised only
+    after the lines before it were handed out, so a malformed line before it
+    is reported first."""
+    done = 0  # bytes handed out
     with open(path, "rb") as fh:
-        while lines := list(islice(fh, CHUNK_LINES)):
-            data = b"".join(lines)
+        while data := fh.read(CHUNK_LINES << 6) + fh.readline():
             if not data.isascii() or b"\r" in data:
                 break
-            yield lines, data
-            done += len(lines)
+            yield data
+            done += len(data)
         else:
             return
     with open(path, "r", encoding="utf-8") as fh:
-        lines = []
+        # iter_steps decodes from the file's start in steps of _CHUNK_SIZE
+        # bytes; resuming on that grid meets a decode error after the same
+        # lines. The bytes before `done` are ASCII: one character a byte.
+        fh.seek(done - done % fh._CHUNK_SIZE)
+        fh.read(done % fh._CHUNK_SIZE)
+        lines: list[str] = []
         try:
-            for line in islice(fh, done, None):
-                lines.append(line.encode())
+            for line in fh:
+                lines.append(line)
                 if len(lines) == CHUNK_LINES:
-                    yield lines, b"".join(lines)
-                    lines = []
+                    data, lines = "".join(lines).encode(), []
+                    yield data
         except ValueError:
-            if lines:
-                yield lines, b"".join(lines)
+            yield "".join(lines).encode()
             raise
-        if lines:
-            yield lines, b"".join(lines)
+        yield "".join(lines).encode()
+
+
+def _read_chunks(path: str) -> Iterator[tuple[bytes, np.ndarray]]:
+    """The file's lines in chunks of at most CHUNK_LINES lines, each as its
+    bytes and the offsets of its line ends: its newlines, and its length
+    for a last line without one. Each block's ends are found in one pass."""
+    for data in filter(None, _whole_lines(path)):
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+        if not data.endswith(b"\n"):
+            ends = np.append(ends, len(data))
+        for lo in range(0, len(ends), CHUNK_LINES):
+            start = int(ends[lo - 1]) + 1 if lo else 0
+            part = ends[lo: lo + CHUNK_LINES]
+            yield data[start: int(part[-1]) + 1], part - start
 
 
 def _toposort(cols: np.ndarray, steps: dict[int, CertificateStep]) -> np.ndarray:
-    """Kahn's algorithm over kept lines (`_rows` columns, parsed steps by
+    """Kahn's algorithm over kept lines (`_columns` rows, parsed steps by
     line) in int32 CSR arrays, keyed on first-provider lines, smallest
     original index first; unsortable steps (true cycles) are appended in
     original order so validation reports them. A prereq listed twice gives
-    two edges, both removed when its provider is placed: the same order."""
+    two edges, both removed when its provider is placed: the same order.
+    Facts and citations are int32 unless a parsed value is 2^31 or more."""
     n = len(cols)
     # parsed values of 2^62 and above may not fit in int64: number them
     big = {v for s in steps.values() for v in (s.fact, *s.prereqs) if v >= 1 << 62}
     key = {v: (1 << 62) + j for j, v in enumerate(big)}
-    facts = cols[:, _N].astype(np.int64)
+    small = all(v < 1 << 31 for s in steps.values() for v in (s.fact, *s.prereqs))
+    wide = np.int32 if small else np.int64
+    facts = cols[:, _N].astype(wide)
     facts[list(steps)] = [key.get(s.fact, s.fact) for s in steps.values()]
     cited = cols[:, _PRE] >= 0
     pairs = np.array([(i, key.get(v, v)) for i, s in steps.items() for v in s.prereqs],
-                     dtype=np.int64).reshape(-1, 2)
-    rows = np.append(np.flatnonzero(cited) // 3, pairs[:, 0])
-    cites = np.append(cols[:, _PRE][cited], pairs[:, 1])
+                     dtype=wide).reshape(-1, 2)
+    rows = np.append(np.repeat(np.arange(n, dtype=np.int32), cited.sum(axis=1)), pairs[:, 0])
+    cites = np.append(cols[:, _PRE][cited], pairs[:, 1]).astype(wide, copy=False)
+    del cited, pairs
     uniq, first = np.unique(facts, return_index=True)
-    loc = np.searchsorted(uniq, cites)
+    del facts
+    loc = np.searchsorted(uniq, cites).astype(np.int32)
     hit = np.append(uniq, -1)[loc] == cites
     src, dst = first[loc[hit]].astype(np.int32), rows[hit].astype(np.int32)
+    del rows, cites, uniq, first, loc, hit
     src, dst = src[src != dst], dst[src != dst]  # no self-loops
     starts = memoryview(np.append(0, np.cumsum(np.bincount(src, minlength=n))))
     adj = memoryview(dst[np.argsort(src, kind="stable")])  # by provider
@@ -543,24 +579,37 @@ def _scan(path: str, run: _Pass, reorder: bool) -> None:
     blocks: list[np.ndarray] = [np.zeros((0, 9), dtype=np.int32)]
     steps: dict[int, CertificateStep] = {}  # kept row -> parsed step
     read = kept = 0
-    for chunk, data in _read_chunks(path):
-        nos = range(read + 1, read + 1 + len(chunk))
-        read += len(chunk)
-        cols, parsed = _rows(chunk, data, nos)
-        if not reorder:
+    ph, t = run.phases, time.monotonic()
+    for data, ends in _read_chunks(path):
+        nos = range(read + 1, read + 1 + len(ends))
+        read += len(ends)
+        t = ph.add("read", t, len(ends))
+        cols = _columns(data, ends)
+        t = ph.add("columns", t, len(cols))
+        # the parsed step of each non-blank line that is not canonical, by row
+        other, bounds = np.flatnonzero(cols[:, _KIND] < 0), np.append(0, ends + 1)
+        texts = {i: data[a: b].decode() for i, a, b in zip(
+            other.tolist(), bounds[other].tolist(), bounds[other + 1].tolist())}
+        parsed = {i: parse_step(text, nos[i]) for i, text in texts.items() if text.strip()}
+        t = ph.add("reference", t)
+        if reorder:
+            keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
+            steps.update((kept + j, parsed[i]) for j, i in enumerate(keep.tolist()) if i in parsed)
+            kept += len(keep)
+            blocks.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
+            ph.add("reorder", t)
+        else:
             run.feed(nos, read, cols, parsed)
-            continue
-        keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
-        steps.update((kept + j, parsed[i]) for j, i in enumerate(keep.tolist()) if i in parsed)
-        kept += len(keep)
-        blocks.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
-    rows = np.concatenate(blocks)
-    del blocks  # the per-chunk copies, before the sort's peak
-    order = _toposort(rows, steps)
-    for lo in range(0, len(order), CHUNK_LINES):
-        idx = order[lo: lo + CHUNK_LINES]
-        run.feed(rows[idx, 8].tolist(), read, rows[idx, :8].astype(np.int64),
-                 {j: steps[i] for j, i in enumerate(idx.tolist()) if i in steps})
+        t = time.monotonic()
+    if reorder:
+        rows = np.concatenate(blocks)
+        del blocks  # the per-chunk copies, before the sort's peak
+        order = _toposort(rows, steps)
+        ph.add("reorder", t, len(rows))
+        for lo in range(0, len(order), CHUNK_LINES):
+            idx = order[lo: lo + CHUNK_LINES]
+            run.feed(rows[idx, 8].tolist(), read, rows[idx, :8].astype(np.int64),
+                     {j: steps[i] for j, i in enumerate(idx.tolist()) if i in steps})
 
 
 def check_store(
@@ -578,14 +627,18 @@ def check_store(
     steps first. With `spot_check` K > 0, an accepted report also carries
     the spot check of K seeded sample steps, drawn in the same pass and
     validated again by the reference rules with Miller-Rabin primality; a
-    sampled step they reject raises RuntimeError.
+    sampled step they reject raises RuntimeError. The report's `phases`
+    (outside `to_dict()`) give each phase's seconds, count and peak RSS;
+    the reference phase counts the lines it parsed or validated.
     """
     if claimed_bound < 0:
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
     t0 = time.monotonic()
     run = _Pass(spot_check, seed)
     boot = _bootstrap(run.immediate)
+    run.phases.add("bootstrap", t0, boot["facts_pinned"])
     _scan(path, run, reorder)
+    t = time.monotonic()
     violations, gaps = run.report(claimed_bound)
     stats = {
         "steps": run.steps,
@@ -597,8 +650,12 @@ def check_store(
         "reordered": reorder,
         "elapsed_s": round(time.monotonic() - t0, 3),
     }
+    t = run.phases.add("report", t, len(violations))
     spot = run.spot_check() if not violations and spot_check > 0 else None
-    return CheckReport(not violations, violations, gaps, stats, boot, spot)
+    if spot:
+        run.phases.add("spot_check", t, spot["sampled"])
+    return CheckReport(not violations, violations, gaps, stats, boot, spot,
+                       run.phases.to_dict())
 
 
 def _bootstrap(violations: list[Violation]) -> dict:

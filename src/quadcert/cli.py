@@ -128,6 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         stats["check"] = report.to_dict()
         if report.spot_check is not None:
             stats["spot_check"] = report.spot_check
+        stats["check_phases"] = report.phases
         if not report.accepted:
             code = EXIT_REJECTED
     stats["elapsed_s"] = round(time.monotonic() - t0, 3)
@@ -143,6 +144,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     out = report.to_dict()
     if report.spot_check is not None:
         out["spot_check"] = report.spot_check
+    out["phases"] = report.phases
     _emit(out, args.report)
     return EXIT_OK if report.accepted else EXIT_REJECTED
 

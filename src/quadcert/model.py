@@ -147,6 +147,15 @@ class CertificateStep:
     meta: dict | None = None
 
 
+def as_decimal(v: int) -> str:
+    """v in decimal, or its size where a product or sum of parsed integers
+    is past the interpreter's limit on int-to-str conversion."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"a {v.bit_length()}-bit integer"
+
+
 def slot_values(p: int, q: int) -> dict[str, int]:
     return {SLOT_SUM: p + q, SLOT_DIFF: p - q, SLOT_P: p, SLOT_Q: q}
 
@@ -176,7 +185,7 @@ def parallelogram_solve(known: dict[str, int], target: str) -> int:
     half, rem = divmod(num, 2)
     if rem:
         raise InexactDivisionError(
-            f"solving the {target} slot needs ({num})/2 exact"
+            f"solving the {target} slot needs ({as_decimal(num)})/2 exact"
         )
     return half
 
@@ -222,7 +231,7 @@ def validate_step(
         if j.a <= 1 or j.b <= 1:
             bad(BAD_FACTOR, f"factors must exceed 1, got {j.a} * {j.b}")
         if j.a * j.b != n:
-            bad(WRONG_PRODUCT, f"{j.a} * {j.b} = {j.a * j.b} != {n}")
+            bad(WRONG_PRODUCT, f"{j.a} * {j.b} = {as_decimal(j.a * j.b)} != {n}")
         if math.gcd(j.a, j.b) != 1:
             bad(NOT_COPRIME, f"gcd({j.a}, {j.b}) = {math.gcd(j.a, j.b)}")
     elif isinstance(j, CoprimeQuotient):
@@ -248,13 +257,14 @@ def validate_step(
             bad(P_LESS_THAN_Q, f"p = {j.p} < q = {j.q}")
         slots = slot_values(j.p, j.q)
         if n != slots[j.target]:
-            bad(SLOT_MISMATCH, f"n = {n} but {j.target} slot is {slots[j.target]}")
+            bad(SLOT_MISMATCH, f"n = {n} but {j.target} slot is {as_decimal(slots[j.target])}")
         try:
             forced = parallelogram_solve(
                 {s: v for s, v in slots.items() if s != j.target}, j.target
             )
             if forced != n * n:
-                bad(SLOT_MISMATCH, f"equation forces f-value {forced}, step claims {n * n}")
+                bad(SLOT_MISMATCH, f"equation forces f-value {as_decimal(forced)},"
+                    f" step claims {as_decimal(n * n)}")
         except InexactDivisionError as exc:
             bad(INEXACT_DIVISION, str(exc))
     else:  # pragma: no cover - parse layer rejects unknown kinds
@@ -265,13 +275,14 @@ def validate_step(
     listed_set = set(listed)
     for fact in demanded:
         if fact not in listed_set:
-            bad(MISSING_PREREQ, f"prerequisite {fact} not listed", value=fact)
+            bad(MISSING_PREREQ, f"prerequisite {as_decimal(fact)} not listed", value=fact)
         elif not established(fact):
-            bad(MISSING_PREREQ, f"prerequisite {fact} not established",
+            bad(MISSING_PREREQ, f"prerequisite {as_decimal(fact)} not established",
                 value=fact, establishment=True)
     extras = [x for x in listed if x not in set(demanded)]
     if extras or len(listed) != len(listed_set):
-        bad(EXTRA_PREREQ, f"prereqs {list(listed)} exceed demanded {list(demanded)}")
+        bad(EXTRA_PREREQ, f"prereqs {list(listed)} exceed demanded"
+            f" [{', '.join(map(as_decimal, demanded))}]")
     return out
 
 

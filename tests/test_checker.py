@@ -14,11 +14,16 @@ import pytest
 from quadcert import checker
 from quadcert import model as M
 from quadcert.bootstrap import BootstrapError
-from quadcert.checker import _columns as checker_columns
 from quadcert.checker import check_store, spot_check_numeric
 from quadcert.engine import certify_range
 from quadcert.model import CertificateFormatError
 from tests.conftest import base_rows
+
+
+def checker_columns(data):
+    """`_columns` of whole lines, with the line ends `_read_chunks` gives."""
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    return checker._columns(data, ends if data.endswith(b"\n") else np.append(ends, len(data)))
 
 
 def _codes(report):
@@ -248,6 +253,142 @@ def test_step_from_columns_is_the_parsed_step_without_meta():
     assert len(forms) == (3 + len(M.SLOTS)) * 4 * 3
 
 
+def test_columns_read_8_9_and_10_digit_runs_exactly():
+    # every uint64 step of the 8-byte parse, under any numpy casting rules
+    line = '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n'
+    cols = checker_columns("".join(line % (a * b, a, b, a, b) for a, b in [
+        (2, 49382715), (3, 41152263), (999, 1001001), (2, 617283945)]).encode())
+    assert cols.dtype == np.int64
+    assert cols.tolist() == [[1, 98765430, 2, 49382715, -1, 2, 49382715, -1],
+                             [1, 123456789, 3, 41152263, -1, 3, 41152263, -1],
+                             [1, 999999999, 999, 1001001, -1, 999, 1001001, -1],
+                             [-1] * 8]
+
+
+def test_columns_keep_exactly_the_canonical_lines():
+    # every layout, its integers runs of 1-30 digits, some with leading
+    # zeros or at the 9/10-digit edge, some lines with a non-digit put in;
+    # the last line has no newline
+    rng = random.Random(14)
+    edge = ["0", "00", "07", "000000000", "999999999", "1000000000", "9" * 10]
+
+    def number(_):
+        r = rng.random()
+        if r < 0.15:
+            return rng.choice(edge)
+        digits = rng.randint(1, 9) if r < 0.9 else rng.randint(10, 30)
+        return str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+
+    lines = ["7", "", "{}", "12 34"]
+    for shape in checker._SHAPES:
+        for _ in range(25):
+            line = re.sub("0", number, shape.decode())
+            if rng.random() < 0.2:
+                k = rng.randrange(len(line) + 1)
+                line = line[:k] + rng.choice('x -+.e,"') + line[k:]
+            lines.append(line)
+    rng.shuffle(lines)
+    cols = checker_columns("\n".join(lines).encode())
+    kept = 0
+    for line, row in zip(lines, cols, strict=True):
+        canonical = re.sub(r"\d+", "0", line).encode() in checker._SHAPES and all(
+            len(d) <= 9 and (d == "0" or d[0] != "0") for d in re.findall(r"\d+", line))
+        assert (row[0] >= 0) == canonical, line
+        if canonical:
+            step = dataclasses.replace(M.parse_step(line, 1), meta=None)
+            assert checker._step(row) == step, line
+            kept += 1
+    assert kept > 300 and len(lines) - kept > 300
+
+
+def _chunks(path):
+    return [(data, ends.tolist()) for data, ends in checker._read_chunks(str(path))]
+
+
+def test_chunks_of_short_lines_hold_chunk_lines_at_most(tmp_path):
+    rng, path = random.Random(3), tmp_path / "short.jsonl"
+    path.write_text("".join(rng.choice(["\n", " \n", "{}\n"])
+                            for _ in range(3 * checker.CHUNK_LINES)), encoding="utf-8")
+    chunks = _chunks(path)
+    assert [len(ends) for _, ends in chunks] == [checker.CHUNK_LINES] * 3
+    assert b"".join(data for data, _ in chunks) == path.read_bytes()
+    assert all(data[e] == 10 for data, ends in chunks for e in ends)
+    with pytest.raises(CertificateFormatError) as got:
+        check_store(str(path), 0)
+    with pytest.raises(CertificateFormatError) as want:
+        list(M.iter_steps(str(path)))
+    assert got.value.line_no == want.value.line_no
+
+
+def test_a_line_longer_than_a_block_is_read_whole(write_cert):
+    # with 16-line chunks a block is 1 KiB; the meta makes line 23 ~5 KiB
+    note = {"n": 21, "just": {"type": "coprime_product", "a": 3, "b": 7},
+            "prereqs": [3, 7], "meta": {"note": "x" * 5000}}
+    path = write_cert(base_rows() + [note, _product(22, 2, 11), _product(21, 3, 7)])
+    whole = check_store(path, 22)
+    with mock.patch.object(checker, "CHUNK_LINES", 16):
+        chunks = _chunks(path)
+        report = check_store(path, 22)
+    assert [len(ends) for _, ends in chunks] == [16, 5, 1, 2]
+    assert report.to_dict() | {"stats": None} == whole.to_dict() | {"stats": None}
+    assert [(v.code, v.line) for v in report.violations] == [(M.DUPLICATE_FACT, 24)]
+
+
+@pytest.mark.parametrize("switch", ["crlf", "non_ascii", "lone_cr"])
+def test_a_switch_to_text_in_a_later_block_keeps_line_numbers(cert_2k, tmp_path, switch):
+    # past the first blocks, lines end in CRLF, or one line carries a
+    # non-ASCII meta, or a lone CR splits one byte line in two text lines;
+    # line 22's fact is justified again at the end
+    with open(cert_2k["path"], encoding="utf-8", newline="") as fh:
+        lines = [line for _, line in zip(range(400), fh)]
+    if switch == "crlf":
+        lines[200:] = [line.replace("\n", "\r\n") for line in lines[200:]]
+    elif switch == "non_ascii":
+        lines.insert(200, '{"n":1,"just":{"type":"base"},"prereqs":[],"meta":{"note":"é"}}\n')
+    else:
+        lines[200] = lines[200][:-1] + "\r"
+    path = tmp_path / "switch.jsonl"
+    path.write_bytes("".join(lines + [lines[21]]).encode("utf-8"))
+    with mock.patch.object(checker, "CHUNK_LINES", 16):
+        report = check_store(str(path), 300)
+    dup = [v.line for v in report.violations if v.code == M.DUPLICATE_FACT]
+    last = list(M.iter_steps(str(path)))[-1][0]  # as text mode counts lines
+    assert dup == ([201, last] if switch == "non_ascii" else [last])
+    assert last == len(lines) + 1  # byte lines number one fewer after a lone CR
+
+
+def test_a_malformed_line_before_a_decode_error_is_reported_as_iter_steps_does(tmp_path):
+    # the malformed line ends before byte 8192, the first step in which text
+    # mode decodes, and the bad byte lies past it; the switch to text mode
+    # comes at a block start that is not on that grid
+    ascii_lines = [json.dumps(r, separators=(",", ":")) + "\n" for r in base_rows()]
+    text = ""
+    while len(text) < 8000:
+        text += ascii_lines[len(text) % 21]
+    bad_line = text.count("\n") + 1
+    text += '{"n":"é","just":{"type":"base"},"prereqs":[]}\n'
+    while len(text.encode()) < 8300:
+        text += ascii_lines[0]
+    path = tmp_path / "both.jsonl"
+    path.write_bytes(text.encode() + b"\xff\n")
+    with pytest.raises(CertificateFormatError) as want:
+        list(M.iter_steps(str(path)))
+    with mock.patch.object(checker, "CHUNK_LINES", 16):
+        with pytest.raises(CertificateFormatError) as got:
+            check_store(str(path), 20)
+    assert got.value.line_no == want.value.line_no == bad_line
+
+
+def test_values_past_the_str_limit_are_reported_not_raised(write_cert):
+    # a parsed integer has at most 4300 digits, but a product or square of
+    # two can be too long for str(); its violation still reads as text
+    big = 10**2200 + 1
+    rows = base_rows() + [_product(22, big, big), _close(big, 5, 3, "sum", [2, 5, 3])]
+    report = check_store(write_cert(rows), 20)
+    assert {M.WRONG_PRODUCT, M.SLOT_MISMATCH} <= _codes(report)
+    assert sum("-bit integer" in v.detail for v in report.violations) == 2
+
+
 def test_extra_prereq(write_cert):
     rows = base_rows() + [_product(21, 3, 7, prereqs=[3, 7, 5])]
     report = check_store(write_cert(rows), 21)
@@ -329,6 +470,21 @@ def test_reorder_recovers_shuffled_file(cert_2k, tmp_path):
 def test_reorder_keeps_genuine_acceptance(cert_2k):
     report = check_store(cert_2k["path"], cert_2k["limit"], reorder=True)
     assert report.accepted
+
+
+@pytest.mark.parametrize("big", [10**6, 2**31 - 3, 2**31, 2**63, 2**64 + 13])
+def test_reorder_sorts_facts_of_any_size(write_cert, big):
+    # each line cites the fact of the next one; the sort runs in int32 below
+    # 2^31 and in int64 at and above it
+    facts = [big + i for i in range(5)]
+    rows = base_rows() + [
+        {"n": f, "just": {"type": "coprime_product", "a": g, "b": 1}, "prereqs": [g, 1]}
+        for f, g in zip(facts, facts[1:] + [7])]
+    path = write_cert(rows)
+    assert check_store(path, 20).stats["violation_counts"][M.CYCLE] == 4
+    report = check_store(path, 20, reorder=True)
+    assert M.CYCLE not in _codes(report) and M.MISSING_PREREQ not in _codes(report)
+    assert report.stats["topological_depth"] == 6
 
 
 def test_reorder_cannot_rescue_true_cycles(write_cert):

@@ -62,6 +62,37 @@ def test_verify_stats_report_phases(tmp_path, capsys):
     assert "phases" not in blob["engine"]
 
 
+def test_check_reports_phases(tmp_path, capsys):
+    cert = tmp_path / "c.jsonl"
+    assert run("verify", "--max", "5000", "--out", str(cert), "--check",
+               "--spot-check", "8") == 0
+    blob = json.loads(capsys.readouterr().out)
+    phases, lines = blob["check_phases"], blob["engine"]["steps"]
+    assert list(phases) == ["bootstrap", "read", "columns", "reference", "bookkeeping",
+                            "arithmetic", "report", "spot_check"]
+    assert all(p["s"] >= 0 and p["peak_rss_mb"] > 0 for p in phases.values())
+    assert phases["bootstrap"]["count"] == 20
+    assert {phases[p]["count"] for p in ("read", "columns", "bookkeeping",
+                                         "arithmetic")} == {lines}
+    assert phases["reference"]["count"] == 0  # every line took the fast path
+    assert phases["report"]["count"] == 0 and phases["spot_check"]["count"] == 8
+    assert "phases" not in blob["check"]
+    # lines the fast path leaves, counted once each: 30 in spaced JSON, and
+    # 5 canonical ones with a wrong product
+    text = cert.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in range(100, 130):
+        text[i] = json.dumps(json.loads(text[i])) + "\n"
+    text += [f'{{"n":{n},"just":{{"type":"coprime_product","a":3,"b":7}},"prereqs":[3,7]}}\n'
+             for n in range(10001, 10006)]
+    cert.write_text("".join(text), encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert run("check", "--in", str(cert), "--max", "5000", "--reorder",
+               "--report", str(report)) == 1
+    phases = _read_json(report)["phases"]
+    assert phases["reference"]["count"] == 35
+    assert phases["reorder"]["count"] == lines + 5
+
+
 def test_verify_stats_to_stdout(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     assert run("verify", "--max", "60", "--out", str(out)) == 0
@@ -231,7 +262,7 @@ def test_check_reorder_memory_is_bounded(tmp_path):
         capture_output=True, text=True, env=env, check=True).stdout.split()
     code, rss_mb = int(out[0]), float(out[2])
     assert code == 0
-    assert rss_mb < 60, f"{rss_mb:.1f} MB"
+    assert rss_mb < 56, f"{rss_mb:.1f} MB"
 
 
 def test_check_max_zero_accepts_the_base_lines(tmp_path):
