@@ -24,19 +24,31 @@ CHUNK_LINES * 64 bytes and the rest of its last line) while a block is ASCII
 without a carriage return, then with the text-mode line iteration of
 `model.iter_steps` (so line numbers, universal newlines and decode errors
 are the reference's). A block's line ends are found in one pass, and its
-lines are checked in chunks of at most CHUNK_LINES. Each line takes one of
-two paths:
+lines are checked in chunks of at most CHUNK_LINES.
+
+A file larger than one block is read by a forked child, while the parent
+checks the chunk before: the child turns chunks into columns and parses the
+lines that are not canonical, and the pipe's back-pressure keeps it at most
+one chunk ahead. The parent raises an error of the child's once every chunk
+before it is checked, and always reaps the child. The checker forks only
+while no other thread runs; otherwise, or if the fork fails, the same code
+reads in-process. The phases then overlap (read, columns and reference
+are the child's; wait is the parent's time blocked on the pipe), so they
+can sum past the wall time.
+
+Each line takes one of two paths:
 
   fast path   a line in a layout `serialize_step` writes (any kind, at most
               three prereqs, no meta or a policy tag) whose integers have at
               most 9 digits and no leading zero. A line's shape (its bytes
               with every run of digits written as one 0) names its layout
-              exactly. The runs are found from one digit mask, each is read
-              from the 8 bytes at its start by a multiply-and-shift parse,
-              and its length alone tells whether its line stays: nine digits
-              keep every product exact in int64; longer integers could wrap
-              around and forge a valid row. The rows are validated with numpy
-              for the whole chunk at once.
+              exactly, and is found by a binary search among the layouts'
+              shapes of its length. The runs are found from one digit mask,
+              each is read from the 8 bytes at its start by a
+              multiply-and-shift parse, and its length alone tells whether
+              its line stays: nine digits keep every product exact in int64;
+              longer integers could wrap around and forge a valid row. The
+              rows are validated with numpy for the whole chunk at once.
   reference   every other non-blank line is decoded and parsed by
               `model.parse_step`. It, and every fast-path row that fails
               any vectorised check (its step rebuilt from its columns by
@@ -63,13 +75,16 @@ itself, so it raises RuntimeError rather than making a reportable rejection.
 from __future__ import annotations
 
 import heapq
+import os
+import pickle
 import random
+import threading
 import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -104,13 +119,15 @@ _PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apa
 # 1 coprime_product, 2 coprime_quotient, 3 parallelogram.
 _KIND, _N, _X, _Y, _T = range(5)
 _PRE = slice(5, 8)
+_FAR = 1 << 40  # the position of an absent field: past every run
 
 
-def _layouts() -> tuple[dict[bytes, int], np.ndarray]:
+def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
     """The canonical line layouts by shape (serialize_step's text for a step
-    whose integers are all 0), and a table row per layout: kind, target,
-    then the positions among its integers of n, x, y and three prereqs (-1
-    when absent). A last row stands for any other line."""
+    whose integers are all 0); a table row per layout: kind, target, then
+    the positions among its integers of n, x, y and three prereqs (_FAR when
+    absent), and a last row for any other line; and per length of a shape
+    with its newline, those shapes sorted (dtype S<length>) and their ids."""
     shapes: dict[bytes, int] = {}
     table = []
     for i, just in enumerate([Base(), CoprimeProduct(0, 0), CoprimeQuotient(0, 0)]
@@ -122,12 +139,17 @@ def _layouts() -> tuple[dict[bytes, int], np.ndarray]:
                 line = serialize_step(CertificateStep(0, just, (0,) * k, meta))
                 shapes[line[:-1].encode()] = len(table)
             table.append([min(i, 3), i - 2 if i > 2 else -1, 0,
-                          *((1, 2) if i else (-1, -1)),
-                          *(first + j if j < k else -1 for j in range(3))])
-    return shapes, np.array(table + [[-1] * 8], dtype=np.int64)
+                          *((1, 2) if i else (_FAR, _FAR)),
+                          *(first + j if j < k else _FAR for j in range(3))])
+    widths: dict[int, list[bytes]] = {}
+    for shape in sorted(shapes):
+        widths.setdefault(len(shape) + 1, []).append(shape + b"\n")
+    return shapes, np.array(table + [[-1, -1] + [_FAR] * 6], dtype=np.int64), {
+        n: (np.array(group, dtype=f"S{n}"), np.array([shapes[g[:-1]] for g in group]))
+        for n, group in widths.items()}
 
 
-_SHAPES, _LAYOUT = _layouts()
+_SHAPES, _LAYOUT, _WIDTHS = _layouts()
 _DEEP = 255  # a depth table entry whose depth is held in `_Pass.deep`
 
 
@@ -156,7 +178,7 @@ def _columns(data: bytes, ends: np.ndarray) -> np.ndarray:
     `_read_chunks` and the column constants); -1 marks an absent field, and
     a line that is not canonical has kind -1."""
     size = int(ends[-1]) + 1  # a last line without a newline gets one
-    buf = np.frombuffer(bytearray(data) + b"\n" + bytes(8), dtype=np.uint8)  # 8 pad the loads
+    buf = np.frombuffer(bytearray().join((data, b"\n", bytes(8))), dtype=np.uint8)  # 8 pad loads
     text = buf[:size]
     digit = text - np.uint8(48) < np.uint8(10)
     step = np.flatnonzero(np.diff(digit, prepend=False))  # runs of digits
@@ -174,21 +196,34 @@ def _columns(data: bytes, ends: np.ndarray) -> np.ndarray:
     nine = np.flatnonzero(length == 9)
     val[nine] = val[nine] * 10 + buf[starts[nine] + 8] - 48
     # exact, canonical JSON integers: at most 9 digits (so products stay
-    # exact in int64) and no leading zero; bad[j] counts the others before j
-    bad = np.cumsum(np.append(False, (length > 9) | ((length > 1) & (buf[starts] == 48))))
+    # exact in int64) and no leading zero; odd: the runs that are not
+    odd = np.flatnonzero((length > 9) | ((length > 1) & (buf[starts] == 48)))
     text[starts] = 48  # a line's shape: each run of digits as one 0
     keep = ~digit
     keep[starts] = True
-    shapes = text[keep].tobytes().split(b"\n")
-    lay = _LAYOUT[np.fromiter(map(_SHAPES.get, shapes, repeat(-1)),
-                              dtype=np.intp, count=len(ends))]
+    shape = text[keep]
     last = np.searchsorted(starts, ends)  # the runs before each line's end
     first = np.append(0, last[:-1])
-    pos = np.where(lay[:, 2:] >= 0, first[:, None] + lay[:, 2:], -1)
+    # each line's shape, newline included (so no padding NUL of the S dtype
+    # can match), is searched for among the layouts' shapes of its length;
+    # it ends where the line does, less the digits before, plus the runs
+    stop = ends + 1 - np.append(0, np.cumsum(length))[last] + last
+    width = stop - np.append(0, stop[:-1])
+    order = np.argsort(width)
+    bounds = np.searchsorted(width[order], np.add.outer(list(_WIDTHS), [0, 1])).tolist()
+    lid = np.full(len(ends), -1)  # the layout table's last row: any other line
+    for (n, (known, ids)), (lo, hi) in zip(_WIDTHS.items(), bounds):
+        if hi > lo:
+            rows = order[lo:hi]
+            seen = np.ndarray((len(shape) - n + 1,), f"S{n}", shape, strides=(1,))[stop[rows] - n]
+            at = np.searchsorted(known, seen)
+            hit = np.searchsorted(known, seen, side="right") > at
+            lid[rows[hit]] = ids[at[hit]]
+    lay = _LAYOUT[lid]
     out = np.empty((len(ends), 8), dtype=np.int64)
     out[:, [_KIND, _T]] = lay[:, :2]
-    out[:, [_N, _X, _Y, 5, 6, 7]] = val[pos]
-    out[bad[last] > bad[first]] = -1
+    out[:, [_N, _X, _Y, 5, 6, 7]] = val[np.minimum(first[:, None] + lay[:, 2:], len(starts))]
+    out[np.searchsorted(last, odd, side="right")] = -1
     return out
 
 
@@ -570,38 +605,115 @@ def _toposort(cols: np.ndarray, steps: dict[int, CertificateStep]) -> np.ndarray
     return np.concatenate([placed, np.flatnonzero(left)])
 
 
-def _scan(path: str, run: _Pass, reorder: bool) -> None:
-    """Feed every line of the file to `run`, in file or topological order.
-    With `reorder`, the rows of the non-blank lines are kept from the read
-    (int32 columns, as fields have <= 9 digits, then the line number) with
-    the parsed steps of those that are not canonical, and fed in sorted
-    order, so no line is put into columns or parsed twice."""
-    blocks: list[np.ndarray] = [np.zeros((0, 9), dtype=np.int32)]
-    steps: dict[int, CertificateStep] = {}  # kept row -> parsed step
-    read = kept = 0
-    ph, t = run.phases, time.monotonic()
+def _chunks(path: str, ph: Phases) -> Iterator[tuple]:
+    """The file's chunks, each as its line numbers, the count of lines read,
+    its columns and the parsed step of each non-blank line that is not
+    canonical, by row; read, columns and reference are charged to `ph`."""
+    read, t = 0, time.monotonic()
     for data, ends in _read_chunks(path):
         nos = range(read + 1, read + 1 + len(ends))
         read += len(ends)
         t = ph.add("read", t, len(ends))
         cols = _columns(data, ends)
         t = ph.add("columns", t, len(cols))
-        # the parsed step of each non-blank line that is not canonical, by row
         other, bounds = np.flatnonzero(cols[:, _KIND] < 0), np.append(0, ends + 1)
         texts = {i: data[a: b].decode() for i, a, b in zip(
             other.tolist(), bounds[other].tolist(), bounds[other + 1].tolist())}
         parsed = {i: parse_step(text, nos[i]) for i, text in texts.items() if text.strip()}
-        t = ph.add("reference", t)
-        if reorder:
+        ph.add("reference", t)
+        yield nos, read, cols, parsed
+        t = time.monotonic()
+
+
+def _forked(path: str, ph: Phases) -> Iterator[tuple]:
+    """`_chunks(path, ph)` made by a forked child, one chunk ahead. Its
+    record per chunk: an int64 header (rows, lines read, first line number,
+    pickle size), the pickled parsed steps if any, and the columns in int32
+    (a fast-path field has at most 9 digits). Its last record has -1 rows
+    and pickles its exception (or None) and its phases. Time blocked on the
+    pipe is charged to `wait`."""
+    for name in ("read", "columns", "reference"):  # the child's phases, in order
+        ph.add(name, time.monotonic())
+    src, out = map(open, os.pipe(), ("rb", "wb"))
+    with src, out:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: read in this one
+            yield from _chunks(path, ph)
+            return
+        if pid == 0:  # the child: os._exit runs nothing it inherited
+            try:
+                src.close()
+                mine, end = Phases(), None
+                try:
+                    for nos, read, cols, parsed in _chunks(path, mine):
+                        blob = pickle.dumps(parsed) if parsed else b""
+                        out.write(np.int64([len(cols), read, nos.start, len(blob)]))
+                        out.write(blob)
+                        out.write(cols.astype(np.int32))
+                except BaseException as exc:  # for the parent to raise
+                    end = exc
+                blob = pickle.dumps((end, mine))
+                out.write(np.int64([-1, 0, 0, len(blob)]))
+                out.write(blob)
+                out.close()
+            finally:
+                os._exit(0)
+        out.close()
+        try:
+            while True:
+                t = time.monotonic()
+                rows, read, first, size = np.frombuffer(_take(src, 32), dtype=np.int64).tolist()
+                blob = _take(src, size)
+                if rows < 0:
+                    end, theirs = pickle.loads(blob)
+                    ph.merge(theirs)
+                    if end is not None:
+                        raise end
+                    return
+                cols = np.frombuffer(_take(src, 32 * rows), dtype=np.int32).reshape(rows, 8)
+                ph.add("wait", t, rows)
+                yield (range(first, first + rows), read, cols.astype(np.int64),
+                       pickle.loads(blob) if size else {})
+        finally:
+            os.kill(pid, 9)  # SIGKILL: after its last record the child has nothing left to do
+            os.waitpid(pid, 0)
+
+
+def _take(src, size: int) -> bytes:
+    if len(data := src.read(size)) < size:  # the child died
+        raise ChildProcessError("the certificate reader process ended early")
+    return data
+
+
+def _scan(path: str, run: _Pass, reorder: bool) -> None:
+    """Feed every line of the file to `run`, in file or topological order,
+    read in a forked child where the module docstring says. With `reorder`,
+    the rows of the non-blank lines are kept from the read (int32 columns,
+    as fields have <= 9 digits, then the line number) with the parsed steps
+    of those that are not canonical, and fed in sorted order, so no line is
+    put into columns or parsed twice."""
+    blocks: list[np.ndarray] = [np.zeros((0, 9), dtype=np.int32)]
+    steps: dict[int, CertificateStep] = {}  # kept row -> parsed step
+    read = kept = 0
+    ph = run.phases
+    chunks = (_forked if hasattr(os, "fork") and threading.active_count() == 1
+              and os.stat(path).st_size > CHUNK_LINES << 6 else _chunks)(path, ph)
+    try:
+        for nos, read, cols, parsed in chunks:
+            if not reorder:
+                run.feed(nos, read, cols, parsed)
+                continue
+            t = time.monotonic()
             keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
             steps.update((kept + j, parsed[i]) for j, i in enumerate(keep.tolist()) if i in parsed)
             kept += len(keep)
             blocks.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
             ph.add("reorder", t)
-        else:
-            run.feed(nos, read, cols, parsed)
-        t = time.monotonic()
+    finally:
+        chunks.close()
     if reorder:
+        t = time.monotonic()
         rows = np.concatenate(blocks)
         del blocks  # the per-chunk copies, before the sort's peak
         order = _toposort(rows, steps)

@@ -106,6 +106,10 @@ class CertificateFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # pickled from its two fields, not from args
+        return type(self), (self.line_no, self.message)
 
 
 class InexactDivisionError(ArithmeticError):

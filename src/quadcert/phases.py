@@ -33,6 +33,12 @@ class Phases:
         acc[2] = max(acc[2], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         return now
 
+    def merge(self, other: Phases) -> None:
+        """Charge the phases of another Phases, say another process's."""
+        for name, (s, n, rss) in other._acc.items():
+            old = self._acc.get(name, [0.0, 0, 0])
+            self._acc[name] = [old[0] + s, old[1] + n, max(old[2], rss)]
+
     def to_dict(self) -> dict:
         return {
             name: {"s": round(s, 3), "count": n,

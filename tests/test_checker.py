@@ -301,6 +301,25 @@ def test_columns_keep_exactly_the_canonical_lines():
     assert kept > 300 and len(lines) - kept > 300
 
 
+@pytest.mark.parametrize("odd", ["\x00\x00", "\u00e9"])
+def test_a_nul_or_non_ascii_byte_in_a_shape_is_not_canonical(tmp_path, odd):
+    # every layout filled, and twice more with two of its non-digit bytes
+    # replaced by two NUL bytes or by one two-byte character (which is read
+    # in text mode), so that the line's shape keeps its length
+    rng = random.Random(15)
+    lines, want = [], []
+    for shape in checker._SHAPES:
+        line = re.sub("0", lambda _: str(rng.randint(1, 999)), shape.decode())
+        spots = [k for k in range(len(line) - 1) if not re.search(r"\d", line[k: k + 2])]
+        lines += [line] + [line[:k] + odd + line[k + 2:] for k in (rng.choice(spots), spots[-1])]
+        want += [True, False, False]
+    path = tmp_path / "odd.jsonl"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    kinds = np.concatenate([checker._columns(data, ends)[:, 0]
+                            for data, ends in checker._read_chunks(str(path))])
+    assert (kinds >= 0).tolist() == want
+
+
 def _chunks(path):
     return [(data, ends.tolist()) for data, ends in checker._read_chunks(str(path))]
 

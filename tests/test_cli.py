@@ -312,6 +312,23 @@ def test_check_huge_integer_is_a_rejection(tmp_path):
     assert codes == {"unsupported_integer", "missing_prereq"}
 
 
+def test_check_writes_a_value_past_the_str_limit_exactly(tmp_path, capsys):
+    # the demanded p + q has 4,301 digits, one past the default limit on
+    # int-to-str conversion; the report is still written, and exactly
+    p, q = 10**4300 - 1 - 2 * 10**10, 10**4300 - 3 * 10**10
+    rows = base_rows() + [{
+        "n": p - q, "just": {"type": "parallelogram", "p": p, "q": q, "target": "diff"},
+        "prereqs": [p, q]}]
+    assert run("check", "--in", _write_rows(tmp_path, rows), "--max", "20") == 1
+    out = capsys.readouterr().out
+    blob = json.loads(out, parse_int=str)
+    missing = [v for v in blob["violations"] if v["code"] == "missing_prereq"]
+    assert {v["value"] for v in missing} == {str(p), str(q), "1" + "9" * 4289 + "4" + "9" * 10}
+    assert any(v["detail"] == "prerequisite a 14286-bit integer not listed" for v in missing)
+    assert blob["stats"]["violation_counts"] == {"missing_prereq": "3", "unsupported_integer": "2"}
+    assert out.endswith("}\n")
+
+
 def test_check_overlong_integer_exit_code(tmp_path, capsys):
     bad = tmp_path / "long.jsonl"
     bad.write_text('{"n":' + "9" * 4301 + ',"just":{"type":"base"},'
