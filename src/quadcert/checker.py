@@ -113,6 +113,7 @@ from .phases import Phases
 from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
+GAP_SLICE = 1 << 20  # facts per slice of the report's coverage-gap scan
 _PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apart
 # Columns of _columns(): kind, n, x (a | product | p), y (b | divisor | q),
 # target (1..4 in SLOTS order), prereqs. Kinds: -1 not canonical, 0 base,
@@ -468,11 +469,18 @@ class _Pass:
                 line=v.line, fact=v.fact, value=v.value))
         violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
         # the facts 1..bound no step provides, as [lo, hi] runs: of `depth`
-        # below `size`, then between the sorted facts of `ids` above it
-        miss = np.flatnonzero(self.depth[1: min(bound, self.size - 1) + 1] == 0) + 1
-        cut = np.flatnonzero(np.diff(miss) > 1)
-        gaps = np.column_stack([np.r_[miss[:1], miss[cut + 1]],
-                                np.r_[miss[cut], miss[-1:]]]).tolist()
+        # below `size`, GAP_SLICE facts at a time, then between the sorted
+        # facts of `ids` above it
+        gaps: list[list[int]] = []
+        top = min(bound, self.size - 1) + 1
+        for start in range(1, top, GAP_SLICE):
+            miss = np.flatnonzero(self.depth[start: min(start + GAP_SLICE, top)] == 0) + start
+            cut = np.flatnonzero(np.diff(miss) > 1)
+            runs = np.column_stack([np.r_[miss[:1], miss[cut + 1]],
+                                    np.r_[miss[cut], miss[-1:]]]).tolist()
+            if runs and gaps and gaps[-1][1] + 1 == runs[0][0]:  # across the edge
+                gaps[-1][1] = runs.pop(0)[1]
+            gaps += runs
         lo = gaps.pop()[0] if gaps and gaps[-1][1] == self.size - 1 else self.size
         for v in sorted(v for v in self.ids if v <= bound) + [bound + 1]:
             if v > lo:

@@ -198,8 +198,10 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
             f"--max {args.max} exceeds the sieve budget"
             f" {budget} bits; raise --sieve-limit"
         )
-    report = goldbach_sweep(args.max)
-    _emit(report.to_dict(), args.report)
+    phases = Phases()
+    out = goldbach_sweep(args.max, phases).to_dict()
+    out["phases"] = phases.to_dict()
+    _emit(out, args.report)
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ so construction memory stays O(segment) on top of the packed result. Queries
 above the table limit fall back to deterministic Miller-Rabin, valid for all
 64-bit inputs. A segmented smallest-prime-factor sieve gives the engine each
 target's factorization one segment at a time, and both sieves their base
-primes.
+primes. The Goldbach sweep walks the even numbers in blocks, so beside the
+bool sieve and the prime list its memory is O(block).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .phases import Phases
+
 SEGMENT_SIZE = 1 << 20  # sieve segment length; a multiple of 8, so it packs
 # Refuse tables above this many bits (packed size 1 GiB). Desk-scale runs
 # need ~2x the certification bound, far below this.
@@ -31,6 +34,8 @@ MAX_Q = "max-q"
 MIN_Q = "min-q"
 POLICIES = (MAX_Q, MIN_Q)
 HIST_CAP = 64  # distinct Goldbach histogram keys before the "other" bucket
+SWEEP_BLOCK = 1 << 16  # evens per block of goldbach_sweep, chosen by measurement
+_GATHER_BELOW = 8  # min-q gathers the open h once fewer than 1/8 of a block are
 
 # Deterministic Miller-Rabin witness tiers. Each entry (bound, witnesses)
 # means: for n < bound the listed witnesses decide primality exactly.
@@ -92,9 +97,6 @@ class PrimeTable:
         """Unpacked bool view (index n -> n is prime), length limit+1."""
         raw = np.frombuffer(self._bits, dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[: self.limit + 1].view(bool)
-
-    def count(self) -> int:
-        return int(self.as_bool_array().sum())
 
 
 def lookup_bits(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -294,88 +296,110 @@ class GoldbachSweepReport:
         }
 
 
-def goldbach_sweep(limit: int) -> GoldbachSweepReport:
+def goldbach_sweep(limit: int, phases: Phases | None = None) -> GoldbachSweepReport:
     """Verify every even 4 <= m <= limit has a pair under both policies.
 
-    Index h stands for m = 2h. Both witness searches step through the prime
-    list and test only p = 2h - q against the sieve, on the h still open:
-    the min-q search takes each odd prime q ascending and stops with a
-    GoldbachFailure at the first open h < q; the max-q search starts each h
-    at the largest prime <= h (from a prime-count prefix sum) and steps down
-    the primes.
-    Both witness arrays are then re-verified against the sieve. Histograms
-    are exact below HIST_CAP distinct keys, then bucketed into "other".
-    Raises GoldbachFailure naming the smallest uncovered m.
+    Index h stands for m = 2h. The h are walked in ascending blocks of
+    SWEEP_BLOCK, so that the only arrays longer than a block are the bool
+    sieve and the prime list. In each block, the min-q search takes each
+    prime q ascending and stops with a GoldbachFailure at the first open
+    h < q; the max-q search starts each h at the largest prime <= h and
+    steps down the primes. Both witness arrays are re-verified against the
+    sieve, then folded into running histograms and first-occurrence maxima.
+    Histograms are exact below HIST_CAP distinct keys, then bucketed into
+    "other". Raises GoldbachFailure naming the smallest uncovered m.
+    `phases`, when given, accumulates table, min_q, max_q and verify.
     """
     t0 = time.monotonic()
     if limit < 4:
         raise ValueError("sweep needs limit >= 4")
     limit -= limit % 2
+    ph = Phases() if phases is None else phases
     sieve = build_prime_table(limit).as_bool_array()
     index_t = np.int32 if limit < 1 << 31 else np.int64
     primes = np.flatnonzero(sieve).astype(index_t)
-    h_all = np.arange(2, limit // 2 + 1, dtype=index_t)
+    top = limit // 2
+    t = ph.add("table", t0, top - 1)
+    hists = [np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)]
+    best = [(-1, 0), (-1, 0)]  # (largest min-q, at m), (largest p - q, at m)
+    below = 0  # the primes below the block
+    for lo in range(2, top + 1, SWEEP_BLOCK):
+        hi = min(lo + SWEEP_BLOCK, top + 1)
+        h = np.arange(lo, hi, dtype=index_t)
 
-    # min-q policy: the smallest prime q <= h with 2h - q prime. Position i
-    # of a witness array stands for h = i + 2.
-    min_q = np.zeros(h_all.size, dtype=index_t)
-    min_q[0] = 2  # 4 = 2 + 2; for m >= 6, m - 2 is even and not prime
-    open_h = h_all[1:]
-    for q in primes[primes > 2].tolist():
-        if not open_h.size or open_h[0] < q:
-            break
-        ok = sieve[2 * open_h - q]
-        min_q[open_h[ok] - 2] = q
-        open_h = open_h[~ok]
-    if open_h.size:
-        raise GoldbachFailure(int(2 * open_h[0]))
-
-    # max-q policy: the largest prime q <= h with 2h - q prime. at[j] is the
-    # index in primes of the next q to try for open_h[j]; both stay sorted.
-    # It starts at pi(h) - 1, the index of the largest prime <= h.
-    max_q = np.zeros(h_all.size, dtype=index_t)
-    open_h = h_all
-    at = np.cumsum(sieve[2 : h_all.size + 2], dtype=index_t)
-    at -= 1
-    while open_h.size:
-        if at[0] < 0:
+        # min-q: the smallest prime q <= h with 2h - q prime. While many h
+        # are open, each round tests all of them on one strided slice of the
+        # sieve: an open h that meets some q > h reads False there, as 2h - q
+        # is a prime below q, tried before; q = 2 finds only 4 = 2 + 2, as
+        # m - 2 is even. The few h left are gathered.
+        min_q = np.zeros(h.size, dtype=index_t)
+        open_, left = np.ones(h.size, dtype=bool), h.size
+        qs = map(int, primes)
+        q = next(qs, hi)
+        while q < hi and left * _GATHER_BELOW > h.size:
+            a = max(0, (q + 1) // 2 - lo)  # 2h - q >= 0 from h = lo + a on
+            ok = sieve[2 * (lo + a) - q : 2 * hi - q : 2] & open_[a:]
+            np.copyto(min_q[a:], q, where=ok)
+            open_[a:] ^= ok
+            left -= int(np.count_nonzero(ok))
+            q = next(qs, hi)
+        open_h = h[open_]
+        while open_h.size and open_h[0] >= q:
+            ok = sieve[2 * open_h - q]
+            min_q[open_h[ok] - lo] = q
+            open_h = open_h[~ok]
+            q = next(qs, hi)
+        if open_h.size:
             raise GoldbachFailure(int(2 * open_h[0]))
-        q = primes[at]
-        ok = sieve[2 * open_h - q]
-        max_q[open_h[ok] - 2] = q[ok]
-        open_h = open_h[~ok]
-        at = at[~ok] - 1
+        t = ph.add("min_q", t, h.size)
 
-    # Independent re-verification of both witness arrays against the sieve.
-    for name, q in (("min-q", min_q), ("max-q", max_q)):
-        if not ((q <= h_all) & sieve[q] & sieve[2 * h_all - q]).all():
-            raise AssertionError(f"{name} witness failed sieve re-verification")
+        # max-q: the largest prime q <= h with 2h - q prime. at[j] is the
+        # index in primes of the next q to try for open_h[j]; both stay
+        # sorted. It starts at pi(h) - 1, the index of the largest prime
+        # <= h: the block's prime-count prefix sum plus the primes below it.
+        max_q = np.zeros(h.size, dtype=index_t)
+        open_h = h
+        at = np.cumsum(sieve[lo:hi], dtype=index_t)
+        at += below - 1
+        below = int(at[-1]) + 1
+        while open_h.size:
+            if at[0] < 0:
+                raise GoldbachFailure(int(2 * open_h[0]))
+            q = primes[at]
+            ok = sieve[2 * open_h - q]
+            max_q[open_h[ok] - lo] = q[ok]
+            open_h = open_h[~ok]
+            at = at[~ok] - 1
+        t = ph.add("max_q", t, h.size)
 
-    def _hist(values: np.ndarray) -> dict[int, int]:
-        counts = np.bincount(values)
+        for name, w in (("min-q", min_q), ("max-q", max_q)):
+            if not ((w <= h) & sieve[w] & sieve[2 * h - w]).all():
+                raise AssertionError(f"{name} witness failed sieve re-verification")
+        for k, values in enumerate((min_q, 2 * (h - max_q))):
+            counts = np.bincount(values, minlength=hists[k].size)
+            counts[: hists[k].size] += hists[k]
+            hists[k] = counts
+            i = int(np.argmax(values))
+            if values[i] > best[k][0]:
+                best[k] = (int(values[i]), 2 * (lo + i))
+        t = ph.add("verify", t, h.size)
+
+    def _hist(counts: np.ndarray) -> dict[int, int]:
         keys = np.flatnonzero(counts)
-        out: dict[int, int] = {}
-        other = 0
-        for k, c in zip(keys.tolist(), counts[keys].tolist()):
-            if len(out) < HIST_CAP:
-                out[k] = c
-            else:
-                other += c
+        out = dict(zip(keys[:HIST_CAP].tolist(), counts[keys[:HIST_CAP]].tolist()))
+        other = int(counts[keys[HIST_CAP:]].sum())
         if other:
             out[-1] = other  # key -1 marks the overflow bucket
         return out
 
-    gaps = 2 * (h_all - max_q)
-    i_minmax = int(np.argmax(min_q))
-    i_gapmax = int(np.argmax(gaps))
     return GoldbachSweepReport(
         limit=limit,
-        evens_checked=int(h_all.size),
-        min_q_max=int(min_q[i_minmax]),
-        min_q_max_at=int(2 * h_all[i_minmax]),
-        min_q_hist=_hist(min_q),
-        max_gap_max=int(gaps[i_gapmax]),
-        max_gap_max_at=int(2 * h_all[i_gapmax]),
-        max_gap_hist=_hist(gaps),
+        evens_checked=top - 1,
+        min_q_max=best[0][0],
+        min_q_max_at=best[0][1],
+        min_q_hist=_hist(hists[0]),
+        max_gap_max=best[1][0],
+        max_gap_max_at=best[1][1],
+        max_gap_hist=_hist(hists[1]),
         elapsed_s=time.monotonic() - t0,
     )

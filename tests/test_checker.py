@@ -580,6 +580,23 @@ def test_gap_ranges(write_cert, extra, bound, want):
     assert report.accepted == (not want and not extra)
 
 
+@pytest.mark.parametrize("bound", [300, 10**6])
+@pytest.mark.parametrize("size", [7, 64])
+def test_gap_scan_slices_join_runs_across_their_edges(write_cert, size, bound):
+    # 121 scattered facts of 21..299 leave runs of every length; 4 * 141
+    # + 64 facts index themselves, so with the bound 10^6 the last run
+    # reaches past the table into the facts held above it
+    facts = random.Random(5).sample(range(21, 300), 121)
+    path = write_cert(base_rows() + _bases(sorted(facts)))
+    want = check_store(path, bound)
+    with mock.patch.object(checker, "GAP_SLICE", size):
+        got = check_store(path, bound)
+    assert len(want.coverage_gaps) > 40
+    for report in (want, got):
+        del report.stats["elapsed_s"]
+    assert got.to_dict() == want.to_dict()
+
+
 def test_gap_ranges_around_a_fact_at_the_table_size(write_cert):
     # 13 lines leave room for 4 * 13 + 64 = 116 self-indexed facts; 65
     # grows the table to that size, so 116 is held above it

@@ -446,6 +446,17 @@ def test_goldbach_sweep_report(tmp_path):
     assert blob["max_q_policy"]["at_m"] == 17008
 
 
+def test_goldbach_reports_phases(tmp_path):
+    report = tmp_path / "g.json"
+    assert run("goldbach", "--max", "20000", "--report", str(report)) == 0
+    blob = _read_json(report)
+    assert list(blob)[-1] == "phases"
+    phases = blob["phases"]
+    assert list(phases) == ["table", "min_q", "max_q", "verify"]
+    assert all(p["count"] == blob["evens_checked"] and p["peak_rss_mb"] > 0
+               for p in phases.values())
+
+
 def test_goldbach_tiny_bound(capsys):
     assert run("goldbach", "--max", "3") == 2
     assert "--max must be >= 4" in capsys.readouterr().err

@@ -106,7 +106,7 @@ def test_lookup_reads_the_packed_bits():
 
 def test_prime_count_to_one_million():
     table = build_prime_table(1_000_000)
-    assert table.count() == 78_498  # pi(10^6)
+    assert table.as_bool_array().sum() == 78_498  # pi(10^6)
 
 
 def test_table_membership_and_segmentation_boundaries(monkeypatch):
@@ -318,10 +318,20 @@ def test_sweep_histograms_match_bruteforce(limit):
         ((3,), 6),  # 6 = 3 + 3 only
         ((7,), 12),  # 10 = 5 + 5 survives, 12 = 5 + 7 does not
         ((31, 61), 68),  # 68 = 7 + 61 = 31 + 37
-        ((2,), 4),  # 4 = 2 + 2 only; found by the max-q search
+        ((2,), 4),  # 4 = 2 + 2 only
+        ((2, 3), 4),  # 6 = 3 + 3 is uncovered too, but 4 is smaller
+        ((2, 31, 61), 4),
     ],
 )
 def test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m):
+    _clear_primes(monkeypatch, cleared)
+    with pytest.raises(GoldbachFailure) as exc:
+        goldbach_sweep(1_000)
+    assert exc.value.m == m
+
+
+def _clear_primes(monkeypatch, cleared):
+    """Make the sweep's table read the primes in `cleared` as composite."""
     real = primes.build_prime_table
 
     def without(limit, *args, **kwargs):
@@ -331,6 +341,48 @@ def test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m):
         return PrimeTable(limit=limit, _bits=bytes(bits))
 
     monkeypatch.setattr(primes, "build_prime_table", without)
+
+
+# with blocks of 16, h = 34 (m = 68) opens the third block; with blocks of
+# 7, it lies in the fifth, which starts at h = 30
+@pytest.mark.parametrize("block", [7, 16])
+def test_sweep_names_an_uncovered_even_in_a_later_block(monkeypatch, block):
+    _clear_primes(monkeypatch, (31, 61))
+    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
     with pytest.raises(GoldbachFailure) as exc:
         goldbach_sweep(1_000)
-    assert exc.value.m == m
+    assert exc.value.m == 68
+
+
+BLOCK_LIMITS = [*range(4, 601), 10**5]
+
+
+def _sweep_blobs():
+    blobs = [goldbach_sweep(n).to_dict() for n in BLOCK_LIMITS]
+    for blob in blobs:
+        del blob["elapsed_s"]
+    return blobs
+
+
+@pytest.fixture(scope="module")
+def one_block_blobs():
+    return _sweep_blobs()  # SWEEP_BLOCK exceeds the 49,999 evens 4..10^5
+
+
+# 10,000 does not divide the 49,999 evens 4..10^5 into whole blocks
+@pytest.mark.parametrize("block", [1, 7, 64, 10_000])
+def test_sweep_blocks_leave_the_report_unchanged(monkeypatch, one_block_blobs, block):
+    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    assert _sweep_blobs() == one_block_blobs
+
+
+def test_sweep_memory_stays_near_the_sieve():
+    # at 10^6 the bool sieve is 1 MB and the prime list 0.3 MB; no array
+    # of the 499,999 evens is ever built
+    tracemalloc.start()
+    try:
+        goldbach_sweep(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
