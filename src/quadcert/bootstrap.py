@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -42,7 +43,6 @@ F1 = Fraction(1)
 Monom = tuple[int, ...]  # sorted prime-power ids; () marks the constant term
 
 BOOTSTRAP_BOUND = 40  # instances with m + n <= 40 suffice to pin 1..20
-BOOTSTRAP_TABLE_LIMIT = BASE_LIMIT
 PROBE_BOUND_CAP = 10_000
 
 
@@ -71,6 +71,25 @@ def pp_label(pk: int) -> str:
                 k += 1
             return f"{p}^{k}" if k > 1 else str(p)
     return str(pk)
+
+
+@cache  # every argument is at most an instance set's bound
+def _factor(x: int) -> Monom:
+    """Prime-power decomposition of x >= 2 as sorted unknown ids."""
+    ids = []
+    rem = x
+    p = 2
+    while p * p <= rem:
+        if rem % p == 0:
+            pk = 1
+            while rem % p == 0:
+                pk *= p
+                rem //= p
+            ids.append(pk)
+        p += 1
+    if rem > 1:
+        ids.append(rem)
+    return tuple(sorted(ids))
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +163,6 @@ class BootstrapSystem:
         self.zero_products: list[ZeroProduct] = []
         self.transcript: list[str] = []
         self.contradiction: dict | None = None
-        self.determined_order: list[int] = []
-        self._factor_cache: dict[int, Monom] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -179,32 +196,10 @@ class BootstrapSystem:
         pairs.sort(key=lambda mn: (mn[0] + mn[1], mn[0]))
         return pairs
 
-    def _factor(self, x: int) -> Monom:
-        """Prime-power decomposition of x >= 2 as sorted unknown ids."""
-        cached = self._factor_cache.get(x)
-        if cached is not None:
-            return cached
-        ids = []
-        rem = x
-        p = 2
-        while p * p <= rem:
-            if rem % p == 0:
-                pk = 1
-                while rem % p == 0:
-                    pk *= p
-                    rem //= p
-                ids.append(pk)
-            p += 1
-        if rem > 1:
-            ids.append(rem)
-        mono = tuple(sorted(ids))
-        self._factor_cache[x] = mono
-        return mono
-
     def _add_term(self, terms: dict[Monom, Fraction], x: int, coeff: Fraction) -> None:
         if x == 0:
             return  # f(0) = 0
-        key: Monom = () if x == 1 else self._factor(x)  # f(1) = 1
+        key: Monom = () if x == 1 else _factor(x)  # f(1) = 1
         terms[key] = terms.get(key, F0) + coeff
 
     def enqueue(self, eq: Eq) -> None:
@@ -216,11 +211,7 @@ class BootstrapSystem:
     def _reduce(self, terms: dict[Monom, Fraction],
                 numeric: dict[int, Fraction] | None = None):
         """Fold numerics and substitutions; returns Lin or a blocking id set."""
-        view = self.numeric if numeric is None else numeric
-
-        def val(i: int) -> Fraction | None:
-            return view.get(i)
-
+        val = (self.numeric if numeric is None else numeric).get
         const = F0
         lin: dict[int, Fraction] = {}
         blocking: set[int] = set()
@@ -267,7 +258,8 @@ class BootstrapSystem:
         lin = {i: c for i, c in lin.items() if c != 0}
         return Lin(const, lin)
 
-    def _reduce_lin(self, lin: Lin) -> Lin | set[int]:
+    def _reduce_lin(self, lin: Lin) -> Lin:
+        # no monomial here has two unknowns, so nothing blocks
         terms: dict[Monom, Fraction] = {(): lin.c}
         for i, c in lin.coef.items():
             terms[(i,)] = terms.get((i,), F0) + c
@@ -312,33 +304,17 @@ class BootstrapSystem:
             self._set_numeric(target, rhs.c, eq.source)
 
     def _set_numeric(self, i: int, value: Fraction, source: str) -> None:
-        prior = self.numeric.get(i)
-        if prior is not None:
-            if prior != value:
-                self.contradiction = {
-                    "source": source,
-                    "unknown": i,
-                    "established": str(prior),
-                    "forced": str(value),
-                    "message": (
-                        f"f({i}) = {prior} established but {source} forces"
-                        f" f({i}) = {value}"
-                    ),
-                }
-                self.transcript.append("contradiction: " + self.contradiction["message"])
-            return
+        # i is unknown here: _process solves only for an unknown that
+        # _reduce left unfolded, and the cascade skips determined ones
         self.numeric[i] = value
-        self.determined_order.append(i)
         self.transcript.append(f"{source}: f({i}) = {value}")
         # cascade substitutions whose right side just became constant
         for lhs in self.sub_deps.get(i, []):
-            if lhs in self.numeric or self.contradiction:
+            if lhs in self.numeric:
                 continue
             red = self._reduce_lin(self.subs[lhs])
-            if isinstance(red, Lin) and not red.coef:
+            if not red.coef:
                 self._set_numeric(lhs, red.c, f"substitution for f({lhs})")
-        if self.contradiction:
-            return
         # wake equations parked on this unknown
         for eq in self.blocked_index.pop(i, []):
             if id(eq) in self.parked:
@@ -358,7 +334,7 @@ class BootstrapSystem:
                     self.enqueue(Eq({(zp.other,): F1}, f"{zp.source} zero-product", -1))
                 continue
             red = self._reduce_lin(Lin(F0, {zp.other: F1}))
-            if isinstance(red, Lin) and not red.coef:
+            if not red.coef:
                 zp.resolved = True
                 progressed = True
                 if red.c != 0:
@@ -373,38 +349,24 @@ class BootstrapSystem:
         # whose value was only a substitution fold away, so the walk lands on
         # the most recent independently determined unknown the equation
         # re-forces to a different value (e.g. f(2) = 1/2 versus 1/3).
-        for k in range(len(self.determined_order) - 1, -1, -1):
-            cand = self.determined_order[k]
-            earlier = {i: self.numeric[i] for i in self.determined_order[:k]}
-            red = self._reduce(eq.terms, numeric=earlier)
+        unknown = established = forced = None
+        message = f"{eq.source} reduces to {residue} = 0"
+        order = list(self.numeric.items())  # in order of determination
+        for k in range(len(order) - 1, -1, -1):
+            cand, value = order[k]
+            red = self._reduce(eq.terms, numeric=dict(order[:k]))
             if isinstance(red, set):
                 continue
             co = red.coef.get(cand)
-            if co and len(red.coef) == 1:
-                forced = -red.c / co
-                if forced != self.numeric[cand]:
-                    self.contradiction = {
-                        "source": eq.source,
-                        "unknown": cand,
-                        "established": str(self.numeric[cand]),
-                        "forced": str(forced),
-                        "message": (
-                            f"f({cand}) = {self.numeric[cand]} established but"
-                            f" {eq.source} forces f({cand}) = {forced}"
-                        ),
-                    }
-                    self.transcript.append(
-                        "contradiction: " + self.contradiction["message"]
-                    )
-                    return
-        self.contradiction = {
-            "source": eq.source,
-            "unknown": None,
-            "established": None,
-            "forced": None,
-            "message": f"{eq.source} reduces to {residue} = 0",
-        }
-        self.transcript.append("contradiction: " + self.contradiction["message"])
+            if co and len(red.coef) == 1 and -red.c / co != value:
+                unknown, established, forced = cand, str(value), str(-red.c / co)
+                message = (f"f({cand}) = {established} established but"
+                           f" {eq.source} forces f({cand}) = {forced}")
+                break
+        self.contradiction = {"source": eq.source, "unknown": unknown,
+                              "established": established, "forced": forced,
+                              "message": message}
+        self.transcript.append("contradiction: " + message)
 
     # -- branching ---------------------------------------------------------
 
@@ -425,8 +387,6 @@ class BootstrapSystem:
             for z in self.zero_products
         ]
         child.transcript = list(self.transcript)
-        child.determined_order = list(self.determined_order)
-        child._factor_cache = self._factor_cache  # shared read-mostly cache
         return child
 
 
@@ -434,12 +394,9 @@ def branch_on_zero_product(system: BootstrapSystem) -> list[BootstrapSystem]:
     """Split on the first pending zero-product group (u_pivot - c) * u_p = 0.
 
     One child adds u_pivot = c; the other zeroes every paired factor in the
-    group. If the pivot is already determined there is nothing to split on
-    and the system itself is returned unchanged.
+    group.
     """
     pending = system.pending_zero_products()
-    if not pending:
-        return [system]
     pivot, value = pending[0].pivot, pending[0].value
     group = [zp for zp in pending if zp.pivot == pivot and zp.value == value]
 
@@ -516,9 +473,9 @@ def solve_bootstrap(bound: int = BOOTSTRAP_BOUND) -> BootstrapResult:
         )
     survivor = live[0]
     table: dict[int, int] = {}
-    for n in range(1, BOOTSTRAP_TABLE_LIMIT + 1):
+    for n in range(1, BASE_LIMIT + 1):
         value = F1
-        for pk in (root._factor(n) if n > 1 else ()):
+        for pk in (_factor(n) if n > 1 else ()):
             got = survivor.numeric.get(pk)
             if got is None:
                 raise BootstrapError(f"f({pk}) undetermined; cannot evaluate f({n})")

@@ -80,6 +80,7 @@ import pickle
 import random
 import threading
 import time
+import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -645,7 +646,13 @@ def _forked(path: str, ph: Phases) -> Iterator[tuple]:
     src, out = map(open, os.pipe(), ("rb", "wb"))
     with src, out:
         try:
-            pid = os.fork()
+            with warnings.catch_warnings():
+                # Python 3.12 warns on forking a process with OS threads. Ours
+                # are numpy's idle BLAS pool, which the child never calls, and
+                # no Python thread runs (_scan checks threading.active_count()).
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
         except OSError:  # no process to spare: read in this one
             yield from _chunks(path, ph)
             return

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 
@@ -77,32 +76,17 @@ def _sample_size(text: str) -> int:
 
 
 def _dumps(obj: dict) -> str:
-    """`obj` as indented JSON, where an int past the interpreter's limit on
-    int-to-str conversion (a violation's value can be the sum of two parsed
-    integers) is written exactly too, 600 digits at a time."""
+    """`obj` as indented JSON, every int exact: a violation's value can be the
+    sum of two parsed integers, a digit past the interpreter's limit on
+    int-to-str conversion, which is lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        return json.dumps(obj, indent=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return json.dumps(obj, indent=2)
-    except ValueError:
-        big: list[int] = []
-
-    def mark(o):  # such an int as the string "\0<its index in big>"
-        if isinstance(o, dict):
-            return {k: mark(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [*map(mark, o)]
-        try:
-            str(o)
-        except ValueError:
-            big.append(o)
-            return f"\0{len(big) - 1}"
-        return o
-
-    def exact(v: int) -> str:
-        hi, lo = divmod(abs(v), 10**600)  # the limit is never below 640 digits
-        return "-" * (v < 0) + (exact(hi) + f"{lo:0600d}" if hi else str(lo))
-
-    return re.sub(r'"\\u0000(\d+)"', lambda m: exact(big[int(m[1])]),
-                  json.dumps(mark(obj), indent=2))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(obj: dict, path: str | None) -> None:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .primes import UnsupportedIntegerError
@@ -41,24 +42,21 @@ SLOTS = (SLOT_SUM, SLOT_DIFF, SLOT_P, SLOT_Q)
 BASE_LIMIT = 20  # base facts cover n = 0 and 1..20
 
 
+@dataclass(eq=False, slots=True)
 class Violation:
     """One failed validation condition, with a stable machine-readable code."""
 
-    __slots__ = ("code", "detail", "line", "fact", "value", "establishment")
-
-    def __init__(self, code: str, detail: str, *, line: int | None = None,
-                 fact: int | None = None, value: int | None = None,
-                 establishment: bool = False):
-        self.code = code
-        self.detail = detail
-        self.line = line
-        self.fact = fact
-        # The integer the condition is about (an unestablished prerequisite,
-        # a missing coverage value, ...), when one exists.
-        self.value = value
-        # establishment=True marks "prerequisite not yet established" entries,
-        # which the checker later refines into cycle vs. missing_prereq.
-        self.establishment = establishment
+    code: str
+    detail: str
+    _: KW_ONLY
+    line: int | None = None
+    fact: int | None = None
+    # The integer the condition is about (an unestablished prerequisite,
+    # a missing coverage value, ...), when one exists.
+    value: int | None = None
+    # establishment=True marks "prerequisite not yet established" entries,
+    # which the checker later refines into cycle vs. missing_prereq.
+    establishment: bool = False
 
     def to_dict(self) -> dict:
         out = {"code": self.code, "detail": self.detail}
@@ -69,10 +67,6 @@ class Violation:
         if self.value is not None:
             out["value"] = self.value
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = f" line {self.line}" if self.line is not None else ""
-        return f"Violation({self.code}{where}: {self.detail})"
 
 
 # Canonical violation codes (the fault-injection suite exercises each).
@@ -308,21 +302,22 @@ def serialize_step(step: CertificateStep) -> str:
     return f'{{"n":{step.fact},"just":{js},"prereqs":[{pr}]}}\n'
 
 
-# One `%` template per line form the generator writes, fields as commented.
-# Each gives serialize_step's line for its step, the prereqs in SLOTS order
-# with the target slot left out.
-BASE_LINE = '{"n":%d,"just":{"type":"base"},"prereqs":[]}\n'  # n
-COPRIME_PRODUCT_LINE = (  # n, a, b, a, b
-    '{"n":%d,"just":{"type":"coprime_product","a":%d,"b":%d},"prereqs":[%d,%d]}\n')
-COPRIME_QUOTIENT_LINE = (  # n, product, divisor, divisor, product
-    '{"n":%d,"just":{"type":"coprime_quotient","product":%d,"divisor":%d},'
-    '"prereqs":[%d,%d]}\n')
-CLOSE_P_LINE = (  # p, p, q, p+q, p-q, q
-    '{"n":%d,"just":{"type":"parallelogram","p":%d,"q":%d,"target":"p"},'
-    '"prereqs":[%d,%d,%d]}\n')
-CLOSE_SUM_LINE = (  # p+q, p, q, p-q, p, q, policy (the meta tag)
-    '{"n":%d,"just":{"type":"parallelogram","p":%d,"q":%d,"target":"sum"},'
-    '"prereqs":[%d,%d,%d],"meta":{"policy":"%s"}}\n')
+def _template(just: Justification, prereqs: int, meta: dict | None = None) -> str:
+    """serialize_step's line for a step of `just`'s kind whose integers are
+    all 0, each run of digits made a `%d` (no key or type name holds one)."""
+    step = CertificateStep(0, just, (0,) * prereqs, meta)
+    return re.sub(r"\d+", "%d", serialize_step(step))
+
+
+# One `%` template per line form the generator writes, fields as commented,
+# the prereqs in SLOTS order with the target slot left out.
+BASE_LINE = _template(Base(), 0)  # n
+COPRIME_PRODUCT_LINE = _template(CoprimeProduct(0, 0), 2)  # n, a, b, a, b
+COPRIME_QUOTIENT_LINE = _template(  # n, product, divisor, divisor, product
+    CoprimeQuotient(0, 0), 2)
+CLOSE_P_LINE = _template(ParallelogramClose(0, 0, SLOT_P), 3)  # p, p, q, p+q, p-q, q
+CLOSE_SUM_LINE = _template(  # p+q, p, q, p-q, p, q, policy (the meta tag)
+    ParallelogramClose(0, 0, SLOT_SUM), 3, {"policy": "%s"})
 
 
 _JUST_FIELDS = {

@@ -8,7 +8,6 @@ import pytest
 
 from quadcert.bootstrap import (
     BOOTSTRAP_BOUND,
-    BOOTSTRAP_TABLE_LIMIT,
     PROBE_BOUND_CAP,
     BootstrapSystem,
     pp_label,
@@ -17,6 +16,7 @@ from quadcert.bootstrap import (
     solve_bootstrap,
     uniqueness_probe,
 )
+from quadcert.model import BASE_LIMIT
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def result():
 
 
 def test_table_is_exactly_squares(result):
-    assert result.table == {n: n * n for n in range(1, BOOTSTRAP_TABLE_LIMIT + 1)}
+    assert result.table == {n: n * n for n in range(1, BASE_LIMIT + 1)}
 
 
 def test_single_surviving_branch(result):
@@ -248,6 +248,15 @@ def test_bootstrap_transcript_and_forms_are_pinned(result):
     ("4n", 100,
      "b0a2c33e812b4104c9008de82890762c9634fff9795130cea20ef8ac4c36a158",
      "ea0518a0e10bc46201820f655c756a081a0b124c1d957ec2f9e0b21615da6d02"),
+    # a pruned branch whose contradiction names no unknown:
+    # "instance (4,2) reduces to -13/9 = 0"
+    ([2, 4, 5, 7, 10, 13, 14, 18, 19, 20, 23], 23,
+     "cbb3cf92ad52838c2d0ca3e7e8f931ad7a2fe291b69fe9d3b18ef819d9d40910",
+     "ca3c09794c560af501d8d6dae4c269c5f9d647dc3543a7e0069f074ad2b85283"),
+    # two surviving branches
+    ([6, 7, 8, 16, 29, 51, 72, 74, 75, 81], 107,
+     "7db605ec66997914cf4d572720377dab49477187e27a62ff8dcba554fabdd6eb",
+     "e8499c8f2296fcb4f9bda0f79be183eadf43af4ab83a2361b80cac5fcd4fb6a8"),
 ])
 def test_probe_report_and_transcript_are_pinned(spec, bound, report_sha, transcript_sha):
     report = uniqueness_probe(spec, bound)

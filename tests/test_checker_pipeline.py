@@ -133,6 +133,26 @@ def test_a_failing_parent_leaves_no_child_and_no_open_file(genuine):
     assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
 
 
+def test_the_fork_warning_of_a_multi_threaded_process_is_not_raised(genuine):
+    # Python 3.12's os.fork warns when the process has more OS threads than
+    # one, as numpy's BLAS pool gives it; this fork warns the same way
+    real = os.fork
+
+    def fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of"
+                      " fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return real()
+
+    with warnings.catch_warnings(record=True) as seen, _deadline(60):
+        warnings.simplefilter("always")
+        with mock.patch.object(checker, "CHUNK_LINES", 16), \
+                mock.patch.object(checker.os, "fork", fork):
+            report = check_store(str(genuine), LIMIT)
+    assert not seen
+    assert report.accepted and report.phases["wait"]["count"] > 0
+
+
 def test_a_one_block_file_is_checked_without_forking(cert_2k):
     with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
         report = check_store(cert_2k["path"], cert_2k["limit"])

@@ -12,6 +12,7 @@ import pytest
 from quadcert import checker, cli
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
+from quadcert.model import CertificateFormatError
 from quadcert.primes import GoldbachFailure
 from tests.conftest import base_rows
 
@@ -112,6 +113,21 @@ def test_verify_self_check_and_spot_check(tmp_path):
     assert blob["check"]["accepted"] is True
     assert blob["spot_check"]["sampled"] == 32
     assert blob["spot_check"]["mismatches"] == 0
+
+
+def test_verify_check_under_dev_mode_writes_nothing_to_stderr(tmp_path):
+    # the 20000 certificate (1.6 MB) is over one 1 MiB block, so its check
+    # forks; under -X dev a warning the interpreter raises (Python 3.12's on
+    # forking a multi-threaded process) would be printed to stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "quadcert.cli", "verify", "--max", "20000",
+         "--check", "--out", str(tmp_path / "c.jsonl")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["check_phases"]["wait"]["count"] > 0
 
 
 def test_verify_below_induction_start(tmp_path, capsys):
@@ -314,12 +330,20 @@ def test_check_huge_integer_is_a_rejection(tmp_path):
 
 def test_check_writes_a_value_past_the_str_limit_exactly(tmp_path, capsys):
     # the demanded p + q has 4,301 digits, one past the default limit on
-    # int-to-str conversion; the report is still written, and exactly
+    # int-to-str conversion; the report is still written, and exactly, and
+    # the limit is back afterwards: the parser still refuses such an integer
+    limit = sys.get_int_max_str_digits()
     p, q = 10**4300 - 1 - 2 * 10**10, 10**4300 - 3 * 10**10
     rows = base_rows() + [{
         "n": p - q, "just": {"type": "parallelogram", "p": p, "q": q, "target": "diff"},
         "prereqs": [p, q]}]
     assert run("check", "--in", _write_rows(tmp_path, rows), "--max", "20") == 1
+    assert sys.get_int_max_str_digits() == limit
+    bad = tmp_path / "long.jsonl"
+    bad.write_text('{"n":' + "9" * 4301 + ',"just":{"type":"base"},'
+                   '"prereqs":[]}\n', encoding="utf-8")
+    with pytest.raises(CertificateFormatError, match="line 1"):
+        checker.check_store(str(bad), 20)
     out = capsys.readouterr().out
     blob = json.loads(out, parse_int=str)
     missing = [v for v in blob["violations"] if v["code"] == "missing_prereq"]
