@@ -10,9 +10,9 @@ The table is a true bitset (one bit per integer) built by a segmented sieve,
 so construction memory stays O(segment) on top of the packed result. Queries
 above the table limit fall back to deterministic Miller-Rabin, valid for all
 64-bit inputs. A segmented smallest-prime-factor sieve gives the engine each
-target's factorization one segment at a time, and both sieves their base
-primes. The Goldbach sweep walks the even numbers in blocks, so beside the
-bool sieve and the prime list its memory is O(block).
+target's factorization one segment at a time. The Goldbach sweep walks the
+even numbers in blocks and reads the packed table through bool windows of a
+block and a margin, so beside the table its memory is O(block).
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ MAX_Q = "max-q"
 MIN_Q = "min-q"
 POLICIES = (MAX_Q, MIN_Q)
 HIST_CAP = 64  # distinct Goldbach histogram keys before the "other" bucket
-SWEEP_BLOCK = 1 << 16  # evens per block of goldbach_sweep, chosen by measurement
-_GATHER_BELOW = 8  # min-q gathers the open h once fewer than 1/8 of a block are
+SWEEP_BLOCK = 1 << 15  # evens per block of goldbach_sweep, chosen by measurement
+# How far the sweep's windows first reach past their block (min-q's primes up to
+# it, max-q's down to it below the block); both double on demand.
+SWEEP_MARGIN = 1 << 10
 
 # Deterministic Miller-Rabin witness tiers. Each entry (bound, witnesses)
 # means: for n < bound the listed witnesses decide primality exactly.
@@ -93,10 +95,12 @@ class PrimeTable:
         packed bits (no unpacked copy)."""
         return lookup_bits(np.frombuffer(self._bits, dtype=np.uint8), values)
 
-    def as_bool_array(self) -> np.ndarray:
-        """Unpacked bool view (index n -> n is prime), length limit+1."""
-        raw = np.frombuffer(self._bits, dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.limit + 1].view(bool)
+    def as_bool_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Unpacked bools for lo..hi-1 (index i -> lo + i is prime), 0..limit
+        by default; 0 <= lo <= hi <= limit + 1."""
+        hi = self.limit + 1 if hi is None else hi
+        raw = np.frombuffer(self._bits, dtype=np.uint8)[lo >> 3 : (hi + 7) >> 3]
+        return np.unpackbits(raw, bitorder="little")[lo & 7 :][: hi - lo].view(bool)
 
 
 def lookup_bits(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -121,14 +125,6 @@ def spf_segment(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
     return spf
 
 
-def spf_array(limit: int) -> np.ndarray:
-    """Smallest prime factor for 0..limit (0 and 1 map to themselves).
-
-    n >= 2 is prime iff spf[n] == n.
-    """
-    return spf_segment(0, limit + 1, primes_upto(math.isqrt(limit)))
-
-
 def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> PrimeTable:
     """Segmented sieve of Eratosthenes packed into a bitset."""
     if limit < 2:
@@ -137,7 +133,13 @@ def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> Pri
         raise SieveBudgetError(
             f"limit {limit} needs {limit + 1} bits, budget is {max_bits}"
         )
-    base_primes = primes_upto(math.isqrt(limit))
+    return _sieve(limit)
+
+
+def _sieve(limit: int) -> PrimeTable:
+    """build_prime_table's sieve, its base primes read off a table of their own."""
+    root = math.isqrt(limit)
+    base_primes = np.flatnonzero(_sieve(root).as_bool_array()).tolist() if root > 1 else []
     bits = bytearray((limit >> 3) + 1)
     packed = np.frombuffer(bits, dtype=np.uint8)
     whole = np.empty(min(SEGMENT_SIZE, limit + 1), dtype=bool)  # refilled per segment
@@ -194,11 +196,10 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Ascending primes <= limit (convenience for small bounds)."""
+    """Ascending primes <= limit, read off the packed table."""
     if limit < 2:
         return []
-    spf = spf_array(limit)
-    return np.flatnonzero(spf == np.arange(limit + 1))[2:].tolist()  # past 0, 1
+    return np.flatnonzero(build_prime_table(limit).as_bool_array()).tolist()
 
 
 @dataclass(frozen=True)
@@ -296,90 +297,124 @@ class GoldbachSweepReport:
         }
 
 
+def _min_q(table: PrimeTable, lo: int, hi: int, stages: dict[int, list[int]]) -> np.ndarray:
+    """The smallest prime q <= h with 2h - q prime, for each h in lo..hi-1.
+
+    Each odd q, ascending, tests every open h on one contiguous slice of an
+    odd-only window from 2lo - reach, for a reach that starts at SWEEP_MARGIN
+    and doubles (`stages` keeps each reach's primes for later blocks). An
+    open h meeting some q > h reads False, as 2h - q is a prime below q,
+    tried before; q = 2 finds only 4 = 2 + 2. The first open h below q is
+    uncovered.
+    """
+    n = hi - lo
+    min_q = np.zeros(n, dtype=np.int64)
+    open_ = np.ones(n, dtype=bool)
+    if lo == 2 and 2 in table:
+        min_q[0], open_[0] = 2, False
+    left, first = int(np.count_nonzero(open_)), int(open_.argmax())  # the first open h
+    tried, reach = 2, max(3, SWEEP_MARGIN | 1)
+    while left and lo + first > tried:
+        if reach not in stages:
+            qs = table.as_bool_array(tried + 1, min(reach, table.limit) + 1)
+            stages[reach] = (qs.nonzero()[0] + tried + 1).tolist()
+        base = 2 * lo - reach  # win[i] says whether base + 2i is prime
+        win = np.zeros(n + reach // 2, dtype=bool)  # the n < 1 read composite
+        win[max(0, (1 - base) // 2) :] = table.as_bool_array(max(base, 1), 2 * hi - 2)[::2]
+        for q in stages[reach]:
+            if lo + first < q:
+                break
+            ok = win[(reach - q) // 2 :][:n] & open_
+            if ok.any():
+                np.copyto(min_q, q, where=ok)
+                open_ ^= ok
+                left -= int(np.count_nonzero(ok))
+                if not left:
+                    break
+                first = int(open_.argmax())
+        tried, reach = reach, 2 * reach + 1
+    if left:
+        raise GoldbachFailure(2 * (lo + first))
+    return min_q
+
+
+def _max_q_gap(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
+    """h - q for the largest prime q <= h with 2h - q prime, each h in lo..hi-1.
+
+    The open h read the table from v0, a margin below the block, up to 2h -
+    v0 for the largest of them, so each can step down every prime q >= v0:
+    at[i] is the index of the next q to try for the i-th open h and t[i] is
+    2(h - v0); both stay sorted. Once the first open h has stepped below v0,
+    the h still open start over with the margin doubled; an h that steps
+    below 0 is uncovered.
+    """
+    gap = np.zeros(hi - lo, dtype=np.int64)
+    h = np.arange(lo, hi)  # the open h
+    margin = SWEEP_MARGIN
+    while True:
+        v0 = max(0, lo - margin)
+        win = table.as_bool_array(v0, 2 * int(h[-1]) - v0 + 1)
+        qs = win[: int(h[-1]) - v0 + 1].nonzero()[0]
+        at = qs.searchsorted(h - v0, side="right") - 1  # the largest prime <= h
+        t = 2 * (h - v0)
+        while at.size and at[0] >= 0:
+            d = qs.take(at)
+            np.subtract(t, d, out=d)  # 2h - q - v0
+            ok = win.take(d)
+            if ok.any():
+                found = ok.nonzero()[0]
+                half = t.take(found) // 2  # h - v0
+                gap[half + (v0 - lo)] = d.take(found) - half
+                keep = np.logical_not(ok, out=ok).nonzero()[0]
+                t, at = t.take(keep), at.take(keep)
+            at -= 1
+        if not at.size:
+            return gap
+        h = t // 2 + v0
+        if v0 == 0:
+            raise GoldbachFailure(2 * int(h[0]))
+        margin *= 2
+
+
 def goldbach_sweep(limit: int, phases: Phases | None = None) -> GoldbachSweepReport:
     """Verify every even 4 <= m <= limit has a pair under both policies.
 
     Index h stands for m = 2h. The h are walked in ascending blocks of
-    SWEEP_BLOCK, so that the only arrays longer than a block are the bool
-    sieve and the prime list. In each block, the min-q search takes each
-    prime q ascending and stops with a GoldbachFailure at the first open
-    h < q; the max-q search starts each h at the largest prime <= h and
-    steps down the primes. Both witness arrays are re-verified against the
-    sieve, then folded into running histograms and first-occurrence maxima.
-    Histograms are exact below HIST_CAP distinct keys, then bucketed into
-    "other". Raises GoldbachFailure naming the smallest uncovered m.
-    `phases`, when given, accumulates table, min_q, max_q and verify.
+    SWEEP_BLOCK, and both searches read the packed table through bool
+    windows of a block and a margin, so that the table is the only array
+    that grows with limit. Both witness arrays are re-verified against the
+    table's bits, then folded into running histograms (exact below HIST_CAP
+    distinct keys, then bucketed into "other") and first-occurrence maxima.
+    Raises GoldbachFailure naming the smallest uncovered m. `phases`, when
+    given, accumulates table, min_q, max_q and verify.
     """
     t0 = time.monotonic()
     if limit < 4:
         raise ValueError("sweep needs limit >= 4")
     limit -= limit % 2
     ph = Phases() if phases is None else phases
-    sieve = build_prime_table(limit).as_bool_array()
-    index_t = np.int32 if limit < 1 << 31 else np.int64
-    primes = np.flatnonzero(sieve).astype(index_t)
+    table = build_prime_table(limit)
     top = limit // 2
     t = ph.add("table", t0, top - 1)
     hists = [np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)]
     best = [(-1, 0), (-1, 0)]  # (largest min-q, at m), (largest p - q, at m)
-    below = 0  # the primes below the block
+    stages: dict[int, list[int]] = {}  # min-q's odd primes, shared by the blocks
     for lo in range(2, top + 1, SWEEP_BLOCK):
         hi = min(lo + SWEEP_BLOCK, top + 1)
-        h = np.arange(lo, hi, dtype=index_t)
-
-        # min-q: the smallest prime q <= h with 2h - q prime. While many h
-        # are open, each round tests all of them on one strided slice of the
-        # sieve: an open h that meets some q > h reads False there, as 2h - q
-        # is a prime below q, tried before; q = 2 finds only 4 = 2 + 2, as
-        # m - 2 is even. The few h left are gathered.
-        min_q = np.zeros(h.size, dtype=index_t)
-        open_, left = np.ones(h.size, dtype=bool), h.size
-        qs = map(int, primes)
-        q = next(qs, hi)
-        while q < hi and left * _GATHER_BELOW > h.size:
-            a = max(0, (q + 1) // 2 - lo)  # 2h - q >= 0 from h = lo + a on
-            ok = sieve[2 * (lo + a) - q : 2 * hi - q : 2] & open_[a:]
-            np.copyto(min_q[a:], q, where=ok)
-            open_[a:] ^= ok
-            left -= int(np.count_nonzero(ok))
-            q = next(qs, hi)
-        open_h = h[open_]
-        while open_h.size and open_h[0] >= q:
-            ok = sieve[2 * open_h - q]
-            min_q[open_h[ok] - lo] = q
-            open_h = open_h[~ok]
-            q = next(qs, hi)
-        if open_h.size:
-            raise GoldbachFailure(int(2 * open_h[0]))
+        h = np.arange(lo, hi)
+        min_q = _min_q(table, lo, hi, stages)
         t = ph.add("min_q", t, h.size)
-
-        # max-q: the largest prime q <= h with 2h - q prime. at[j] is the
-        # index in primes of the next q to try for open_h[j]; both stay
-        # sorted. It starts at pi(h) - 1, the index of the largest prime
-        # <= h: the block's prime-count prefix sum plus the primes below it.
-        max_q = np.zeros(h.size, dtype=index_t)
-        open_h = h
-        at = np.cumsum(sieve[lo:hi], dtype=index_t)
-        at += below - 1
-        below = int(at[-1]) + 1
-        while open_h.size:
-            if at[0] < 0:
-                raise GoldbachFailure(int(2 * open_h[0]))
-            q = primes[at]
-            ok = sieve[2 * open_h - q]
-            max_q[open_h[ok] - lo] = q[ok]
-            open_h = open_h[~ok]
-            at = at[~ok] - 1
+        max_q = h - _max_q_gap(table, lo, hi)
         t = ph.add("max_q", t, h.size)
 
         for name, w in (("min-q", min_q), ("max-q", max_q)):
-            if not ((w <= h) & sieve[w] & sieve[2 * h - w]).all():
+            if not ((w <= h) & table.lookup(w) & table.lookup(2 * h - w)).all():
                 raise AssertionError(f"{name} witness failed sieve re-verification")
         for k, values in enumerate((min_q, 2 * (h - max_q))):
             counts = np.bincount(values, minlength=hists[k].size)
             counts[: hists[k].size] += hists[k]
             hists[k] = counts
-            i = int(np.argmax(values))
+            i = int(values.argmax())
             if values[i] > best[k][0]:
                 best[k] = (int(values[i]), 2 * (lo + i))
         t = ph.add("verify", t, h.size)

@@ -38,9 +38,16 @@ from quadcert.primes import (
     MAX_Q,
     MIN_Q,
     build_prime_table,
+    primes_upto,
     select_q_for_prime,
-    spf_array,
+    spf_segment,
 )
+
+
+def spf_array(limit):
+    """Smallest prime factor of 0..limit (0 and 1 map to themselves), from one
+    full-length spf segment: the reference's factor table."""
+    return spf_segment(0, limit + 1, primes_upto(math.isqrt(limit)))
 
 
 def _streamed(limit, policy=MAX_Q):

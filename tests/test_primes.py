@@ -104,6 +104,18 @@ def test_lookup_reads_the_packed_bits():
     assert table.lookup(np.array([table.limit - 1, table.limit])).tolist() == [False, True]
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 0), (0, 1), (3, 11), (8, 16), (13, 100_004),
+                                   (99_990, 100_004)])
+def test_windows_read_the_packed_bits(lo, hi):
+    table = build_prime_table(100_003)
+    assert np.array_equal(table.as_bool_array(lo, hi), oracle_sieve(100_003)[lo:hi])
+
+
+def test_primes_upto_matches_the_oracle_sieve():
+    assert [primes_upto(n) for n in range(-1, 4)] == [[], [], [], [2], [2, 3]]
+    assert primes_upto(10_007) == np.flatnonzero(oracle_sieve(10_007)).tolist()
+
+
 def test_prime_count_to_one_million():
     table = build_prime_table(1_000_000)
     assert table.as_bool_array().sum() == 78_498  # pi(10^6)
@@ -377,12 +389,65 @@ def test_sweep_blocks_leave_the_report_unchanged(monkeypatch, one_block_blobs, b
 
 
 def test_sweep_memory_stays_near_the_sieve():
-    # at 10^6 the bool sieve is 1 MB and the prime list 0.3 MB; no array
-    # of the 499,999 evens is ever built
+    # at 10^6 the packed table is 0.12 MB and building it takes a 1 MB
+    # segment; no array of the 499,999 evens is ever built
     tracemalloc.start()
     try:
         goldbach_sweep(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 << 20
+    assert peak < 4 << 20
+
+
+def test_sweep_memory_does_not_follow_the_bound():
+    # at 4 * 10^6 a bool sieve alone would be 4 MB: the sweep reads the
+    # 0.5 MB packed table through windows of a block and its margins
+    tracemalloc.start()
+    try:
+        goldbach_sweep(4 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
+# Margins of 1, 2 and 8 widen nearly every window of the sweep, the min-q
+# window as its primes run past the margin, the max-q window as an h steps
+# below its start.
+@pytest.mark.parametrize("margin", [1, 2, 8])
+def test_sweep_margins_leave_the_report_unchanged(monkeypatch, one_block_blobs, margin):
+    monkeypatch.setattr(primes, "SWEEP_MARGIN", margin)
+    assert _sweep_blobs() == one_block_blobs
+
+
+def test_one_h_blocks_through_the_narrowest_windows(monkeypatch, one_block_blobs):
+    # each h is its own block and widens from a margin of 1, so some max-q
+    # search reads the last bit of its window: 2h - q with q at its start
+    monkeypatch.setattr(primes, "SWEEP_BLOCK", 1)
+    monkeypatch.setattr(primes, "SWEEP_MARGIN", 1)
+    blobs = [goldbach_sweep(n).to_dict() for n in range(4, 101)]
+    for blob in blobs:
+        del blob["elapsed_s"]
+    assert blobs == one_block_blobs[:97]
+
+
+UNCOVERED = test_sweep_names_the_smallest_uncovered_even.pytestmark[0].args[1]
+
+
+@pytest.mark.parametrize("cleared, m", UNCOVERED)
+def test_narrow_windows_name_the_same_uncovered_even(monkeypatch, cleared, m):
+    monkeypatch.setattr(primes, "SWEEP_MARGIN", 1)
+    test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m)
+
+
+# The min-q search runs first and names every uncovered even; the max-q
+# search must name the same one on its own, widening from either margin.
+@pytest.mark.parametrize("margin", [1, primes.SWEEP_MARGIN])
+@pytest.mark.parametrize("cleared, m", UNCOVERED)
+def test_max_q_search_names_the_uncovered_even(monkeypatch, cleared, m, margin):
+    _clear_primes(monkeypatch, cleared)
+    monkeypatch.setattr(primes, "SWEEP_MARGIN", margin)
+    with pytest.raises(GoldbachFailure) as exc:
+        primes._max_q_gap(primes.build_prime_table(1_000), 2, 501)
+    assert exc.value.m == m
