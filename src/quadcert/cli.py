@@ -175,15 +175,8 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
     if args.max < 4:
         print("error: --max must be >= 4", file=sys.stderr)
         return EXIT_USAGE
-    budget = _sieve_budget(args)
-    # The sweep's table covers 0..M', M' the largest even number <= max.
-    if args.max - args.max % 2 + 1 > budget:
-        raise SieveBudgetError(
-            f"--max {args.max} exceeds the sieve budget"
-            f" {budget} bits; raise --sieve-limit"
-        )
     phases = Phases()
-    out = goldbach_sweep(args.max, phases).to_dict()
+    out = goldbach_sweep(args.max, phases, max_bits=_sieve_budget(args)).to_dict()
     out["phases"] = phases.to_dict()
     _emit(out, args.report)
     return EXIT_OK
@@ -267,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateFormatError as exc:
         print(f"error: malformed certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SieveBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SieveBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

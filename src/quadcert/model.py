@@ -135,6 +135,10 @@ class ParallelogramClose:
 
 
 Justification = Base | CoprimeProduct | CoprimeQuotient | ParallelogramClose
+# Each justification kind's wire "type" and its dataclass, whose fields, in
+# order, are the kind's wire fields.
+_KINDS = {"base": Base, "coprime_product": CoprimeProduct,
+          "coprime_quotient": CoprimeQuotient, "parallelogram": ParallelogramClose}
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,16 +193,14 @@ def parallelogram_solve(known: dict[str, int], target: str) -> int:
 
 
 def demanded_prereqs(step: CertificateStep) -> tuple[int, ...]:
-    """The exact set of facts a step's justification consumes, sorted."""
+    """The exact set of facts a step's justification consumes, sorted: a
+    parallelogram's three known slots, any other kind's fields."""
     j = step.just
-    if isinstance(j, Base):
-        return ()
-    if isinstance(j, CoprimeProduct):
-        return tuple(sorted({j.a, j.b}))
-    if isinstance(j, CoprimeQuotient):
-        return tuple(sorted({j.product, j.divisor}))
-    slots = slot_values(j.p, j.q)
-    return tuple(sorted({v for s, v in slots.items() if s != j.target}))
+    if isinstance(j, ParallelogramClose):
+        values = [v for s, v in slot_values(j.p, j.q).items() if s != j.target]
+    else:
+        values = [getattr(j, f) for f in j.__match_args__]
+    return tuple(sorted(set(values)))
 
 
 def validate_step(
@@ -287,14 +289,9 @@ def validate_step(
 def serialize_step(step: CertificateStep) -> str:
     """One wire line, LF-terminated. Fixed field order for byte determinism."""
     j = step.just
-    if isinstance(j, Base):
-        js = '{"type":"base"}'
-    elif isinstance(j, CoprimeProduct):
-        js = f'{{"type":"coprime_product","a":{j.a},"b":{j.b}}}'
-    elif isinstance(j, CoprimeQuotient):
-        js = f'{{"type":"coprime_quotient","product":{j.product},"divisor":{j.divisor}}}'
-    else:
-        js = f'{{"type":"parallelogram","p":{j.p},"q":{j.q},"target":"{j.target}"}}'
+    kind = next(k for k, cls in _KINDS.items() if type(j) is cls)
+    js = json.dumps({"type": kind, **{f: getattr(j, f) for f in j.__match_args__}},
+                    separators=(",", ":"))
     pr = ",".join(map(str, step.prereqs))
     if step.meta:
         ms = json.dumps(step.meta, sort_keys=True, separators=(",", ":"))
@@ -320,14 +317,6 @@ CLOSE_SUM_LINE = _template(  # p+q, p, q, p-q, p, q, policy (the meta tag)
     ParallelogramClose(0, 0, SLOT_SUM), 3, {"policy": "%s"})
 
 
-_JUST_FIELDS = {
-    "base": (),
-    "coprime_product": ("a", "b"),
-    "coprime_quotient": ("product", "divisor"),
-    "parallelogram": ("p", "q", "target"),
-}
-
-
 def parse_step(line: str, line_no: int) -> CertificateStep:
     """Parse one wire line; raises CertificateFormatError on malformed input."""
     try:
@@ -350,34 +339,23 @@ def parse_step(line: str, line_no: int) -> CertificateStep:
     if not isinstance(jobj, dict) or "type" not in jobj:
         raise CertificateFormatError(line_no, "just must be an object with a type")
     kind = jobj["type"]
-    if kind not in _JUST_FIELDS:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None  # arrays, objects: unhashable
+    if cls is None:
         raise CertificateFormatError(line_no, f"unknown justification type {kind!r}")
-    fields = _JUST_FIELDS[kind]
+    fields = cls.__match_args__
     for f in fields:
         if f not in jobj:
             raise CertificateFormatError(line_no, f"justification {kind} missing {f!r}")
     extra = set(jobj) - {"type", *fields}
     if extra:
         raise CertificateFormatError(line_no, f"unexpected justification fields {sorted(extra)}")
-
-    def _int_field(name: str) -> int:
-        v = jobj[name]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise CertificateFormatError(line_no, f"{name} must be an integer, got {v!r}")
-        return v
-
-    just: Justification
-    if kind == "base":
-        just = Base()
-    elif kind == "coprime_product":
-        just = CoprimeProduct(_int_field("a"), _int_field("b"))
-    elif kind == "coprime_quotient":
-        just = CoprimeQuotient(_int_field("product"), _int_field("divisor"))
-    else:
-        target = jobj["target"]
-        if target not in SLOTS:
-            raise CertificateFormatError(line_no, f"unknown target slot {target!r}")
-        just = ParallelogramClose(_int_field("p"), _int_field("q"), target)
+    if "target" in jobj and jobj["target"] not in SLOTS:
+        raise CertificateFormatError(line_no, f"unknown target slot {jobj['target']!r}")
+    for f in fields:
+        v = jobj[f]
+        if f != "target" and (not isinstance(v, int) or isinstance(v, bool)):
+            raise CertificateFormatError(line_no, f"{f} must be an integer, got {v!r}")
+    just = cls(*[jobj[f] for f in fields])
     prereqs = obj["prereqs"]
     if not isinstance(prereqs, list) or any(
         not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in prereqs

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def build_prime_table(limit: int, max_bits: int = DEFAULT_MAX_TABLE_BITS) -> Pri
         raise ValueError(f"table limit must be >= 2, got {limit}")
     if limit + 1 > max_bits:
         raise SieveBudgetError(
-            f"limit {limit} needs {limit + 1} bits, budget is {max_bits}"
+            f"limit {limit} needs {limit + 1} bits, sieve budget is {max_bits}"
         )
     return _sieve(limit)
 
@@ -223,24 +224,10 @@ def goldbach_pair(m: int, table: PrimeTable | None = None, policy: str = MAX_Q) 
         raise ValueError(f"Goldbach search needs even m >= 4, got {m}")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, options: {POLICIES}")
-    half = m // 2
-    if policy == MAX_Q:
-        # Descend over odd candidates from m//2; q = 2 only works for m = 4.
-        q = half if half % 2 else half - 1
-        while q >= 3:
-            if is_prime(q, table) and is_prime(m - q, table):
-                return GoldbachPair(m, m - q, q, policy)
-            q -= 2
-        if is_prime(m - 2, table):
-            return GoldbachPair(m, m - 2, 2, policy)
-    else:
-        if is_prime(m - 2, table):
-            return GoldbachPair(m, m - 2, 2, policy)
-        q = 3
-        while q <= half:
-            if is_prime(q, table) and is_prime(m - q, table):
-                return GoldbachPair(m, m - q, q, policy)
-            q += 2
+    down = range((m // 2 - 1) | 1, 1, -2)  # the odd q <= m/2, descending
+    for q in chain(down, (2,)) if policy == MAX_Q else chain((2,), reversed(down)):
+        if is_prime(q, table) and is_prime(m - q, table):
+            return GoldbachPair(m, m - q, q, policy)
     raise GoldbachFailure(m)
 
 
@@ -297,15 +284,14 @@ class GoldbachSweepReport:
         }
 
 
-def _min_q(table: PrimeTable, lo: int, hi: int, stages: dict[int, list[int]]) -> np.ndarray:
+def _min_q(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     """The smallest prime q <= h with 2h - q prime, for each h in lo..hi-1.
 
     Each odd q, ascending, tests every open h on one contiguous slice of an
     odd-only window from 2lo - reach, for a reach that starts at SWEEP_MARGIN
-    and doubles (`stages` keeps each reach's primes for later blocks). An
-    open h meeting some q > h reads False, as 2h - q is a prime below q,
-    tried before; q = 2 finds only 4 = 2 + 2. The first open h below q is
-    uncovered.
+    and doubles. An open h meeting some q > h reads False, as 2h - q is a
+    prime below q, tried before; q = 2 finds only 4 = 2 + 2. The first open
+    h below q is uncovered.
     """
     n = hi - lo
     min_q = np.zeros(n, dtype=np.int64)
@@ -315,13 +301,11 @@ def _min_q(table: PrimeTable, lo: int, hi: int, stages: dict[int, list[int]]) ->
     left, first = int(np.count_nonzero(open_)), int(open_.argmax())  # the first open h
     tried, reach = 2, max(3, SWEEP_MARGIN | 1)
     while left and lo + first > tried:
-        if reach not in stages:
-            qs = table.as_bool_array(tried + 1, min(reach, table.limit) + 1)
-            stages[reach] = (qs.nonzero()[0] + tried + 1).tolist()
+        qs = table.as_bool_array(tried + 1, min(reach, table.limit) + 1)
         base = 2 * lo - reach  # win[i] says whether base + 2i is prime
         win = np.zeros(n + reach // 2, dtype=bool)  # the n < 1 read composite
         win[max(0, (1 - base) // 2) :] = table.as_bool_array(max(base, 1), 2 * hi - 2)[::2]
-        for q in stages[reach]:
+        for q in (qs.nonzero()[0] + tried + 1).tolist():
             if lo + first < q:
                 break
             ok = win[(reach - q) // 2 :][:n] & open_
@@ -376,7 +360,8 @@ def _max_q_gap(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
         margin *= 2
 
 
-def goldbach_sweep(limit: int, phases: Phases | None = None) -> GoldbachSweepReport:
+def goldbach_sweep(limit: int, phases: Phases | None = None, *,
+                   max_bits: int = DEFAULT_MAX_TABLE_BITS) -> GoldbachSweepReport:
     """Verify every even 4 <= m <= limit has a pair under both policies.
 
     Index h stands for m = 2h. The h are walked in ascending blocks of
@@ -385,24 +370,24 @@ def goldbach_sweep(limit: int, phases: Phases | None = None) -> GoldbachSweepRep
     that grows with limit. Both witness arrays are re-verified against the
     table's bits, then folded into running histograms (exact below HIST_CAP
     distinct keys, then bucketed into "other") and first-occurrence maxima.
-    Raises GoldbachFailure naming the smallest uncovered m. `phases`, when
-    given, accumulates table, min_q, max_q and verify.
+    Raises GoldbachFailure naming the smallest uncovered m, and
+    SieveBudgetError if the table over 0..limit needs more than `max_bits`.
+    `phases`, when given, accumulates table, min_q, max_q and verify.
     """
     t0 = time.monotonic()
     if limit < 4:
         raise ValueError("sweep needs limit >= 4")
     limit -= limit % 2
     ph = Phases() if phases is None else phases
-    table = build_prime_table(limit)
+    table = build_prime_table(limit, max_bits)
     top = limit // 2
     t = ph.add("table", t0, top - 1)
     hists = [np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)]
     best = [(-1, 0), (-1, 0)]  # (largest min-q, at m), (largest p - q, at m)
-    stages: dict[int, list[int]] = {}  # min-q's odd primes, shared by the blocks
     for lo in range(2, top + 1, SWEEP_BLOCK):
         hi = min(lo + SWEEP_BLOCK, top + 1)
         h = np.arange(lo, hi)
-        min_q = _min_q(table, lo, hi, stages)
+        min_q = _min_q(table, lo, hi)
         t = ph.add("min_q", t, h.size)
         max_q = h - _max_q_gap(table, lo, hi)
         t = ph.add("max_q", t, h.size)

@@ -6,10 +6,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from quadcert import checker, cli
+from quadcert import checker, cli, primes
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
 from quadcert.model import CertificateFormatError
@@ -315,6 +316,21 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [["base"], {"base": 1}])
+@pytest.mark.parametrize("forks", [False, True])
+def test_check_non_string_type_is_a_format_error(tmp_path, capsys, kind, forks):
+    # an array or object where the type name belongs is an unknown type,
+    # whether the file is read in this process or in a forked reader
+    rows = base_rows() * 4 + [{"n": 21, "just": {"type": kind}, "prereqs": []}]
+    path = _write_rows(tmp_path, rows)
+    with mock.patch.object(checker, "CHUNK_LINES", 16 if forks else 1 << 20), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert run("check", "--in", path, "--max", "20") == 2
+    assert fork.called == forks
+    err = capsys.readouterr().err
+    assert f"malformed certificate: line 85: unknown justification type {kind!r}" in err
+
+
 def test_check_huge_integer_is_a_rejection(tmp_path):
     p = 2**64 + 13
     rows = base_rows() + [{
@@ -564,6 +580,20 @@ def test_goldbach_budget_counts_the_table_bits(m, code, tmp_path):
     # the sweep's table over 0..1000 needs 1001 bits
     assert run("goldbach", "--max", str(m), "--sieve-limit", str(m),
                "--report", str(tmp_path / "r.json")) == code
+
+
+def test_goldbach_builds_its_table_under_the_given_budget(tmp_path):
+    budgets = []
+    real = primes.build_prime_table
+
+    def spy(limit, max_bits=primes.DEFAULT_MAX_TABLE_BITS):
+        budgets.append(max_bits)
+        return real(limit, max_bits)
+
+    with mock.patch.object(primes, "build_prime_table", spy):
+        assert run("goldbach", "--max", "1000", "--sieve-limit", "5000",
+                   "--report", str(tmp_path / "r.json")) == 0
+    assert budgets == [5000]
 
 
 def test_version_flag(capsys):

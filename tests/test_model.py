@@ -312,31 +312,61 @@ def test_parse_round_trip_of_each_kind():
         assert parse_step(serialize_step(step), 1) == step
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "not json",
-        "[1,2]",
-        '{"just":{"type":"base"},"prereqs":[]}',
-        '{"n":5,"prereqs":[]}',
-        '{"n":5,"just":{"type":"base"}}',
-        '{"n":-1,"just":{"type":"base"},"prereqs":[]}',
-        '{"n":true,"just":{"type":"base"},"prereqs":[]}',
-        '{"n":5,"just":"base","prereqs":[]}',
-        '{"n":5,"just":{"type":"frobnicate"},"prereqs":[]}',
-        '{"n":21,"just":{"type":"coprime_product","a":3},"prereqs":[3]}',
-        '{"n":21,"just":{"type":"coprime_product","a":3,"b":7,"c":1},"prereqs":[3,7]}',
-        '{"n":21,"just":{"type":"coprime_product","a":true,"b":7},"prereqs":[3,7]}',
-        '{"n":14,"just":{"type":"parallelogram","p":11,"q":3,"target":"mid"},"prereqs":[]}',
-        '{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,"7"]}',
-        '{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,-7]}',
-        '{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,7],"meta":3}',
-    ],
-)
+# Each malformed line with the exact message parse_step gives for it: the
+# checks run in a fixed order (object shape, top-level fields, n, just's
+# type, missing then unexpected justification fields, target slot, integer
+# fields in field order, prereqs, meta), and the first one that fails names it.
+_MALFORMED = {
+    "not json": "invalid JSON: Expecting value",
+    "[1,2]": "step must be a JSON object",
+    '{"just":{"type":"base"},"prereqs":[]}': "missing field 'n'",
+    '{"n":5,"prereqs":[]}': "missing field 'just'",
+    '{"n":5,"just":{"type":"base"}}': "missing field 'prereqs'",
+    '{"n":-1,"just":{"type":"base"},"prereqs":[]}':
+        "n must be a non-negative integer, got -1",
+    '{"n":true,"just":{"type":"base"},"prereqs":[]}':
+        "n must be a non-negative integer, got True",
+    '{"n":5,"just":"base","prereqs":[]}': "just must be an object with a type",
+    '{"n":5,"just":{"type":"frobnicate"},"prereqs":[]}':
+        "unknown justification type 'frobnicate'",
+    '{"n":21,"just":{"type":["base"]},"prereqs":[]}':
+        "unknown justification type ['base']",
+    '{"n":21,"just":{"type":{"base":1}},"prereqs":[]}':
+        "unknown justification type {'base': 1}",
+    '{"n":21,"just":{"type":"coprime_product","a":3},"prereqs":[3]}':
+        "justification coprime_product missing 'b'",
+    '{"n":21,"just":{"type":"coprime_product","a":3,"b":7,"c":1},"prereqs":[3,7]}':
+        "unexpected justification fields ['c']",
+    '{"n":21,"just":{"type":"coprime_product","a":true,"b":7},"prereqs":[3,7]}':
+        "a must be an integer, got True",
+    '{"n":21,"just":{"type":"coprime_product","a":3.0,"b":"7"},"prereqs":[3,7]}':
+        "a must be an integer, got 3.0",
+    '{"n":14,"just":{"type":"parallelogram","p":11,"q":3,"target":"mid"},"prereqs":[]}':
+        "unknown target slot 'mid'",
+    '{"n":14,"just":{"type":"parallelogram","p":"11","q":3,"target":"mid"},"prereqs":[]}':
+        "unknown target slot 'mid'",
+    '{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,"7"]}':
+        "prereqs must be a list of non-negative integers",
+    '{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,-7]}':
+        "prereqs must be a list of non-negative integers",
+    '{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,7],"meta":3}':
+        "meta must be an object when present",
+}
+
+
+@pytest.mark.parametrize("line", _MALFORMED)
 def test_parse_rejects_malformed_lines(line):
     with pytest.raises(CertificateFormatError) as exc:
         parse_step(line, 12)
     assert exc.value.line_no == 12
+
+
+@pytest.mark.parametrize("line,message", _MALFORMED.items())
+def test_parse_error_messages_are_pinned(line, message):
+    with pytest.raises(CertificateFormatError) as exc:
+        parse_step(line, 12)
+    assert exc.value.message == message
+    assert str(exc.value) == f"line 12: {message}"
 
 
 def test_parse_wraps_overlong_integer():
