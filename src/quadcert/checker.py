@@ -26,15 +26,14 @@ without a carriage return, then with the text-mode line iteration of
 are the reference's). A block's line ends are found in one pass, and its
 lines are checked in chunks of at most CHUNK_LINES.
 
-A file larger than one block is read by a forked child, while the parent
-checks the chunk before: the child turns chunks into columns and parses the
-lines that are not canonical, and the pipe's back-pressure keeps it at most
-one chunk ahead. The parent raises an error of the child's once every chunk
-before it is checked, and always reaps the child. The checker forks only
-while no other thread runs; otherwise, or if the fork fails, the same code
-reads in-process. The phases then overlap (read, columns and reference
-are the child's; wait is the parent's time blocked on the pipe), so they
-can sum past the wall time.
+A file larger than one block is read by a child that `phases.forked`
+forks, while the parent checks the chunk before: the child turns chunks
+into int32 columns and parses the lines that are not canonical, about one
+chunk ahead. The parent raises an error of the child's once every chunk
+before it is checked, and always reaps the child; where `forked` does not
+fork, the same code reads in-process. The phases then overlap (read,
+columns and reference are the child's; wait is the parent's time blocked
+on the pipe), so they can sum past the wall time.
 
 Each line takes one of two paths:
 
@@ -76,11 +75,8 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
 import random
-import threading
 import time
-import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -110,7 +106,7 @@ from .model import (
     serialize_step,
     validate_step,
 )
-from .phases import Phases
+from .phases import Phases, forked
 from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
@@ -616,7 +612,7 @@ def _toposort(cols: np.ndarray, steps: dict[int, CertificateStep]) -> np.ndarray
 
 def _chunks(path: str, ph: Phases) -> Iterator[tuple]:
     """The file's chunks, each as its line numbers, the count of lines read,
-    its columns and the parsed step of each non-blank line that is not
+    its int32 columns and the parsed step of each non-blank line that is not
     canonical, by row; read, columns and reference are charged to `ph`."""
     read, t = 0, time.monotonic()
     for data, ends in _read_chunks(path):
@@ -630,75 +626,8 @@ def _chunks(path: str, ph: Phases) -> Iterator[tuple]:
             other.tolist(), bounds[other].tolist(), bounds[other + 1].tolist())}
         parsed = {i: parse_step(text, nos[i]) for i, text in texts.items() if text.strip()}
         ph.add("reference", t)
-        yield nos, read, cols, parsed
+        yield nos, read, cols.astype(np.int32), parsed
         t = time.monotonic()
-
-
-def _forked(path: str, ph: Phases) -> Iterator[tuple]:
-    """`_chunks(path, ph)` made by a forked child, one chunk ahead. Its
-    record per chunk: an int64 header (rows, lines read, first line number,
-    pickle size), the pickled parsed steps if any, and the columns in int32
-    (a fast-path field has at most 9 digits). Its last record has -1 rows
-    and pickles its exception (or None) and its phases. Time blocked on the
-    pipe is charged to `wait`."""
-    for name in ("read", "columns", "reference"):  # the child's phases, in order
-        ph.add(name, time.monotonic())
-    src, out = map(open, os.pipe(), ("rb", "wb"))
-    with src, out:
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12 warns on forking a process with OS threads. Ours
-                # are numpy's idle BLAS pool, which the child never calls, and
-                # no Python thread runs (_scan checks threading.active_count()).
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-        except OSError:  # no process to spare: read in this one
-            yield from _chunks(path, ph)
-            return
-        if pid == 0:  # the child: os._exit runs nothing it inherited
-            try:
-                src.close()
-                mine, end = Phases(), None
-                try:
-                    for nos, read, cols, parsed in _chunks(path, mine):
-                        blob = pickle.dumps(parsed) if parsed else b""
-                        out.write(np.int64([len(cols), read, nos.start, len(blob)]))
-                        out.write(blob)
-                        out.write(cols.astype(np.int32))
-                except BaseException as exc:  # for the parent to raise
-                    end = exc
-                blob = pickle.dumps((end, mine))
-                out.write(np.int64([-1, 0, 0, len(blob)]))
-                out.write(blob)
-                out.close()
-            finally:
-                os._exit(0)
-        out.close()
-        try:
-            while True:
-                t = time.monotonic()
-                rows, read, first, size = np.frombuffer(_take(src, 32), dtype=np.int64).tolist()
-                blob = _take(src, size)
-                if rows < 0:
-                    end, theirs = pickle.loads(blob)
-                    ph.merge(theirs)
-                    if end is not None:
-                        raise end
-                    return
-                cols = np.frombuffer(_take(src, 32 * rows), dtype=np.int32).reshape(rows, 8)
-                ph.add("wait", t, rows)
-                yield (range(first, first + rows), read, cols.astype(np.int64),
-                       pickle.loads(blob) if size else {})
-        finally:
-            os.kill(pid, 9)  # SIGKILL: after its last record the child has nothing left to do
-            os.waitpid(pid, 0)
-
-
-def _take(src, size: int) -> bytes:
-    if len(data := src.read(size)) < size:  # the child died
-        raise ChildProcessError("the certificate reader process ended early")
-    return data
 
 
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
@@ -712,12 +641,14 @@ def _scan(path: str, run: _Pass, reorder: bool) -> None:
     steps: dict[int, CertificateStep] = {}  # kept row -> parsed step
     read = kept = 0
     ph = run.phases
-    chunks = (_forked if hasattr(os, "fork") and threading.active_count() == 1
-              and os.stat(path).st_size > CHUNK_LINES << 6 else _chunks)(path, ph)
+    for name in ("read", "columns", "reference"):  # a forked child's phases, in order
+        ph.add(name, time.monotonic())
+    chunks = (forked(partial(_chunks, path), ph, lambda chunk: len(chunk[2]))
+              if os.stat(path).st_size > CHUNK_LINES << 6 else _chunks(path, ph))
     try:
         for nos, read, cols, parsed in chunks:
             if not reorder:
-                run.feed(nos, read, cols, parsed)
+                run.feed(nos, read, cols.astype(np.int64), parsed)
                 continue
             t = time.monotonic()
             keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)

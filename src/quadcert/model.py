@@ -332,6 +332,9 @@ def parse_step(line: str, line_no: int) -> CertificateStep:
     for key in ("n", "just", "prereqs"):
         if key not in obj:
             raise CertificateFormatError(line_no, f"missing field {key!r}")
+    extra = set(obj) - {"n", "just", "prereqs", "meta"}
+    if extra:
+        raise CertificateFormatError(line_no, f"unexpected fields {sorted(extra)}")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise CertificateFormatError(line_no, f"n must be a non-negative integer, got {n!r}")

@@ -12,7 +12,8 @@ above the table limit fall back to deterministic Miller-Rabin, valid for all
 64-bit inputs. A segmented smallest-prime-factor sieve gives the engine each
 target's factorization one segment at a time. The Goldbach sweep walks the
 even numbers in blocks and reads the packed table through bool windows of a
-block and a margin, so beside the table its memory is O(block).
+block and a margin, so beside the table its memory is O(block); a forked
+child runs every other block of a large sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .phases import Phases
+from .phases import Phases, forked
 
 SEGMENT_SIZE = 1 << 20  # sieve segment length; a multiple of 8, so it packs
 # Refuse tables above this many bits (packed size 1 GiB). Desk-scale runs
@@ -36,6 +37,9 @@ MIN_Q = "min-q"
 POLICIES = (MAX_Q, MIN_Q)
 HIST_CAP = 64  # distinct Goldbach histogram keys before the "other" bucket
 SWEEP_BLOCK = 1 << 15  # evens per block of goldbach_sweep, chosen by measurement
+# A sweep of more evens than this runs every other block in a forked child;
+# below, the fork's few ms would cost more than the whole sweep.
+FORK_EVENS = 1 << 15
 # How far the sweep's windows first reach past their block (min-q's primes up to
 # it, max-q's down to it below the block); both double on demand.
 SWEEP_MARGIN = 1 << 10
@@ -69,6 +73,9 @@ class GoldbachFailure(RuntimeError):
     def __init__(self, m: int):
         super().__init__(f"no Goldbach pair exists for {m}")
         self.m = m
+
+    def __reduce__(self):  # pickled from m, not from args
+        return type(self), (self.m,)
 
 
 class SieveBudgetError(RuntimeError):
@@ -367,12 +374,16 @@ def goldbach_sweep(limit: int, phases: Phases | None = None, *,
     Index h stands for m = 2h. The h are walked in ascending blocks of
     SWEEP_BLOCK, and both searches read the packed table through bool
     windows of a block and a margin, so that the table is the only array
-    that grows with limit. Both witness arrays are re-verified against the
-    table's bits, then folded into running histograms (exact below HIST_CAP
+    that grows with limit. A sweep of two blocks or more and over
+    FORK_EVENS evens runs every other block in a child that `phases.forked`
+    forks (one process runs them all otherwise). Each process re-verifies
+    its witness arrays against the table's bits; the parent folds the
+    blocks' results, in block order, into histograms (exact below HIST_CAP
     distinct keys, then bucketed into "other") and first-occurrence maxima.
     Raises GoldbachFailure naming the smallest uncovered m, and
     SieveBudgetError if the table over 0..limit needs more than `max_bits`.
-    `phases`, when given, accumulates table, min_q, max_q and verify.
+    `phases`, when given, accumulates table, then min_q, max_q and verify
+    over both processes, and wait.
     """
     t0 = time.monotonic()
     if limit < 4:
@@ -381,28 +392,42 @@ def goldbach_sweep(limit: int, phases: Phases | None = None, *,
     ph = Phases() if phases is None else phases
     table = build_prime_table(limit, max_bits)
     top = limit // 2
-    t = ph.add("table", t0, top - 1)
-    hists = [np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)]
-    best = [(-1, 0), (-1, 0)]  # (largest min-q, at m), (largest p - q, at m)
-    for lo in range(2, top + 1, SWEEP_BLOCK):
-        hi = min(lo + SWEEP_BLOCK, top + 1)
-        h = np.arange(lo, hi)
-        min_q = _min_q(table, lo, hi)
-        t = ph.add("min_q", t, h.size)
-        max_q = h - _max_q_gap(table, lo, hi)
-        t = ph.add("max_q", t, h.size)
+    ph.add("table", t0, top - 1)
 
-        for name, w in (("min-q", min_q), ("max-q", max_q)):
+    def block(lo: int, charge: Phases) -> list[tuple]:
+        """Per policy (min-q, then max-q's p - q), the block's counts of
+        each value, its largest value and the first m at which it occurs."""
+        t, h = time.monotonic(), np.arange(lo, min(lo + SWEEP_BLOCK, top + 1))
+        min_q = _min_q(table, lo, lo + h.size)
+        t = charge.add("min_q", t, h.size)
+        gap = _max_q_gap(table, lo, lo + h.size)
+        t = charge.add("max_q", t, h.size)
+        for name, w in (("min-q", min_q), ("max-q", h - gap)):
             if not ((w <= h) & table.lookup(w) & table.lookup(2 * h - w)).all():
                 raise AssertionError(f"{name} witness failed sieve re-verification")
-        for k, values in enumerate((min_q, 2 * (h - max_q))):
-            counts = np.bincount(values, minlength=hists[k].size)
-            counts[: hists[k].size] += hists[k]
-            hists[k] = counts
-            i = int(values.argmax())
-            if values[i] > best[k][0]:
-                best[k] = (int(values[i]), 2 * (lo + i))
-        t = ph.add("verify", t, h.size)
+        stats = [(np.bincount(v), int(v.max()), 2 * (lo + int(v.argmax())))
+                 for v in (min_q, 2 * gap)]
+        charge.add("verify", t, h.size)
+        return stats
+
+    starts = range(2, top + 1, SWEEP_BLOCK)
+    child = lambda mine: (block(lo, mine) for lo in starts[1::2])
+    # a block's min-q counts sum to its evens
+    theirs = (forked(child, ph, lambda stats: int(stats[0][0].sum()))
+              if top - 1 > FORK_EVENS else child(ph))
+    hists = [np.zeros(0, dtype=np.int64) for _ in range(2)]
+    best = [(-1, 0), (-1, 0)]  # (largest min-q, at m), (largest p - q, at m)
+    try:
+        for i, lo in enumerate(starts):
+            for k, (counts, value, at) in enumerate(next(theirs) if i % 2 else block(lo, ph)):
+                small, hists[k] = sorted((hists[k], counts), key=len)
+                hists[k][: small.size] += small
+                if value > best[k][0]:
+                    best[k] = (value, at)
+        if len(starts) > 1:
+            next(theirs, None)  # the child's end: its phases merged, or its error raised
+    finally:
+        theirs.close()
 
     def _hist(counts: np.ndarray) -> dict[int, int]:
         keys = np.flatnonzero(counts)

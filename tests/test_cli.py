@@ -289,6 +289,14 @@ def test_check_max_zero_accepts_the_base_lines(tmp_path):
     assert _read_json(report)["coverage_gaps"] == []
 
 
+def test_check_unknown_top_level_field_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"n":0,"just":{"type":"base"},"prereqs":[],"bogus":[1,2]}\n',
+                    encoding="utf-8")
+    assert run("check", "--in", str(path), "--max", "0") == 2
+    assert "line 1: unexpected fields ['bogus']" in capsys.readouterr().err
+
+
 def test_check_bootstrap_failure_is_a_rejection(monkeypatch, tmp_path):
     def boom():
         raise BootstrapError("expected exactly one surviving branch, got 2 of 4")
@@ -495,6 +503,35 @@ def test_goldbach_reports_phases(tmp_path):
     assert list(phases) == ["table", "min_q", "max_q", "verify"]
     assert all(p["count"] == blob["evens_checked"] and p["peak_rss_mb"] > 0
                for p in phases.values())
+
+
+def _cli_env():
+    """The environment of a CLI subprocess that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_goldbach_under_dev_mode_writes_nothing_to_stderr(tmp_path):
+    # 10^6 is 16 blocks, so the sweep forks; under -X dev a warning the
+    # interpreter raises (on a file left open, or Python 3.12's on forking
+    # a multi-threaded process) would be printed to stderr
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "quadcert.cli", "goldbach", "--max", str(10**6)],
+        capture_output=True, text=True, env=_cli_env(), cwd=tmp_path)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["phases"]["wait"]["count"] > 0
+
+
+def test_goldbach_memory_of_both_processes_is_bounded():
+    # wait4's peak covers the sweep's forked child, which the CLI reaps
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quadcert.cli",
+         "goldbach", "--max", str(4 * 10**6)],
+        capture_output=True, text=True, env=_cli_env(), check=True).stdout.split()
+    code, rss_mb = int(out[0]), float(out[2])
+    assert code == 0
+    assert rss_mb < 45, f"{rss_mb:.1f} MB"
 
 
 def test_goldbach_tiny_bound(capsys):

@@ -322,6 +322,7 @@ _MALFORMED = {
     '{"just":{"type":"base"},"prereqs":[]}': "missing field 'n'",
     '{"n":5,"prereqs":[]}': "missing field 'just'",
     '{"n":5,"just":{"type":"base"}}': "missing field 'prereqs'",
+    '{"n":0,"just":{"type":"base"},"prereqs":[],"bogus":[1,2]}': "unexpected fields ['bogus']",
     '{"n":-1,"just":{"type":"base"},"prereqs":[]}':
         "n must be a non-negative integer, got -1",
     '{"n":true,"just":{"type":"base"},"prereqs":[]}':

@@ -8,8 +8,11 @@ Miller-Rabin code, so agreement is meaningful.
 import hashlib
 import json
 import math
+import os
+import pickle
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcert import primes
+from quadcert.phases import Phases
 from quadcert.primes import (
     HIST_CAP,
     MAX_Q,
@@ -199,6 +203,13 @@ def test_goldbach_rejects_bad_input():
         goldbach_pair(7)
     with pytest.raises(ValueError):
         goldbach_pair(2)
+
+
+def test_goldbach_failure_survives_a_pickle_round_trip():
+    # a forked sweep's child sends its failure to the parent pickled
+    back = pickle.loads(pickle.dumps(GoldbachFailure(68)))
+    assert type(back) is GoldbachFailure and back.m == 68
+    assert str(back) == "no Goldbach pair exists for 68"
 
 
 @given(st.integers(min_value=2, max_value=50_000).map(lambda k: 2 * k))
@@ -451,3 +462,70 @@ def test_max_q_search_names_the_uncovered_even(monkeypatch, cleared, m, margin):
     with pytest.raises(GoldbachFailure) as exc:
         primes._max_q_gap(primes.build_prime_table(1_000), 2, 501)
     assert exc.value.m == m
+
+
+# --- the sweep in two processes ----------------------------------------------
+
+
+def _outcome(limit, fork):
+    """The report of goldbach_sweep(limit), without its timing, and its
+    phase names; or the m its GoldbachFailure names. `fork` stands in for
+    os.fork."""
+    ph = Phases()
+    with mock.patch.object(os, "fork", fork):
+        try:
+            blob = goldbach_sweep(limit, ph).to_dict()
+        except GoldbachFailure as exc:
+            return exc.m
+    del blob["elapsed_s"]
+    return blob, list(ph.to_dict())
+
+
+def _forks():
+    return mock.Mock(wraps=os.fork)
+
+
+def _fails():
+    return mock.Mock(side_effect=OSError(11, "no process"))
+
+
+_PHASES = ["table", "min_q", "max_q", "verify"]
+
+
+# 32,768 evens 4..65,538 fill one default block and do not fork, 8 evens
+# in two blocks of 7 are too few to, and 65,536 evens fill one block of 2^16
+@pytest.mark.parametrize("block, limit, two", [
+    (primes.SWEEP_BLOCK, 65_538, False), (primes.SWEEP_BLOCK, 65_540, True),
+    (7, 18, False), (64, 65_540, True), (1 << 16, 131_074, False)])
+def test_a_sweep_forks_iff_it_has_two_blocks_of_enough_evens(monkeypatch, block, limit, two):
+    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    fork, fail = _forks(), _fails()
+    (forked, phases), (alone, alone_phases) = _outcome(limit, fork), _outcome(limit, fail)
+    assert fork.called == fail.called == two
+    assert forked == alone
+    assert phases == _PHASES + ["wait"] * two and alone_phases == _PHASES
+
+
+# test_sweep_blocks_leave_the_report_unchanged pins the forked sweeps of
+# these blocks (and of blocks of 1) to the same one-block reports
+@pytest.mark.parametrize("block", [7, 64, 10_000])
+def test_a_sweep_whose_fork_fails_reports_in_one_process(monkeypatch, one_block_blobs, block):
+    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    fail = _fails()
+    assert _outcome(10**5, fail) == (one_block_blobs[-1], _PHASES)
+    assert fail.called
+
+
+# Blocks of 1, 4 and 17 put m = 6, 12 and 68 (h = 3, 6 and 34) in the
+# child's first block: the child fails first, and its failure must wait
+# for the parent's blocks before it. The sweep forks once its first block
+# (the parent's) passes.
+@pytest.mark.parametrize("block", [1, 4, 17])
+@pytest.mark.parametrize("cleared, m", UNCOVERED)
+def test_forked_and_one_process_sweeps_name_the_same_uncovered_even(
+        monkeypatch, cleared, m, block):
+    _clear_primes(monkeypatch, cleared)
+    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    fork = _forks()
+    assert _outcome(70_000, fork) == _outcome(70_000, _fails()) == m
+    assert fork.called == (m // 2 - 2 >= block)
