@@ -15,11 +15,12 @@ f(7) = 3f(3) + 6f(2) - 2, and so on). All arithmetic is fractions.Fraction.
 
 The only nonlinearity kept is the zero-product shape (u_2 - 4) * u_p = 0
 arising from an instance (p, p) with p an odd prime combined with
-f(2) f(p) = f(2p). When propagation stalls on pending zero-products the
-system branches: one child assumes u_2 = 4, the other zeroes every paired
-factor. For the prime instance set the zero branch collapses (it forces
-f(2) = 1/2 and f(2) = 1/3 simultaneously), leaving a single survivor whose
-numeric table is checked to be exactly n^2 on 1..20.
+f(2) f(p) = f(2p). All of them share the pivot u_2 and the value 4, so when
+propagation stalls on them the system splits once, as the paper does: one
+child assumes u_2 = 4, the other zeroes every paired factor. For the prime
+instance set the zero branch collapses (it forces f(2) = 1/2 and f(2) = 1/3
+simultaneously), leaving a single survivor whose numeric table is checked to
+be exactly n^2 on 1..20.
 
 Equations are processed in ascending (m+n, m) order, including revisits, so
 transcripts are deterministic line for line.
@@ -103,8 +104,6 @@ class Lin:
         parts = []
         for i in sorted(self.coef, reverse=True):
             co = self.coef[i]
-            if co == 0:
-                continue
             sign = "-" if co < 0 else "+"
             mag = abs(co)
             term = f"f({i})" if mag == 1 else f"{mag} f({i})"
@@ -138,16 +137,8 @@ class ZeroProduct:
     resolved: bool = False
 
 
-@dataclass
-class BranchLeaf:
-    label: str
-    contradiction: dict | None
-    numeric: dict[int, Fraction]
-    transcript: list[str]
-
-
 class BootstrapSystem:
-    """Constraint state for one branch of the search."""
+    """Constraint state for the root or for one side of its split."""
 
     def __init__(self, elements: Sequence[int], bound: int, label: str = "root"):
         self.elements = sorted(set(elements))
@@ -391,46 +382,37 @@ class BootstrapSystem:
 
 
 def branch_on_zero_product(system: BootstrapSystem) -> list[BootstrapSystem]:
-    """Split on the first pending zero-product group (u_pivot - c) * u_p = 0.
-
-    One child adds u_pivot = c; the other zeroes every paired factor in the
-    group.
-    """
-    pending = system.pending_zero_products()
-    pivot, value = pending[0].pivot, pending[0].value
-    group = [zp for zp in pending if zp.pivot == pivot and zp.value == value]
-
+    """Split on the pending zero products (u_2 - 4) * u_p = 0, which all
+    share that pivot and value: one child adds u_2 = 4; the other zeroes
+    every paired factor."""
+    group = system.pending_zero_products()
+    pivot, value = group[0].pivot, group[0].value
     take = system.clone(f"{system.label}/f({pivot})={value}")
     take.transcript.append(f"branch: assume f({pivot}) = {value}")
     take.enqueue(Eq({(pivot,): F1, (): -value}, "branch assumption", -len(group) - 1))
-
     zero = system.clone(f"{system.label}/zero-factors")
     names = ", ".join(f"f({zp.other})" for zp in group)
     zero.transcript.append(f"branch: assume {names} all = 0")
     for k, zp in enumerate(group):
-        zero.enqueue(
-            Eq({(zp.other,): F1}, f"branch assumption f({zp.other}) = 0",
-               -len(group) + k)
-        )
+        zero.enqueue(Eq({(zp.other,): F1}, f"branch assumption f({zp.other}) = 0",
+                        k - len(group)))
     return [take, zero]
 
 
-def _explore(system: BootstrapSystem, max_branches: int = 64) -> list[BranchLeaf]:
+def _explore(system: BootstrapSystem) -> list[BootstrapSystem]:
+    """The finished systems: the root alone, or the two sides of its split,
+    each of which resolves every zero product or meets a contradiction."""
     system.propagate()
-    if system.contradiction is not None:
-        return [BranchLeaf(system.label, system.contradiction,
-                           dict(system.numeric), system.transcript)]
-    if system.pending_zero_products():
-        if max_branches <= 0:
-            raise BootstrapError("branch budget exhausted")
-        leaves = []
-        for child in branch_on_zero_product(system):
-            leaves.extend(_explore(child, max_branches // 2))
-        return leaves
-    return [BranchLeaf(system.label, None, dict(system.numeric), system.transcript)]
+    if system.contradiction is not None or not system.pending_zero_products():
+        return [system]
+    leaves = branch_on_zero_product(system)
+    for leaf in leaves:
+        leaf.propagate()
+        assert leaf.contradiction is not None or not leaf.pending_zero_products()
+    return leaves
 
 
-def _merged_transcript(leaves: list[BranchLeaf]) -> list[str]:
+def _merged_transcript(leaves: list[BootstrapSystem]) -> list[str]:
     """One leaf's transcript as is; several each under a branch header (each
     repeats the derivation before the split, which it copied)."""
     if len(leaves) == 1:
@@ -445,15 +427,23 @@ def _merged_transcript(leaves: list[BranchLeaf]) -> list[str]:
 @dataclass
 class BootstrapResult:
     table: dict[int, int]
-    leaves: list[BranchLeaf]
-    survivor: BranchLeaf
+    leaves: list[BootstrapSystem]
+    survivor: BootstrapSystem
     forms: dict[int, Lin]
     transcript: list[str]
     elapsed_s: float
 
     @property
-    def pruned(self) -> list[BranchLeaf]:
+    def pruned(self) -> list[BootstrapSystem]:
         return [leaf for leaf in self.leaves if leaf.contradiction is not None]
+
+
+def _solve(elements: Sequence[int], bound: int):
+    """The root (its forms are the substitutions made before any split),
+    every leaf, and the leaves without a contradiction."""
+    root = BootstrapSystem.build(elements, bound)
+    leaves = _explore(root)
+    return root, leaves, [leaf for leaf in leaves if leaf.contradiction is None]
 
 
 def solve_bootstrap(bound: int = BOOTSTRAP_BOUND) -> BootstrapResult:
@@ -463,10 +453,7 @@ def solve_bootstrap(bound: int = BOOTSTRAP_BOUND) -> BootstrapResult:
     unknown <= 20 stays undetermined, or a derived value differs from n^2.
     """
     t0 = time.monotonic()
-    elements = primes_upto(bound)
-    root = BootstrapSystem.build(elements, bound)
-    leaves = _explore(root)
-    live = [leaf for leaf in leaves if leaf.contradiction is None]
+    root, leaves, live = _solve(primes_upto(bound), bound)
     if len(live) != 1:
         raise BootstrapError(
             f"expected exactly one surviving branch, got {len(live)} of {len(leaves)}"
@@ -545,7 +532,7 @@ def resolve_instance_set(spec: str | Iterable[int], bound: int) -> tuple[str, li
 
 
 def uniqueness_probe(spec: str | Iterable[int], bound: int) -> ProbeReport:
-    """Run propagation plus branching for an arbitrary instance set.
+    """Run propagation plus the split for an arbitrary instance set.
 
     Reports which prime-power unknowns <= bound are forced to a value in
     every surviving branch and which remain free. An empty set leaves
@@ -555,9 +542,7 @@ def uniqueness_probe(spec: str | Iterable[int], bound: int) -> ProbeReport:
         raise ValueError(f"probe bound must be in 1..{PROBE_BOUND_CAP}, got {bound}")
     label, elements = resolve_instance_set(spec, bound)
     scope = prime_powers_upto(bound)
-    root = BootstrapSystem.build(elements, bound)
-    leaves = _explore(root)
-    live = [leaf for leaf in leaves if leaf.contradiction is None]
+    _, leaves, live = _solve(elements, bound)
     determined: dict[int, Fraction] = {}
     if live:
         first = live[0].numeric

@@ -26,7 +26,8 @@ without a carriage return, then with the text-mode line iteration of
 are the reference's). A block's line ends are found in one pass, and its
 lines are checked in chunks of at most CHUNK_LINES.
 
-A file larger than one block is read by a child that `phases.forked`
+A file larger than one block, or one that is not a regular file (a pipe,
+/dev/stdin, whose size reads 0), is read by a child that `phases.forked`
 forks, while the parent checks the chunk before: the child turns chunks
 into int32 columns and parses the lines that are not canonical, about one
 chunk ahead. The parent raises an error of the child's once every chunk
@@ -76,6 +77,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
+import stat
 import time
 from array import array
 from collections import Counter
@@ -643,8 +645,10 @@ def _scan(path: str, run: _Pass, reorder: bool) -> None:
     ph = run.phases
     for name in ("read", "columns", "reference"):  # a forked child's phases, in order
         ph.add(name, time.monotonic())
+    st = os.stat(path)
     chunks = (forked(partial(_chunks, path), ph, lambda chunk: len(chunk[2]))
-              if os.stat(path).st_size > CHUNK_LINES << 6 else _chunks(path, ph))
+              if st.st_size > CHUNK_LINES << 6 or not stat.S_ISREG(st.st_mode)
+              else _chunks(path, ph))
     try:
         for nos, read, cols, parsed in chunks:
             if not reorder:

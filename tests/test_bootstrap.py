@@ -10,6 +10,7 @@ from quadcert.bootstrap import (
     BOOTSTRAP_BOUND,
     PROBE_BOUND_CAP,
     BootstrapSystem,
+    _explore,
     pp_label,
     prime_powers_upto,
     resolve_instance_set,
@@ -126,6 +127,21 @@ def test_odd_prime_diagonal_becomes_zero_product():
     assert (2, Fraction(4), 3) in pivots
     assert (2, Fraction(4), 5) in pivots
     assert all(z.pivot == 2 and z.value == 4 for z in sys_.zero_products)
+
+
+@pytest.mark.parametrize("spec, bound, labels", [
+    ("primes", 40, ["root/f(2)=4", "root/zero-factors"]),
+    ("4n", 100, ["root"]),  # an even diagonal (m, m) makes no zero product
+    ([3, 5, 7, 11, 13, 17, 19], 40, ["root/f(2)=4", "root/zero-factors"]),
+])
+def test_every_zero_product_shares_one_pivot_so_one_split_resolves_them(spec, bound, labels):
+    _, elements = resolve_instance_set(spec, bound)
+    root = BootstrapSystem.build(elements, bound)
+    assert all(z.pivot == 2 and z.value == 4 for z in root.zero_products)
+    leaves = _explore(root)
+    assert [leaf.label for leaf in leaves] == labels
+    assert not any(leaf.pending_zero_products() for leaf in leaves
+                   if leaf.contradiction is None)
 
 
 # ---------------------------------------------------------------------------

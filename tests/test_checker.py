@@ -192,6 +192,21 @@ def test_bad_factor(write_cert):
     assert M.BAD_FACTOR in _codes(report)
 
 
+@pytest.mark.parametrize("product, divisor", [(0, 2), (50, 0)])
+def test_quotient_of_zero_is_a_bad_factor_from_the_fast_path(tmp_path, product, divisor):
+    # canonical lines: the row fails the vectorised checks and is rebuilt
+    # from its columns for the reference, which names the fault; none parses
+    steps = [M.CertificateStep(i, M.Base(), ()) for i in range(21)]
+    steps.append(M.CertificateStep(25, M.CoprimeQuotient(product, divisor), (divisor, product)))
+    path = tmp_path / "cert.jsonl"
+    path.write_text("".join(map(M.serialize_step, steps)), encoding="utf-8")
+    with mock.patch.object(checker, "parse_step", side_effect=AssertionError):
+        report = check_store(str(path), 20)
+    bad = [v for v in report.violations if v.code == M.BAD_FACTOR]
+    assert len(bad) == 1 and (bad[0].line, bad[0].fact) == (22, 25)
+    assert report.phases["reference"]["count"] == 1
+
+
 def test_self_reference_is_a_cycle(write_cert):
     # 22 listing itself as a prerequisite is a one-step cycle
     rows = base_rows() + [_product(22, 1, 22)]

@@ -27,6 +27,13 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _cli_env():
+    """The environment of a CLI subprocess that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -120,15 +127,35 @@ def test_verify_check_under_dev_mode_writes_nothing_to_stderr(tmp_path):
     # the 20000 certificate (1.6 MB) is over one 1 MiB block, so its check
     # forks; under -X dev a warning the interpreter raises (Python 3.12's on
     # forking a multi-threaded process) would be printed to stderr
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-X", "dev", "-m", "quadcert.cli", "verify", "--max", "20000",
          "--check", "--out", str(tmp_path / "c.jsonl")],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
+        capture_output=True, text=True, env=_cli_env(), cwd=tmp_path)
     assert (out.returncode, out.stderr) == (0, "")
     assert json.loads(out.stdout)["check_phases"]["wait"]["count"] > 0
+
+
+def test_check_reads_a_pipe_on_a_second_core(tmp_path):
+    # /dev/stdin is a pipe here, whose size reads 0: its check forks all the
+    # same, and reports what a check of the same certificate as a file does
+    cli_ = [sys.executable, "-X", "dev", "-m", "quadcert.cli"]
+    gen = subprocess.Popen([*cli_, "verify", "--max", str(10**5), "--out", "/dev/stdout",
+                            "--stats", str(tmp_path / "s.json")],
+                           stdout=subprocess.PIPE, env=_cli_env())
+    with gen:
+        out = subprocess.run([*cli_, "check", "--in", "/dev/stdin", "--max", str(10**5)],
+                             stdin=gen.stdout, capture_output=True, text=True, env=_cli_env())
+    assert (gen.returncode, out.returncode, out.stderr) == (0, 0, "")
+    piped = json.loads(out.stdout)
+    assert piped["accepted"] and piped["phases"]["wait"]["count"] > 0
+    cert, report = tmp_path / "c.jsonl", tmp_path / "r.json"
+    assert run("verify", "--max", str(10**5), "--out", str(cert),
+               "--stats", str(tmp_path / "s.json")) == 0
+    assert run("check", "--in", str(cert), "--max", str(10**5), "--report", str(report)) == 0
+    on_file = _read_json(report)
+    for blob in (piped, on_file):
+        del blob["phases"], blob["stats"]["elapsed_s"]
+    assert piped == on_file
 
 
 def test_verify_below_induction_start(tmp_path, capsys):
@@ -242,13 +269,10 @@ print(os.waitstatus_to_exitcode(status), time.monotonic() - start,
 def test_check_gap_range_far_above_the_file_is_bounded(tmp_path):
     path = _write_rows(tmp_path, base_rows())
     report = tmp_path / "r.json"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quadcert.cli",
          "check", "--in", path, "--max", str(10**9), "--report", str(report)],
-        capture_output=True, text=True, env=env, check=True).stdout.split()
+        capture_output=True, text=True, env=_cli_env(), check=True).stdout.split()
     code, wall, rss_mb = int(out[0]), float(out[1]), float(out[2])
     assert code == 1
     blob = _read_json(report)
@@ -270,13 +294,10 @@ def test_check_reorder_memory_is_bounded(tmp_path):
         rng.shuffle(window)
         lines[lo:lo + 16] = window
     cert.write_text("".join(lines), encoding="utf-8")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quadcert.cli",
          "check", "--in", str(cert), "--max", str(10**5), "--reorder"],
-        capture_output=True, text=True, env=env, check=True).stdout.split()
+        capture_output=True, text=True, env=_cli_env(), check=True).stdout.split()
     code, rss_mb = int(out[0]), float(out[2])
     assert code == 0
     assert rss_mb < 56, f"{rss_mb:.1f} MB"
@@ -503,13 +524,6 @@ def test_goldbach_reports_phases(tmp_path):
     assert list(phases) == ["table", "min_q", "max_q", "verify"]
     assert all(p["count"] == blob["evens_checked"] and p["peak_rss_mb"] > 0
                for p in phases.values())
-
-
-def _cli_env():
-    """The environment of a CLI subprocess that imports this checkout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_goldbach_under_dev_mode_writes_nothing_to_stderr(tmp_path):

@@ -187,6 +187,12 @@ def test_quotient_not_coprime():
     assert M.NOT_COPRIME in _codes(validate_step(step, _always, _prime))
 
 
+@pytest.mark.parametrize("product, divisor", [(0, 2), (50, 0)])
+def test_quotient_zero_product_or_divisor_is_a_bad_factor(product, divisor):
+    step = CertificateStep(25, CoprimeQuotient(product, divisor), (divisor, product))
+    assert M.BAD_FACTOR in _codes(validate_step(step, _always, _prime))
+
+
 def test_close_composite_p():
     step = CertificateStep(14, ParallelogramClose(9, 5, SLOT_SUM), (9, 5, 4))
     assert M.P_NOT_PRIME in _codes(validate_step(step, _always, _prime))

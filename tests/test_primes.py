@@ -203,6 +203,26 @@ def test_goldbach_rejects_bad_input():
         goldbach_pair(7)
     with pytest.raises(ValueError):
         goldbach_pair(2)
+    with pytest.raises(ValueError, match="unknown policy"):
+        goldbach_pair(32, policy="mid-q")
+
+
+def _without(table, cleared):
+    """A copy of `table` that reads the primes in `cleared` as composite."""
+    bits = bytearray(table._bits)
+    for c in cleared:
+        bits[c >> 3] &= ~(1 << (c & 7))
+    return PrimeTable(limit=table.limit, _bits=bytes(bits))
+
+
+@pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
+def test_goldbach_pair_names_the_even_it_cannot_split(policy):
+    # 28 = 23 + 5 = 17 + 11 only: with 5 and 11 read as composite, no pair
+    table = _without(build_prime_table(100), (5, 11))
+    assert goldbach_pair(26, table, policy).policy == policy  # 26 still splits
+    with pytest.raises(GoldbachFailure) as exc:
+        goldbach_pair(28, table, policy)
+    assert exc.value.m == 28
 
 
 def test_goldbach_failure_survives_a_pickle_round_trip():
@@ -356,14 +376,8 @@ def test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m):
 def _clear_primes(monkeypatch, cleared):
     """Make the sweep's table read the primes in `cleared` as composite."""
     real = primes.build_prime_table
-
-    def without(limit, *args, **kwargs):
-        bits = bytearray(real(limit, *args, **kwargs)._bits)
-        for c in cleared:
-            bits[c >> 3] &= ~(1 << (c & 7))
-        return PrimeTable(limit=limit, _bits=bytes(bits))
-
-    monkeypatch.setattr(primes, "build_prime_table", without)
+    monkeypatch.setattr(primes, "build_prime_table",
+                        lambda *args, **kwargs: _without(real(*args, **kwargs), cleared))
 
 
 # with blocks of 16, h = 34 (m = 68) opens the third block; with blocks of
