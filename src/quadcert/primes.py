@@ -44,23 +44,10 @@ FORK_EVENS = 1 << 15
 # it, max-q's down to it below the block); both double on demand.
 SWEEP_MARGIN = 1 << 10
 
-# Deterministic Miller-Rabin witness tiers. Each entry (bound, witnesses)
-# means: for n < bound the listed witnesses decide primality exactly.
-# The final tier covers everything below 2^64.
-_MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2047, (2,)),
-    (1373653, (2, 3)),
-    (9080191, (31, 73)),
-    (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
-    (4759123141, (2, 7, 61)),
-    (1122004669633, (2, 13, 23, 1662803)),
-    (2152302898747, (2, 3, 5, 7, 11)),
-    (3474749660383, (2, 3, 5, 7, 11, 13)),
-    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
-    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
+# Miller-Rabin to the first 12 prime bases decides primality exactly below
+# psi_12 = 318665857834031151167461 > 2^64 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class GoldbachFailure(RuntimeError):
@@ -169,10 +156,7 @@ def _miller_rabin(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for bound, witnesses in _MR_TIERS:
-        if n < bound:
-            break
-    for a in witnesses:
+    for a in _MR_WITNESSES:
         a %= n
         if a == 0:
             continue

@@ -129,6 +129,16 @@ def test_odd_prime_diagonal_becomes_zero_product():
     assert all(z.pivot == 2 and z.value == 4 for z in sys_.zero_products)
 
 
+def test_nonzero_other_factor_forces_the_pivot():
+    # f(3) known and nonzero: (f(2) - 4) f(3) = 0 leaves only f(2) = 4
+    sys_ = BootstrapSystem.build([3], 6)
+    sys_._set_numeric(3, Fraction(9), "given")
+    sys_.propagate()
+    assert sys_.numeric[2] == 4
+    assert sys_.transcript[-1] == "instance (3,3) zero-product: f(2) = 4"
+    assert not sys_.pending_zero_products()
+
+
 @pytest.mark.parametrize("spec, bound, labels", [
     ("primes", 40, ["root/f(2)=4", "root/zero-factors"]),
     ("4n", 100, ["root"]),  # an even diagonal (m, m) makes no zero product

@@ -13,7 +13,7 @@ import pytest
 from quadcert import checker, cli, primes
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
-from quadcert.model import CertificateFormatError
+from quadcert.model import COVERAGE_GAP, CertificateFormatError, Violation
 from quadcert.primes import GoldbachFailure
 from tests.conftest import base_rows
 
@@ -121,6 +121,23 @@ def test_verify_self_check_and_spot_check(tmp_path):
     assert blob["check"]["accepted"] is True
     assert blob["spot_check"]["sampled"] == 32
     assert blob["spot_check"]["mismatches"] == 0
+
+
+def test_verify_check_rejection_exits_1_and_keeps_the_certificate(tmp_path, monkeypatch):
+    # a generated certificate the checker rejects is still written, and
+    # verify reports the rejection through its exit code and stats
+    gap = Violation(COVERAGE_GAP, "f(60) is never established", value=60)
+    rejected = checker.CheckReport(accepted=False, violations=[gap],
+                                   coverage_gaps=[[60, 60]], stats={}, bootstrap={})
+    monkeypatch.setattr(cli, "check_store", lambda *args, **kwargs: rejected)
+    out = tmp_path / "c.jsonl"
+    stats = tmp_path / "s.json"
+    code = run("verify", "--max", "60", "--out", str(out), "--stats", str(stats), "--check")
+    assert code == cli.EXIT_REJECTED == 1
+    blob = _read_json(stats)
+    assert blob["check"]["accepted"] is False
+    assert blob["check"]["violations"][0]["code"] == COVERAGE_GAP
+    assert out.stat().st_size > 0
 
 
 def test_verify_check_under_dev_mode_writes_nothing_to_stderr(tmp_path):

@@ -170,6 +170,50 @@ def test_is_prime_rejects_out_of_range():
         is_prime(2**64)
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: n passes base a (n odd, a not a multiple of n)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# psi_k, the least composite that passes Miller-Rabin to the first k prime
+# bases, for each k below 12 (psi_7 = psi_8, psi_9 = psi_10 = psi_11), mapped to
+# the largest such k: a witness set of fewer prime bases calls it prime.
+PSI = {
+    2047: 1,
+    1373653: 2,
+    25326001: 3,
+    3215031751: 4,
+    2152302898747: 5,
+    3474749660383: 6,
+    341550071728321: 8,
+    3825123056546413051: 11,
+}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@pytest.mark.parametrize("n,k", sorted(PSI.items()))
+def test_is_prime_rejects_psi_k(n, k):
+    assert all(strong_probable_prime(n, a) for a in FIRST_PRIMES[:k])
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n", [561, 41041, 825265, 321197185, 5394826801, 232250619601, 9746347772161]
+)
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert not trial_division_is_prime(n)  # each has a factor below 20
+    assert not is_prime(n)
+
+
+def test_is_prime_at_the_top_of_the_64_bit_range():
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert not is_prime(2**64 - 1)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=300, deadline=None)
 def test_is_prime_property_vs_trial_division(n):
