@@ -19,12 +19,11 @@ prerequisite that is neither base-range nor previously established is
 classified at end of file: if some later line justifies it, the violation is
 a "cycle" (forward reference); otherwise "missing_prereq".
 
-The file is read once, in blocks of whole lines: in binary (a block is
-CHUNK_LINES * 64 bytes and the rest of its last line) while a block is ASCII
-without a carriage return, then with the text-mode line iteration of
-`model.iter_steps` (so line numbers, universal newlines and decode errors
-are the reference's). A block's line ends are found in one pass, and its
-lines are checked in chunks of at most CHUNK_LINES.
+The file is read once, from one handle, in blocks of whole lines (about
+CHUNK_LINES * 64 bytes): in binary while a block is ASCII without CR, then
+decoded as `model.iter_steps` decodes (so line numbers, universal newlines
+and decode errors are the reference's). Each block's line ends are found in
+one pass; its lines are checked in chunks of at most CHUNK_LINES.
 
 A file larger than one block, or one that is not a regular file (a pipe,
 /dev/stdin, whose size reads 0), is read by a child that `phases.forked`
@@ -74,7 +73,9 @@ itself, so it raises RuntimeError rather than making a reportable rejection.
 
 from __future__ import annotations
 
+import codecs
 import heapq
+import io
 import os
 import random
 import stat
@@ -113,6 +114,7 @@ from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
 GAP_SLICE = 1 << 20  # facts per slice of the report's coverage-gap scan
+_STEP = 8192  # the bytes io.TextIOWrapper decodes at a time (its _CHUNK_SIZE)
 _PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apart
 # Columns of _columns(): kind, n, x (a | product | p), y (b | divisor | q),
 # target (1..4 in SLOTS order), prereqs. Kinds: -1 not canonical, 0 base,
@@ -520,36 +522,34 @@ def _random_keys(rng: random.Random, count: int) -> np.ndarray:
 
 
 def _whole_lines(path: str) -> Iterator[bytes]:
-    """The file as blocks of whole lines (see the module docstring); a text
-    block is CHUNK_LINES lines, re-encoded. A decode error is raised only
-    after the lines before it were handed out, so a malformed line before it
-    is reported first."""
-    done = 0  # bytes handed out
+    """The file as blocks of whole lines (see the module docstring). A decode
+    error is raised only after the lines before it were handed out, so a
+    malformed line before it is reported first."""
+    done, tail = 0, b""  # bytes handed out, and the last _STEP of them
     with open(path, "rb") as fh:
-        while data := fh.read(CHUNK_LINES << 6) + fh.readline():
-            if not data.isascii() or b"\r" in data:
+        while block := fh.read(CHUNK_LINES << 6) + fh.readline():
+            if not block.isascii() or b"\r" in block:
                 break
-            yield data
-            done += len(data)
+            yield block
+            done, tail = done + len(block), (tail + block[-_STEP:])[-_STEP:]
         else:
             return
-    with open(path, "r", encoding="utf-8") as fh:
-        # iter_steps decodes from the file's start in steps of _CHUNK_SIZE
-        # bytes; resuming on that grid meets a decode error after the same
-        # lines. The bytes before `done` are ASCII: one character a byte.
-        fh.seek(done - done % fh._CHUNK_SIZE)
-        fh.read(done % fh._CHUNK_SIZE)
-        lines: list[str] = []
+        # iter_steps decodes the file in _STEP-byte steps; the same steps, decoded
+        # from the one holding `done` (ASCII without CR before it), meet its errors.
+        head = tail[len(tail) - done % _STEP:] + block + fh.read(-(done + len(block)) % _STEP)
+        steps = chain(*(iter(partial(f.read, _STEP), b"") for f in (io.BytesIO(head), fh)), [b""])
+        dec = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+        text, seen = dec.decode(next(steps))[done % _STEP:], 0  # text[:seen] has no "\n"
         try:
-            for line in fh:
-                lines.append(line)
-                if len(lines) == CHUNK_LINES:
-                    data, lines = "".join(lines).encode(), []
+            for step in steps:
+                text += dec.decode(step, final=not step)
+                if len(text) > CHUNK_LINES << 6 or not step:
+                    cut = text.rfind("\n", seen) + 1 if step else len(text)
+                    data, text, seen = text[:cut].encode(), text[cut:], len(text) - cut
                     yield data
         except ValueError:
-            yield "".join(lines).encode()
+            yield text[: text.rfind("\n") + 1].encode()
             raise
-        yield "".join(lines).encode()
 
 
 def _read_chunks(path: str) -> Iterator[tuple[bytes, np.ndarray]]:

@@ -12,9 +12,9 @@ Subcommands:
 Exit codes: 0 success/accepted, 1 logical rejection (invalid certificate,
 failed bootstrap), 2 usage, I/O, or parse errors, 3 a missing Goldbach pair.
 
-The environment variable QUADCERT_SIEVE_LIMIT caps how many bits any prime
-table may allocate (default 2^33, i.e. 1 GiB of sieve); --sieve-limit
-overrides it per invocation.
+QUADCERT_SIEVE_LIMIT caps the bits any prime table may allocate (default
+2^33, 1 GiB of sieve; --sieve-limit overrides it per run). numpy runs one
+BLAS thread unless the caller sets OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations

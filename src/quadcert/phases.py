@@ -70,8 +70,8 @@ def forked(make: Callable[[Phases], Iterable], ph: Phases,
     with src, out:
         try:
             with warnings.catch_warnings():
-                # Python 3.12 warns on forking a process with OS threads: ours
-                # are numpy's idle BLAS pool, which the child never calls.
+                # Python 3.12 warns on forking a process with OS threads: a BLAS
+                # pool, only if numpy was imported before quadcert pinned it.
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                         DeprecationWarning)
                 pid = os.fork()

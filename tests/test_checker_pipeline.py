@@ -135,7 +135,8 @@ def test_a_failing_parent_leaves_no_child_and_no_open_file(genuine):
 
 def test_the_fork_warning_of_a_multi_threaded_process_is_not_raised(genuine):
     # Python 3.12's os.fork warns when the process has more OS threads than
-    # one, as numpy's BLAS pool gives it; this fork warns the same way
+    # one, as numpy's BLAS pool gives it in a caller that imported numpy
+    # before quadcert; this fork warns the same way
     real = os.fork
 
     def fork():

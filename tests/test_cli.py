@@ -13,7 +13,7 @@ import pytest
 from quadcert import checker, cli, primes
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
-from quadcert.model import COVERAGE_GAP, CertificateFormatError, Violation
+from quadcert.model import COVERAGE_GAP, CertificateFormatError, Violation, iter_steps
 from quadcert.primes import GoldbachFailure
 from tests.conftest import base_rows
 
@@ -173,6 +173,50 @@ def test_check_reads_a_pipe_on_a_second_core(tmp_path):
     for blob in (piped, on_file):
         del blob["phases"], blob["stats"]["elapsed_s"]
     assert piped == on_file
+
+
+def _check_outcome(path, pipe):
+    """Exit code, stderr and report (without timings) of `check` on the file
+    at `path`, read by name or piped to /dev/stdin."""
+    argv = [sys.executable, "-X", "dev", "-m", "quadcert.cli", "check", "--max", "2000"]
+    if pipe:
+        out = subprocess.run([*argv, "--in", "/dev/stdin"], input=path.read_bytes(),
+                             capture_output=True, env=_cli_env())
+    else:
+        out = subprocess.run([*argv, "--in", str(path)], capture_output=True, env=_cli_env())
+    report = json.loads(out.stdout) if out.stdout else None
+    if report:
+        del report["phases"], report["stats"]["elapsed_s"]
+    return out.returncode, out.stderr.decode(), report
+
+
+@pytest.mark.parametrize("text", ["crlf", "non_ascii", "bad_utf8"])
+def test_a_piped_certificate_that_needs_text_decoding_checks_as_the_file(cert_2k, tmp_path,
+                                                                         text):
+    # the pipe cannot seek, so decoding resumes on the open handle; the bad
+    # UTF-8 file is over one block, so its check forks as well, and the
+    # decoding starts mid-file, off the 8192-byte grid of text mode
+    genuine = Path(cert_2k["path"]).read_bytes()
+    if text == "crlf":
+        blob, want = genuine.replace(b"\n", b"\r\n"), 0
+    elif text == "non_ascii":
+        meta = '{"n":1,"just":{"type":"base"},"prereqs":[],"meta":{"x":"\u00e9"}}\n'
+        blob, want = genuine + meta.encode(), 1
+    else:
+        blob, want = genuine * (1 + (3 << 20) // (2 * len(genuine))), 2
+        done = blob.index(b"\n", checker.CHUNK_LINES << 6) + 1  # the first block's bytes
+        bad = blob.index(b"\n", done + 40_000) + 1
+        blob = blob[:bad] + b"\xff" + blob[bad:]
+        assert len(blob) > checker.CHUNK_LINES << 6 and done % 8192
+    path = tmp_path / f"{text}.jsonl"
+    path.write_bytes(blob)
+    on_file = _check_outcome(path, pipe=False)
+    assert on_file[0] == want
+    assert _check_outcome(path, pipe=True) == on_file
+    if text == "bad_utf8":
+        with pytest.raises(UnicodeDecodeError) as exc:
+            list(iter_steps(str(path)))
+        assert on_file[1] == f"error: {exc.value}\n"
 
 
 def test_verify_below_induction_start(tmp_path, capsys):
