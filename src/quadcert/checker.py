@@ -47,7 +47,8 @@ Each line takes one of two paths:
               multiply-and-shift parse, and its length alone tells whether
               its line stays: nine digits keep every product exact in int64;
               longer integers could wrap around and forge a valid row. The
-              rows are validated with numpy for the whole chunk at once.
+              rows, stored fields first (each `cols[:, F]` contiguous), are
+              validated with numpy for the whole chunk at once.
   reference   every other non-blank line is decoded and parsed by
               `model.parse_step`. It, and every fast-path row that fails
               any vectorised check (its step rebuilt from its columns by
@@ -64,9 +65,10 @@ larger one is given the next index above that size when first provided. So
 memory follows the lines read, never an integer the file or the caller typed.
 
 The optional numeric spot check draws a seeded random sample of non-base
-steps during the same pass and, once the file is accepted, runs each of them
-through `model.validate_step` again, with primality from Miller-Rabin rather
-than the sieve of the fast path (establishment was the pass's to judge). A
+steps during the same pass, held as int32 columns and line numbers (see
+`_Pass._sample`), and, once the file is accepted, builds each step and runs
+it through `model.validate_step` again, with primality from Miller-Rabin
+rather than the sieve of the fast path (establishment was the pass's). A
 step the pass accepted and the reference rejects is a fault of the checker
 itself, so it raises RuntimeError rather than making a reportable rejection.
 """
@@ -85,7 +87,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,9 +128,9 @@ _FAR = 1 << 40  # the position of an absent field: past every run
 
 def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
     """The canonical line layouts by shape (serialize_step's text for a step
-    whose integers are all 0); a table row per layout: kind, target, then
-    the positions among its integers of n, x, y and three prereqs (_FAR when
-    absent), and a last row for any other line; and per length of a shape
+    whose integers are all 0); a table, fields first, of a column per layout
+    (its kind and target, else a field's position among the line's integers,
+    _FAR when absent) and one for any other line; and per length of a shape
     with its newline, those shapes sorted (dtype S<length>) and their ids."""
     shapes: dict[bytes, int] = {}
     table = []
@@ -140,13 +142,14 @@ def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
             for meta in (None, {"policy": MAX_Q}, {"policy": MIN_Q}):
                 line = serialize_step(CertificateStep(0, just, (0,) * k, meta))
                 shapes[line[:-1].encode()] = len(table)
-            table.append([min(i, 3), i - 2 if i > 2 else -1, 0,
-                          *((1, 2) if i else (_FAR, _FAR)),
+            table.append([min(i, 3), 0, *((1, 2) if i else (_FAR, _FAR)),
+                          i - 2 if i > 2 else -1,
                           *(first + j if j < k else _FAR for j in range(3))])
     widths: dict[int, list[bytes]] = {}
     for shape in sorted(shapes):
         widths.setdefault(len(shape) + 1, []).append(shape + b"\n")
-    return shapes, np.array(table + [[-1, -1] + [_FAR] * 6], dtype=np.int64), {
+    table.append([-1, _FAR, _FAR, _FAR, -1, _FAR, _FAR, _FAR])
+    return shapes, np.array(table, dtype=np.int64).T.copy(), {
         n: (np.array(group, dtype=f"S{n}"), np.array([shapes[g[:-1]] for g in group]))
         for n, group in widths.items()}
 
@@ -177,31 +180,33 @@ class CheckReport:
 
 def _columns(data: bytes, ends: np.ndarray) -> np.ndarray:
     """One int64 row per line of `data`, whose line ends are `ends` (see
-    `_read_chunks` and the column constants); -1 marks an absent field, and
-    a line that is not canonical has kind -1."""
+    `_read_chunks` and the column constants), stored fields first; -1 marks
+    an absent field, and a line that is not canonical has kind -1."""
     size = int(ends[-1]) + 1  # a last line without a newline gets one
-    buf = np.frombuffer(bytearray().join((data, b"\n", bytes(8))), dtype=np.uint8)  # 8 pad loads
-    text = buf[:size]
-    digit = text - np.uint8(48) < np.uint8(10)
-    step = np.flatnonzero(np.diff(digit, prepend=False))  # runs of digits
+    # a non-digit pad byte before the text; 8 pad bytes after it for loads
+    buf = np.frombuffer(bytearray().join((b"\n", data, b"\n", bytes(8))), dtype=np.uint8)
+    text = buf[1: size + 1]
+    other = buf[: size + 1] - np.uint8(48) >= np.uint8(10)  # pad byte, then text
+    step = np.flatnonzero(other[1:] != other[:-1])  # runs of digits
     starts, length = step[0::2], step[1::2] - step[0::2]
     # a run's first 8 digits: the little-endian word at its start, shifted so
     # that the bytes past the run fall off the top and zeros lead, read by
     # Lemire's three multiply-and-shift steps; a 9th digit is added apart
     shift = np.uint64(8) * (np.uint64(8) - np.minimum(length, 8).astype(np.uint64))
-    v = np.ndarray((size,), dtype="<u8", buffer=buf, strides=(1,))[starts] << shift
-    v -= np.uint64(0x3030303030303030) << shift
+    # (bytes past the run may borrow while '0' is taken off, but only upwards)
+    v = (np.ndarray((size,), dtype="<u8", buffer=buf, offset=1, strides=(1,))[starts]
+         - np.uint64(0x3030303030303030)) << shift
     v = v * np.uint64(10) + (v >> np.uint64(8))
     v = ((v & _PAIRS) * np.uint64(100 + (10**6 << 32))
          + ((v >> np.uint64(16)) & _PAIRS) * np.uint64(1 + (10**4 << 32))) >> np.uint64(32)
     val = np.append(v.astype(np.int64), -1)  # then the -1 absent fields read
     nine = np.flatnonzero(length == 9)
-    val[nine] = val[nine] * 10 + buf[starts[nine] + 8] - 48
+    val[nine] = val[nine] * 10 + text[starts[nine] + 8] - 48
     # exact, canonical JSON integers: at most 9 digits (so products stay
     # exact in int64) and no leading zero; odd: the runs that are not
-    odd = np.flatnonzero((length > 9) | ((length > 1) & (buf[starts] == 48)))
+    odd = np.flatnonzero((length > 9) | ((length > 1) & (text[starts] == 48)))
     text[starts] = 48  # a line's shape: each run of digits as one 0
-    keep = ~digit
+    keep = other[1:]
     keep[starts] = True
     shape = text[keep]
     last = np.searchsorted(starts, ends)  # the runs before each line's end
@@ -210,10 +215,11 @@ def _columns(data: bytes, ends: np.ndarray) -> np.ndarray:
     # can match), is searched for among the layouts' shapes of its length;
     # it ends where the line does, less the digits before, plus the runs
     stop = ends + 1 - np.append(0, np.cumsum(length))[last] + last
-    width = stop - np.append(0, stop[:-1])
-    order = np.argsort(width)
+    # widths past every layout's read as 255, so a stable sort is a radix sort
+    width = np.minimum(stop - np.append(0, stop[:-1]), 255).astype(np.uint8)
+    order = np.argsort(width, kind="stable")
     bounds = np.searchsorted(width[order], np.add.outer(list(_WIDTHS), [0, 1])).tolist()
-    lid = np.full(len(ends), -1)  # the layout table's last row: any other line
+    lid = np.full(len(ends), -1)  # the layout table's last column: any other line
     for (n, (known, ids)), (lo, hi) in zip(_WIDTHS.items(), bounds):
         if hi > lo:
             rows = order[lo:hi]
@@ -221,12 +227,13 @@ def _columns(data: bytes, ends: np.ndarray) -> np.ndarray:
             at = np.searchsorted(known, seen)
             hit = np.searchsorted(known, seen, side="right") > at
             lid[rows[hit]] = ids[at[hit]]
-    lay = _LAYOUT[lid]
-    out = np.empty((len(ends), 8), dtype=np.int64)
-    out[:, [_KIND, _T]] = lay[:, :2]
-    out[:, [_N, _X, _Y, 5, 6, 7]] = val[np.minimum(first[:, None] + lay[:, 2:], len(starts))]
-    out[np.searchsorted(last, odd, side="right")] = -1
-    return out
+    out = _LAYOUT.take(lid, axis=1)
+    pos = np.empty_like(first)
+    for f in (_N, _X, _Y, 5, 6, 7):  # a position among the runs: past them reads -1
+        np.add(out[f], first, out=pos)
+        np.take(val, pos, out=out[f], mode="clip")
+    out[:, np.searchsorted(last, odd, side="right")] = -1
+    return out.T
 
 
 def _step(row: np.ndarray) -> CertificateStep:
@@ -244,11 +251,11 @@ def _sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...
     return np.minimum(a, b), np.maximum(a, b), c
 
 
-def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
+def _arith_ok(cols: np.ndarray, prime: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Rows for which validate_step would report nothing but establishment:
     the kind's arithmetic holds and the listed prereqs are exactly the
-    demanded set, without repeats. `prime` tells, per row, whether x and y
-    are prime. Values are below 10^9, so int64 is exact."""
+    demanded set, without repeats. `prime` maps values to their
+    primality. Values are below 10^9, so int64 is exact."""
     kind, n, x, y, t = (cols[:, c] for c in (_KIND, _N, _X, _Y, _T))
     l0, l1, l2 = _sort3(*cols[:, _PRE].T)
     no_repeats = ((l1 > l0) | (l0 < 0)) & ((l2 > l1) | (l1 < 0))
@@ -260,14 +267,21 @@ def _arith_ok(cols: np.ndarray, prime: np.ndarray) -> np.ndarray:
                         np.where(par, np.where(t > 2, slots[1], slots[2]), x),
                         np.where(par, np.where(t > 3, slots[2], slots[3]), y))
     # The parallelogram equation forces the target slot's square for every
-    # integer p and q, so with p >= q it holds exactly when the slot is n.
-    slot = np.choose(np.clip(t - 1, 0, 3), slots)
-    arith = np.select([kind == 0, kind == 1, kind == 2, kind == 3], [
-        n <= BASE_LIMIT,
-        (x > 1) & (y > 1) & (x * y == n) & (np.gcd(x, y) == 1),
-        (x >= 1) & (y >= 1) & (y * n == x) & (np.gcd(y, n) == 1),
-        prime.all(axis=1) & (x >= y) & (slot == n)], False)
-    return arith & no_repeats & (l0 == d0) & (l1 == d1) & (l2 == d2)
+    # integer p and q, so with p >= q it holds exactly when the slot is n:
+    # the four slots sum to 3x + y, and the demanded three are the others.
+    ok = no_repeats & (l0 == d0) & (l1 == d1) & (l2 == d2) & (
+        (kind == 0) & (n <= BASE_LIMIT)
+        | (kind == 1) & (x > 1) & (y > 1) & (x * y == n)
+        | (kind == 2) & (x >= 1) & (y >= 1) & (y * n == x)
+        | par & (x >= y) & (3 * x + y - d0 - d1 - d2 == n))
+    # primality and the gcds, each on the rows of its kind that passed the rest
+    i = np.flatnonzero(ok & par)
+    ok[i] = prime(np.stack([x[i], y[i]])).all(axis=0)
+    i = np.flatnonzero(ok & (kind == 1))
+    ok[i] = np.gcd(x[i], y[i]) == 1
+    i = np.flatnonzero(ok & (kind == 2))
+    ok[i] = np.gcd(y[i], n[i]) == 1
+    return ok
 
 
 class _Pass:
@@ -294,9 +308,10 @@ class _Pass:
         self.sample_size = sample_size
         self.seed = seed
         self.rng = random.Random(seed)
-        self.sample_keys = np.zeros(0)
-        self.sample: list[tuple[int, CertificateStep]] = []
         self.eligible = 0
+        # the sample's candidates (see _sample) and the parsed steps by line
+        self.held = [(np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64))]
+        self.held_count, self.held_steps, self.cut = 0, {}, 1.0
         self.phases = Phases()
 
     # -- the fact-index table -------------------------------------------------
@@ -359,8 +374,9 @@ class _Pass:
         pfacts = [steps[i].fact for i in parsed]
         prow = [i for i in parsed for _ in steps[i].prereqs]
         pvals = [v for i in parsed for v in steps[i].prereqs]
-        erow, col = np.nonzero(cols[:, _PRE] >= 0)
-        evals = cols[:, _PRE][erow, col]
+        pre = cols[:, _PRE].T  # one prereq field per row, each contiguous
+        erow = [np.flatnonzero(field >= 0) for field in pre]
+        evals = np.concatenate([field[rows] for field, rows in zip(pre, erow)])
         small = np.array([v for v in chain(pfacts, pvals) if v < cap], dtype=np.int64)
         values = np.concatenate([cols[:, _N], evals, small])
         self._grow(int(values[values < cap].max(initial=-1)) + 1, cap, k)
@@ -371,7 +387,7 @@ class _Pass:
         large = evals >= self.size
         evals[large] = self._index(evals[large].tolist(), False)
         eix = np.concatenate([evals, np.array(self._index(pvals, False), dtype=np.int64)])
-        erow = np.concatenate([erow, np.array(prow, dtype=np.int64)])
+        erow = np.concatenate([*erow, np.array(prow, dtype=np.int64)])
 
         # providers: each fact's first row in this chunk; a row is a
         # duplicate unless it is that row of a fact not provided before
@@ -389,16 +405,19 @@ class _Pass:
                 line=line_nos[i], fact=f))
 
         # per edge, the cited fact's first row here: -1 if an earlier chunk
-        # provided it, k if none has yet (eix -1 reads an entry it drops)
-        loc = np.searchsorted(new_facts, eix)
-        fr = np.where(np.append(new_facts, -2)[loc] == eix, np.append(new_rows, k)[loc], k)
-        fr[(eix >= 0) & (depth[eix] != 0)] = -1
+        # provided it, k if none has yet (eix -1 reads an entry it drops),
+        # searched for only on the edges to facts not provided before
+        before = depth[eix]
+        fr = np.full(len(eix), -1)
+        here = np.flatnonzero((before == 0) | (eix < 0))
+        loc = np.searchsorted(new_facts, eix[here])
+        fr[here] = np.where(np.append(new_facts, -2)[loc] == eix[here],
+                            np.append(new_rows, k)[loc], k)
 
         # establishment and arithmetic; any other row goes to the reference
         base_range = (eix >= 0) & (eix <= BASE_LIMIT)
         t = self.phases.add("bookkeeping", t)
-        xy = np.where(kind[:, None] == 3, cols[:, [_X, _Y]], 0)
-        clean = _arith_ok(cols, self._is_prime(xy))
+        clean = _arith_ok(cols, self._is_prime)
         t = self.phases.add("arithmetic", t, k)
         clean[erow[~base_range & (fr >= erow)]] = False
         todo = active[~clean[active]].tolist()
@@ -411,19 +430,20 @@ class _Pass:
         t = self.phases.add("reference", t, len(todo))
 
         # depth: edges to providers before this chunk read the depth table,
-        # edges inside it are relaxed in row order
+        # edges inside it are relaxed in row order, in place (a memoryview)
         inside = (fr >= 0) & (fr < erow)
-        before = depth[eix].astype(np.int64)
+        before = before.astype(np.int64)
         for j in np.flatnonzero((before == _DEEP) & (fr < 0)).tolist():
             before[j] = self.deep[int(eix[j])]
         rd = np.ones(k, dtype=np.int64)
         outside = 1 + np.where(fr < 0, before, base_range)
         np.maximum.at(rd, erow[~inside], outside[~inside])
-        src, dst, rd = fr[inside].tolist(), erow[inside].tolist(), rd.tolist()
-        for j in np.argsort(dst, kind="stable").tolist():
-            if rd[src[j]] + 1 > rd[dst[j]]:
-                rd[dst[j]] = rd[src[j]] + 1
-        rd = np.array(rd, dtype=np.int64)
+        src, dst = fr[inside], erow[inside]
+        order = np.argsort(dst)
+        view = memoryview(rd)
+        for a, b in zip(src[order].tolist(), dst[order].tolist()):
+            if view[a] >= view[b]:
+                view[b] = view[a] + 1
         self.max_depth = max(self.max_depth, int(rd[active].max(initial=0)))
         new_facts, got = new_facts[fresh], rd[new_rows[fresh]]
         depth[new_facts] = np.minimum(got, _DEEP)
@@ -431,30 +451,38 @@ class _Pass:
 
         base = kind == 0
         base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
-        self._sample(line_nos, cols, steps, active[~base[active]].tolist())
+        self._sample(line_nos, cols, steps, active[~base[active]])
         self.steps += len(active)
         self.phases.add("bookkeeping", t, k)
 
-    def _sample(self, line_nos, cols, steps, eligible: list[int]) -> None:
-        """Priority sampling: every eligible (non-base) step draws a seeded
-        uniform key and the sample_size smallest keys so far are kept. Keys
-        are below 1; once the sample is full, only those below its largest
-        can enter it."""
+    def _sample(self, line_nos, cols, steps, eligible: np.ndarray) -> None:
+        """Priority sampling: each eligible (non-base) row draws a seeded
+        uniform key; the sample is the sample_size smallest. A row is held
+        (columns, line, key) while its key is below `cut`, the largest kept
+        at the last cut back to sample_size, made once twice that are held."""
         self.eligible += len(eligible)
-        if self.sample_size <= 0 or not eligible:
+        if self.sample_size <= 0 or not len(eligible):
             return
-        new = _random_keys(self.rng, len(eligible))
-        old = len(self.sample)
-        enter = np.flatnonzero(new < (self.sample_keys.max() if old == self.sample_size else 1))
-        keys = np.concatenate([self.sample_keys, new[enter]])
-        keep = np.arange(len(keys))
+        keys = _random_keys(self.rng, len(eligible))
+        enter = np.flatnonzero(keys < self.cut)
+        rows = eligible[enter]
+        self.held.append((keys[enter], cols[rows].astype(np.int32),
+                          np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64)))
+        self.held_steps.update((line_nos[i], steps[i]) for i in rows.tolist() if i in steps)
+        self.held_count += len(rows)
+        if self.held_count >= 2 * self.sample_size:
+            self._cut()
+
+    def _cut(self) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates' columns and lines, cut to the sample_size smallest keys."""
+        keys, rows, lines = (np.concatenate(part) for part in zip(*self.held))
         if len(keys) > self.sample_size:
-            keep = np.sort(np.argpartition(keys, self.sample_size - 1)[: self.sample_size])
-        # keep is sorted: old entries come first
-        self.sample = [self.sample[j] for j in keep.tolist() if j < old] + [
-            (line_nos[i], steps.get(i) or _step(cols[i]))
-            for i in (eligible[enter[j - old]] for j in keep.tolist() if j >= old)]
-        self.sample_keys = keys[keep]
+            keep = np.argpartition(keys, self.sample_size - 1)[: self.sample_size]
+            keys, rows, lines = keys[keep], rows[keep], lines[keep]
+            self.cut = keys.max()
+            self.held_steps = {i: s for i in lines.tolist() if (s := self.held_steps.get(i))}
+        self.held, self.held_count = [(keys, rows, lines)], len(keys)
+        return rows, lines
 
     # -- results ----------------------------------------------------------------
 
@@ -493,16 +521,17 @@ class _Pass:
         return violations, gaps
 
     def spot_check(self) -> dict:
-        """Re-validate the sample with the reference rules and Miller-Rabin
-        primality; establishment was judged by the pass."""
-        for line_no, step in sorted(self.sample, key=lambda s: s[0]):
+        """Re-validate the sample, in line order, with the reference rules and
+        Miller-Rabin primality; establishment was judged by the pass."""
+        rows, lines = self._cut()
+        for j in np.argsort(lines):  # no list or copy of the whole sample
+            line_no = int(lines[j])
+            step = self.held_steps.get(line_no) or _step(rows[j])
             if bad := validate_step(step, lambda _: True, is_prime, line=line_no):
-                raise RuntimeError(
-                    f"numeric spot check failed on line {line_no}: step for fact"
-                    f" {step.fact} fails {'; '.join(v.detail for v in bad)}"
-                )
+                raise RuntimeError(f"numeric spot check failed on line {line_no}: step for"
+                                   f" fact {step.fact} fails {'; '.join(v.detail for v in bad)}")
         return {
-            "sampled": len(self.sample),
+            "sampled": len(lines),
             "eligible": self.eligible,
             "seed": self.seed,
             "mismatches": 0,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 import re
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from quadcert.bootstrap import BootstrapError
 from quadcert.checker import check_store, spot_check_numeric
 from quadcert.engine import certify_range
 from quadcert.model import CertificateFormatError
+from quadcert.phases import Phases
 from tests.conftest import base_rows
 
 
@@ -192,8 +194,11 @@ def test_bad_factor(write_cert):
     assert M.BAD_FACTOR in _codes(report)
 
 
-@pytest.mark.parametrize("product, divisor", [(0, 2), (50, 0)])
-def test_quotient_of_zero_is_a_bad_factor_from_the_fast_path(tmp_path, product, divisor):
+@pytest.mark.parametrize("product, divisor, code", [
+    (0, 2, M.BAD_FACTOR), (50, 0, M.BAD_FACTOR),
+    (125, 5, M.NOT_COPRIME),  # 125 / 5 = 25 exactly; only gcd(5, 25) = 5 fails
+], ids=["0-2", "50-0", "125-5"])
+def test_quotient_of_zero_is_a_bad_factor_from_the_fast_path(tmp_path, product, divisor, code):
     # canonical lines: the row fails the vectorised checks and is rebuilt
     # from its columns for the reference, which names the fault; none parses
     steps = [M.CertificateStep(i, M.Base(), ()) for i in range(21)]
@@ -202,7 +207,7 @@ def test_quotient_of_zero_is_a_bad_factor_from_the_fast_path(tmp_path, product, 
     path.write_text("".join(map(M.serialize_step, steps)), encoding="utf-8")
     with mock.patch.object(checker, "parse_step", side_effect=AssertionError):
         report = check_store(str(path), 20)
-    bad = [v for v in report.violations if v.code == M.BAD_FACTOR]
+    bad = [v for v in report.violations if v.code == code]
     assert len(bad) == 1 and (bad[0].line, bad[0].fact) == (22, 25)
     assert report.phases["reference"]["count"] == 1
 
@@ -250,6 +255,19 @@ def test_fast_path_takes_nine_digit_integers_only():
                                    4294967296, 4294967297)).encode())
     assert nine[0, 0] == 1 and nine[0, 1] == 999999999
     assert ten[0, 0] == -1
+
+
+def test_columns_are_stored_fields_first(cert_2k):
+    # each field is one contiguous column: as `_columns` returns it, as
+    # `_chunks` casts it to int32, and as the parent unpickles and widens it
+    data, ends = next(checker._read_chunks(cert_2k["path"]))
+    assert checker._columns(data, ends).flags.f_contiguous
+    chunks = list(checker._chunks(cert_2k["path"], Phases()))
+    assert chunks and all(len(cols) > 1 for _, _, cols, _ in chunks)
+    for _, _, cols, _ in chunks:
+        assert cols.dtype == np.int32 and cols.flags.f_contiguous
+        sent = pickle.loads(pickle.dumps(cols, pickle.HIGHEST_PROTOCOL))
+        assert sent.astype(np.int64).flags.f_contiguous
 
 
 def test_step_from_columns_is_the_parsed_step_without_meta():

@@ -364,6 +364,24 @@ def test_check_reorder_memory_is_bounded(tmp_path):
     assert rss_mb < 56, f"{rss_mb:.1f} MB"
 
 
+def test_check_spot_check_memory_is_bounded(tmp_path):
+    # the sample's candidates are held as columns and line numbers, and a
+    # step object is built only to validate it again: a sample of 10^5
+    # steps peaks a bounded amount above one of 256
+    cert = tmp_path / "c.jsonl"
+    assert run("verify", "--max", str(10**5), "--out", str(cert),
+               "--stats", str(tmp_path / "s.json")) == 0
+    peaks = []
+    for k in (256, 100_000):
+        out = subprocess.run(
+            [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quadcert.cli",
+             "check", "--in", str(cert), "--max", str(10**5), "--spot-check", str(k)],
+            capture_output=True, text=True, env=_cli_env(), check=True).stdout.split()
+        assert int(out[0]) == 0
+        peaks.append(float(out[2]))
+    assert peaks[1] - peaks[0] <= 24, f"{peaks[0]:.1f} -> {peaks[1]:.1f} MB"
+
+
 def test_check_max_zero_accepts_the_base_lines(tmp_path):
     path = _write_rows(tmp_path, base_rows())
     report = tmp_path / "r.json"
