@@ -6,8 +6,8 @@ A certificate file is accepted iff:
   2. no fact is justified twice;
   3. every prerequisite of a step is fact 0, a base-range fact (<= 20), or
      the fact of an earlier line (line order must be a valid topological
-     order; `reorder=True` first applies a topological sort for files
-     produced by tools that do not guarantee ordering);
+     order; `reorder=True` checks the lines in topologically sorted order
+     instead, for files from tools that do not keep one);
   4. every step passes the core validation rules with primality, gcd, and
      congruence facts recomputed here (never read from the certificate);
   5. every n in 1..claimed_bound has a justifying step (gaps are reported
@@ -23,7 +23,9 @@ The file is read once, from one handle, in blocks of whole lines (about
 CHUNK_LINES * 64 bytes): in binary while a block is ASCII without CR, then
 decoded as `model.iter_steps` decodes (so line numbers, universal newlines
 and decode errors are the reference's). Each block's line ends are found in
-one pass; its lines are checked in chunks of at most CHUNK_LINES.
+one pass; its lines are checked in chunks of at most CHUNK_LINES. With
+`reorder`, a line is held only until the lines before it can be sorted
+(see `_Reorder`), so memory follows how far lines are out of order.
 
 A file larger than one block, or one that is not a regular file (a pipe,
 /dev/stdin, whose size reads 0), is read by a child that `phases.forked`
@@ -124,6 +126,7 @@ _PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apa
 _KIND, _N, _X, _Y, _T = range(5)
 _PRE = slice(5, 8)
 _FAR = 1 << 40  # the position of an absent field: past every run
+_OPEN = np.iinfo(np.int64).max  # the provider of a fact no line read so far provides
 
 
 def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
@@ -309,9 +312,9 @@ class _Pass:
         self.seed = seed
         self.rng = random.Random(seed)
         self.eligible = 0
-        # the sample's candidates (see _sample) and the parsed steps by line
-        self.held = [(np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64))]
-        self.held_count, self.held_steps, self.cut = 0, {}, 1.0
+        # the sample (see _sample), and the parsed steps that entered it by line
+        self.sample = np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64)
+        self.held_steps, self.cut = {}, 1.0
         self.phases = Phases()
 
     # -- the fact-index table -------------------------------------------------
@@ -457,32 +460,25 @@ class _Pass:
 
     def _sample(self, line_nos, cols, steps, eligible: np.ndarray) -> None:
         """Priority sampling: each eligible (non-base) row draws a seeded
-        uniform key; the sample is the sample_size smallest. A row is held
-        (columns, line, key) while its key is below `cut`, the largest kept
-        at the last cut back to sample_size, made once twice that are held."""
+        uniform key; the sample is the sample_size smallest, kept as keys,
+        int32 columns and lines. A chunk's rows whose keys are below `cut`,
+        its largest key once full, join it, and it is cut back at once."""
         self.eligible += len(eligible)
         if self.sample_size <= 0 or not len(eligible):
             return
         keys = _random_keys(self.rng, len(eligible))
         enter = np.flatnonzero(keys < self.cut)
         rows = eligible[enter]
-        self.held.append((keys[enter], cols[rows].astype(np.int32),
-                          np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64)))
         self.held_steps.update((line_nos[i], steps[i]) for i in rows.tolist() if i in steps)
-        self.held_count += len(rows)
-        if self.held_count >= 2 * self.sample_size:
-            self._cut()
-
-    def _cut(self) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates' columns and lines, cut to the sample_size smallest keys."""
-        keys, rows, lines = (np.concatenate(part) for part in zip(*self.held))
+        keys, cols, lines = (np.concatenate(part) for part in zip(self.sample, (
+            keys[enter], cols[rows].astype(np.int32),
+            np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64))))
         if len(keys) > self.sample_size:
+            del self.sample  # before the cut's copies
             keep = np.argpartition(keys, self.sample_size - 1)[: self.sample_size]
-            keys, rows, lines = keys[keep], rows[keep], lines[keep]
+            keys, cols, lines = keys[keep], cols[keep], lines[keep]
             self.cut = keys.max()
-            self.held_steps = {i: s for i in lines.tolist() if (s := self.held_steps.get(i))}
-        self.held, self.held_count = [(keys, rows, lines)], len(keys)
-        return rows, lines
+        self.sample = keys, cols, lines
 
     # -- results ----------------------------------------------------------------
 
@@ -523,7 +519,7 @@ class _Pass:
     def spot_check(self) -> dict:
         """Re-validate the sample, in line order, with the reference rules and
         Miller-Rabin primality; establishment was judged by the pass."""
-        rows, lines = self._cut()
+        _, rows, lines = self.sample
         for j in np.argsort(lines):  # no list or copy of the whole sample
             line_no = int(lines[j])
             step = self.held_steps.get(line_no) or _step(rows[j])
@@ -595,50 +591,121 @@ def _read_chunks(path: str) -> Iterator[tuple[bytes, np.ndarray]]:
             yield data[start: int(part[-1]) + 1], part - start
 
 
-def _toposort(cols: np.ndarray, steps: dict[int, CertificateStep]) -> np.ndarray:
-    """Kahn's algorithm over kept lines (`_columns` rows, parsed steps by
-    line) in int32 CSR arrays, keyed on first-provider lines, smallest
-    original index first; unsortable steps (true cycles) are appended in
-    original order so validation reports them. A prereq listed twice gives
-    two edges, both removed when its provider is placed: the same order.
-    Facts and citations are int32 unless a parsed value is 2^31 or more."""
-    n = len(cols)
-    # parsed values of 2^62 and above may not fit in int64: number them
-    big = {v for s in steps.values() for v in (s.fact, *s.prereqs) if v >= 1 << 62}
-    key = {v: (1 << 62) + j for j, v in enumerate(big)}
-    small = all(v < 1 << 31 for s in steps.values() for v in (s.fact, *s.prereqs))
-    wide = np.int32 if small else np.int64
-    facts = cols[:, _N].astype(wide)
-    facts[list(steps)] = [key.get(s.fact, s.fact) for s in steps.values()]
-    cited = cols[:, _PRE] >= 0
-    pairs = np.array([(i, key.get(v, v)) for i, s in steps.items() for v in s.prereqs],
-                     dtype=wide).reshape(-1, 2)
-    rows = np.append(np.repeat(np.arange(n, dtype=np.int32), cited.sum(axis=1)), pairs[:, 0])
-    cites = np.append(cols[:, _PRE][cited], pairs[:, 1]).astype(wide, copy=False)
-    del cited, pairs
-    uniq, first = np.unique(facts, return_index=True)
-    del facts
-    loc = np.searchsorted(uniq, cites).astype(np.int32)
-    hit = np.append(uniq, -1)[loc] == cites
-    src, dst = first[loc[hit]].astype(np.int32), rows[hit].astype(np.int32)
-    del rows, cites, uniq, first, loc, hit
-    src, dst = src[src != dst], dst[src != dst]  # no self-loops
-    starts = memoryview(np.append(0, np.cumsum(np.bincount(src, minlength=n))))
-    adj = memoryview(dst[np.argsort(src, kind="stable")])  # by provider
-    indeg = memoryview(np.bincount(dst, minlength=n).astype(np.int32))
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    heapq.heapify(ready)
-    placed = array("i")
-    while ready:
-        i = heapq.heappop(ready)
-        placed.append(i)
-        for k in adj[starts[i]: starts[i + 1]]:
-            indeg[k] -= 1
-            if indeg[k] == 0:
-                heapq.heappush(ready, k)
-    left = np.ones(n, dtype=bool)
-    left[placed] = False
-    return np.concatenate([placed, np.flatnonzero(left)])
+class _Reorder:
+    """Feeds a `_Pass` the rows of a file's chunks in topological order:
+    Kahn's algorithm keyed on first-provider lines, smallest line first,
+    then the rows it cannot place (true cycles) in line order. A row is held
+    (int32 columns, then the line number) until it lies in a closed prefix
+    of the held rows, each of whose citations is of a fact first provided
+    by a row fed to the pass, by a row of the prefix or by a row left
+    unplaced (a lost fact). Kahn's algorithm places such a prefix's rows as
+    on the whole file, before any later row. A citation of a fact no row
+    read so far provides holds its row, and every later one, until a row
+    provides the fact or the file ends; only then are prefixes sought again.
+    """
+
+    def __init__(self, run: _Pass):
+        self.run, self.read, self.bigs = run, 0, {}  # bigs: parsed values >= 2^62 -> key
+        self.held: list[np.ndarray] = []  # blocks of rows
+        self.steps: dict[int, CertificateStep] = {}  # line -> parsed step, until fed
+        self.wait = self.lost = np.zeros(0, dtype=np.int64)  # the first open row's open facts
+        self.left = [np.zeros((0, 9), dtype=np.int32)]  # unplaced rows
+
+    def _key(self, v: int) -> int:  # a fact as an int64: a number past 2^62 if that large
+        return v if v < 1 << 62 else self.bigs.setdefault(v, (1 << 62) + len(self.bigs))
+
+    def _fed(self, keys: np.ndarray) -> np.ndarray:
+        """Whether a row fed to the pass provides each fact (key)."""
+        run = self.run  # a fact in `ids` is at least `size`
+        return (keys < run.size) & (run.depth[keys % run.size] != 0) | np.isin(
+            keys, np.array([self._key(v) for v in run.ids], dtype=np.int64))
+
+    def add(self, chunk: tuple | None = None) -> None:
+        """Hold a chunk (see `_chunks`) and feed the closed prefixes; with
+        none (end of file), feed every held row, then the unplaced ones."""
+        t = time.monotonic()
+        if chunk:
+            nos, self.read, cols, parsed = chunk
+            keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
+            self.steps.update((nos[i], s) for i, s in parsed.items())
+            self.held.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
+            if len(self.wait) and not np.isin(self.wait, np.append(
+                    cols[:, _N], [self._key(s.fact) for s in parsed.values()])).any():
+                self.run.phases.add("reorder", t)
+                return
+        rows, self.held = np.concatenate(self.held), []
+        steps = {n: s for n, s in self.steps.items() if len(rows) and n >= rows[0, 8]}
+        at, facts = np.searchsorted(rows[:, 8], list(steps)), rows[:, _N].astype(np.int64)
+        facts[at] = [self._key(s.fact) for s in steps.values()]
+        pairs = np.array([(i, self._key(v)) for i, s in zip(at.tolist(), steps.values())
+                          for v in s.prereqs], dtype=np.int64).reshape(-1, 2)  # their citations
+        first = np.unique(facts, return_index=True)  # each fact's first row
+        done, size = 0, CHUNK_LINES  # rows sorted; rows to sort, about
+        while done < len(rows):
+            hi = min(done + size, len(rows))
+            order, p = self._sort(rows, facts, first, pairs, done, hi, chunk is None)
+            t = self.run.phases.add("reorder", t, p)
+            self._feed(rows[order])
+            t, done, size = time.monotonic(), done + p, CHUNK_LINES if p else 2 * size
+            if not p and hi == len(rows):
+                break
+        self.run.phases.add("reorder", t)
+        self.held = [rows[done:]]
+        if chunk is None:
+            self._feed(np.concatenate(self.left))
+
+    def _sort(self, rows: np.ndarray, facts: np.ndarray, first: tuple, pairs: np.ndarray,
+              lo: int, hi: int, final: bool) -> tuple[np.ndarray, int]:
+        """Sort the longest closed prefix of held rows lo..hi - 1 (an open
+        citation, or one of a row at or past hi, ends it): the rows Kahn's
+        algorithm places, in order, then its length. Unplaced rows are left."""
+        pre, (a, b) = rows[lo: hi, _PRE], np.searchsorted(pairs[:, 0], [lo, hi])
+        dst = np.append(np.repeat(np.arange(lo, hi), (pre >= 0).sum(axis=1)), pairs[a: b, 0])
+        keys = np.append(pre[pre >= 0], pairs[a: b, 1])
+        # each citation's first provider among the held rows, unless its
+        # fact is fed or lost (-1, as when no row provides it: open)
+        at = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1)
+        src = np.where(first[0][at] == keys, first[1][at], -1)
+        lost = np.isin(keys, self.lost)
+        settled = lost | self._fed(keys)
+        src[settled] = -1
+        open_ = (src < 0) & ~settled & (not final)
+        # the prefix of p rows is closed unless a row before lo + p cites
+        # one at or past it (one past hi, or open, counts as hi)
+        s = np.where(open_, hi, np.minimum(src, hi))
+        cover = np.bincount(dst[s > dst] - lo + 1, minlength=hi - lo + 2)
+        cover -= np.bincount(s[s > dst] - lo + 1, minlength=hi - lo + 2)
+        p = hi - lo - int(np.argmax(np.cumsum(cover)[hi - lo::-1] == 0))
+        self.wait = keys[open_ & (dst == dst[open_].min(initial=0))]
+        edge = (dst < lo + p) & (src >= 0) & (src != dst)
+        s, d = src[edge] - lo, dst[edge] - lo
+        adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
+        starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
+        indeg = memoryview(np.bincount(d, minlength=p)
+                           + np.bincount(dst[lost & (dst < lo + p)] - lo, minlength=p))
+        ready = np.flatnonzero(np.asarray(indeg) == 0).tolist()  # sorted: a heap
+        order = array("q")
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(lo + i)
+            for k in adj[starts[i]: starts[i + 1]]:
+                indeg[k] -= 1
+                if indeg[k] == 0:
+                    heapq.heappush(ready, k)
+        # the unplaced rows are left, and the facts they provide first lost
+        if len(gone := np.setdiff1d(np.arange(lo, lo + p), order)):
+            mine = facts[gone[first[1][np.searchsorted(first[0], facts[gone])] == gone]]
+            self.lost = np.union1d(self.lost, mine[~self._fed(mine)])
+            self.left.append(rows[gone])
+        return np.asarray(order), p
+
+    def _feed(self, rows: np.ndarray) -> None:
+        """Feed `rows` in chunks of CHUNK_LINES, with their parsed steps."""
+        for lo in range(0, len(rows), CHUNK_LINES):
+            part = rows[lo: lo + CHUNK_LINES]
+            lines = part[:, 8].tolist()
+            self.run.feed(lines, self.read, part[:, :8].astype(np.int64), {
+                j: self.steps.pop(n) for j, n in enumerate(lines) if n in self.steps})
 
 
 def _chunks(path: str, ph: Phases) -> Iterator[tuple]:
@@ -662,15 +729,9 @@ def _chunks(path: str, ph: Phases) -> Iterator[tuple]:
 
 
 def _scan(path: str, run: _Pass, reorder: bool) -> None:
-    """Feed every line of the file to `run`, in file or topological order,
-    read in a forked child where the module docstring says. With `reorder`,
-    the rows of the non-blank lines are kept from the read (int32 columns,
-    as fields have <= 9 digits, then the line number) with the parsed steps
-    of those that are not canonical, and fed in sorted order, so no line is
-    put into columns or parsed twice."""
-    blocks: list[np.ndarray] = [np.zeros((0, 9), dtype=np.int32)]
-    steps: dict[int, CertificateStep] = {}  # kept row -> parsed step
-    read = kept = 0
+    """Feed every line of the file to `run`, in file order or, with
+    `reorder`, in topological order (see `_Reorder`), read in a forked child
+    where the module docstring says."""
     ph = run.phases
     for name in ("read", "columns", "reference"):  # a forked child's phases, in order
         ph.add(name, time.monotonic())
@@ -679,28 +740,14 @@ def _scan(path: str, run: _Pass, reorder: bool) -> None:
               if st.st_size > CHUNK_LINES << 6 or not stat.S_ISREG(st.st_mode)
               else _chunks(path, ph))
     try:
-        for nos, read, cols, parsed in chunks:
-            if not reorder:
-                run.feed(nos, read, cols.astype(np.int64), parsed)
-                continue
-            t = time.monotonic()
-            keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
-            steps.update((kept + j, parsed[i]) for j, i in enumerate(keep.tolist()) if i in parsed)
-            kept += len(keep)
-            blocks.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
-            ph.add("reorder", t)
+        sort = _Reorder(run)
+        for chunk in chain(chunks, [None] * reorder):  # then end of file, to sort
+            if reorder:
+                sort.add(chunk)
+            else:
+                run.feed(*chunk[:2], chunk[2].astype(np.int64), chunk[3])
     finally:
         chunks.close()
-    if reorder:
-        t = time.monotonic()
-        rows = np.concatenate(blocks)
-        del blocks  # the per-chunk copies, before the sort's peak
-        order = _toposort(rows, steps)
-        ph.add("reorder", t, len(rows))
-        for lo in range(0, len(order), CHUNK_LINES):
-            idx = order[lo: lo + CHUNK_LINES]
-            run.feed(rows[idx, 8].tolist(), read, rows[idx, :8].astype(np.int64),
-                     {j: steps[i] for j, i in enumerate(idx.tolist()) if i in steps})
 
 
 def check_store(
@@ -714,8 +761,10 @@ def check_store(
     """Verify a certificate file; accept iff no violations and full coverage.
 
     Raises CertificateFormatError (parse) and OSError (I/O) rather than
-    reporting them as logical violations. `reorder` topologically sorts the
-    steps first. With `spot_check` K > 0, an accepted report also carries
+    reporting them as logical violations. `reorder` checks the steps in
+    topologically sorted order, sorting each closed prefix of the lines as
+    it is read (see `_Reorder`), in memory that follows how far lines are
+    out of order. With `spot_check` K > 0, an accepted report also carries
     the spot check of K seeded sample steps, drawn in the same pass and
     validated again by the reference rules with Miller-Rabin primality; a
     sampled step they reject raises RuntimeError. The report's `phases`
