@@ -23,9 +23,8 @@ The file is read once, from one handle, in blocks of whole lines (about
 CHUNK_LINES * 64 bytes): in binary while a block is ASCII without CR, then
 decoded as `model.iter_steps` decodes (so line numbers, universal newlines
 and decode errors are the reference's). Each block's line ends are found in
-one pass; its lines are checked in chunks of at most CHUNK_LINES. With
-`reorder`, a line is held only until the lines before it can be sorted
-(see `_Reorder`), so memory follows how far lines are out of order.
+one pass; its lines are checked in chunks of at most CHUNK_LINES (with
+`reorder`, held only until they can be sorted: see `_Reorder`).
 
 A file larger than one block, or one that is not a regular file (a pipe,
 /dev/stdin, whose size reads 0), is read by a child that `phases.forked`
@@ -126,7 +125,6 @@ _PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apa
 _KIND, _N, _X, _Y, _T = range(5)
 _PRE = slice(5, 8)
 _FAR = 1 << 40  # the position of an absent field: past every run
-_OPEN = np.iinfo(np.int64).max  # the provider of a fact no line read so far provides
 
 
 def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
@@ -365,9 +363,9 @@ class _Pass:
              steps: dict[int, CertificateStep]) -> None:
         """Check the next chunk of lines in check order; `line_nos` are their
         file line numbers, `lines_read` counts the file's lines read and
-        `cols, steps` the chunk's columns and parsed steps (see `_scan`)."""
+        `cols, steps` the chunk's int32 columns and parsed steps (see `_scan`)."""
         t = time.monotonic()
-        k = len(cols)
+        k, cols = len(cols), cols.astype(np.int64)
         kind = cols[:, _KIND]
 
         # every non-blank row as a fact index and prereq edges (erow[j]
@@ -592,24 +590,20 @@ def _read_chunks(path: str) -> Iterator[tuple[bytes, np.ndarray]]:
 
 
 class _Reorder:
-    """Feeds a `_Pass` the rows of a file's chunks in topological order:
-    Kahn's algorithm keyed on first-provider lines, smallest line first,
-    then the rows it cannot place (true cycles) in line order. A row is held
-    (int32 columns, then the line number) until it lies in a closed prefix
-    of the held rows, each of whose citations is of a fact first provided
-    by a row fed to the pass, by a row of the prefix or by a row left
-    unplaced (a lost fact). Kahn's algorithm places such a prefix's rows as
-    on the whole file, before any later row. A citation of a fact no row
-    read so far provides holds its row, and every later one, until a row
-    provides the fact or the file ends; only then are prefixes sought again.
-    """
+    """Feeds a `_Pass` a file's rows in Kahn's order: first-provider lines,
+    the smallest ready line first, then the rows in true cycles in line
+    order. A row is held (int32 columns, then its line number) until it lies
+    in a closed prefix of the held rows, each of whose citations is of a fact
+    first provided by a row fed, of the prefix or left unplaced (lost), which
+    Kahn's algorithm places as on the whole file, before any later row. A
+    citation of a fact that no row read so far provides (open) holds its row
+    and every later one until one does."""
 
     def __init__(self, run: _Pass):
         self.run, self.read, self.bigs = run, 0, {}  # bigs: parsed values >= 2^62 -> key
-        self.held: list[np.ndarray] = []  # blocks of rows
+        self.held, self.left = [], [np.zeros((0, 9), dtype=np.int32)]  # row blocks; unplaced
         self.steps: dict[int, CertificateStep] = {}  # line -> parsed step, until fed
         self.wait = self.lost = np.zeros(0, dtype=np.int64)  # the first open row's open facts
-        self.left = [np.zeros((0, 9), dtype=np.int32)]  # unplaced rows
 
     def _key(self, v: int) -> int:  # a fact as an int64: a number past 2^62 if that large
         return v if v < 1 << 62 else self.bigs.setdefault(v, (1 << 62) + len(self.bigs))
@@ -621,8 +615,7 @@ class _Reorder:
             keys, np.array([self._key(v) for v in run.ids], dtype=np.int64))
 
     def add(self, chunk: tuple | None = None) -> None:
-        """Hold a chunk (see `_chunks`) and feed the closed prefixes; with
-        none (end of file), feed every held row, then the unplaced ones."""
+        """Hold a chunk (see `_chunks`), or none at end of file; feed what can be."""
         t = time.monotonic()
         if chunk:
             nos, self.read, cols, parsed = chunk
@@ -640,38 +633,31 @@ class _Reorder:
         pairs = np.array([(i, self._key(v)) for i, s in zip(at.tolist(), steps.values())
                           for v in s.prereqs], dtype=np.int64).reshape(-1, 2)  # their citations
         first = np.unique(facts, return_index=True)  # each fact's first row
-        done, size = 0, CHUNK_LINES  # rows sorted; rows to sort, about
-        while done < len(rows):
+        done, size, p = 0, CHUNK_LINES, 1  # rows sorted; rows to sort, about
+        while done < len(rows) and (p or hi < len(rows)):  # until all, or none can be
             hi = min(done + size, len(rows))
-            order, p = self._sort(rows, facts, first, pairs, done, hi, chunk is None)
+            order, p = self._sort(rows, first, pairs, done, hi, chunk is None)
             t = self.run.phases.add("reorder", t, p)
             self._feed(rows[order])
             t, done, size = time.monotonic(), done + p, CHUNK_LINES if p else 2 * size
-            if not p and hi == len(rows):
-                break
         self.run.phases.add("reorder", t)
         self.held = [rows[done:]]
         if chunk is None:
             self._feed(np.concatenate(self.left))
 
-    def _sort(self, rows: np.ndarray, facts: np.ndarray, first: tuple, pairs: np.ndarray,
-              lo: int, hi: int, final: bool) -> tuple[np.ndarray, int]:
-        """Sort the longest closed prefix of held rows lo..hi - 1 (an open
-        citation, or one of a row at or past hi, ends it): the rows Kahn's
-        algorithm places, in order, then its length. Unplaced rows are left."""
+    def _sort(self, rows: np.ndarray, first: tuple, pairs: np.ndarray, lo: int, hi: int,
+              final: bool) -> tuple[np.ndarray, int]:
+        """The rows Kahn's algorithm places of the longest closed prefix of
+        held rows lo..hi - 1, in order, and its length; the others are left."""
         pre, (a, b) = rows[lo: hi, _PRE], np.searchsorted(pairs[:, 0], [lo, hi])
         dst = np.append(np.repeat(np.arange(lo, hi), (pre >= 0).sum(axis=1)), pairs[a: b, 0])
         keys = np.append(pre[pre >= 0], pairs[a: b, 1])
-        # each citation's first provider among the held rows, unless its
-        # fact is fed or lost (-1, as when no row provides it: open)
+        # each citation's first provider among the held rows; -1: fed, lost or open
+        settled = (lost := np.isin(keys, self.lost)) | self._fed(keys)
         at = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1)
-        src = np.where(first[0][at] == keys, first[1][at], -1)
-        lost = np.isin(keys, self.lost)
-        settled = lost | self._fed(keys)
-        src[settled] = -1
+        src = np.where((first[0][at] == keys) & ~settled, first[1][at], -1)
         open_ = (src < 0) & ~settled & (not final)
-        # the prefix of p rows is closed unless a row before lo + p cites
-        # one at or past it (one past hi, or open, counts as hi)
+        # p rows are closed unless one cites a row at or past lo + p (open: hi)
         s = np.where(open_, hi, np.minimum(src, hi))
         cover = np.bincount(dst[s > dst] - lo + 1, minlength=hi - lo + 2)
         cover -= np.bincount(s[s > dst] - lo + 1, minlength=hi - lo + 2)
@@ -683,8 +669,7 @@ class _Reorder:
         starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
         indeg = memoryview(np.bincount(d, minlength=p)
                            + np.bincount(dst[lost & (dst < lo + p)] - lo, minlength=p))
-        ready = np.flatnonzero(np.asarray(indeg) == 0).tolist()  # sorted: a heap
-        order = array("q")
+        ready, order = np.flatnonzero(np.asarray(indeg) == 0).tolist(), array("q")  # a heap
         while ready:
             i = heapq.heappop(ready)
             order.append(lo + i)
@@ -694,7 +679,7 @@ class _Reorder:
                     heapq.heappush(ready, k)
         # the unplaced rows are left, and the facts they provide first lost
         if len(gone := np.setdiff1d(np.arange(lo, lo + p), order)):
-            mine = facts[gone[first[1][np.searchsorted(first[0], facts[gone])] == gone]]
+            mine = first[0][np.isin(first[1], gone)]
             self.lost = np.union1d(self.lost, mine[~self._fed(mine)])
             self.left.append(rows[gone])
         return np.asarray(order), p
@@ -704,7 +689,7 @@ class _Reorder:
         for lo in range(0, len(rows), CHUNK_LINES):
             part = rows[lo: lo + CHUNK_LINES]
             lines = part[:, 8].tolist()
-            self.run.feed(lines, self.read, part[:, :8].astype(np.int64), {
+            self.run.feed(lines, self.read, part[:, :8], {
                 j: self.steps.pop(n) for j, n in enumerate(lines) if n in self.steps})
 
 
@@ -740,12 +725,9 @@ def _scan(path: str, run: _Pass, reorder: bool) -> None:
               if st.st_size > CHUNK_LINES << 6 or not stat.S_ISREG(st.st_mode)
               else _chunks(path, ph))
     try:
-        sort = _Reorder(run)
+        add = _Reorder(run).add if reorder else lambda chunk: run.feed(*chunk)
         for chunk in chain(chunks, [None] * reorder):  # then end of file, to sort
-            if reorder:
-                sort.add(chunk)
-            else:
-                run.feed(*chunk[:2], chunk[2].astype(np.int64), chunk[3])
+            add(chunk)
     finally:
         chunks.close()
 
@@ -761,15 +743,14 @@ def check_store(
     """Verify a certificate file; accept iff no violations and full coverage.
 
     Raises CertificateFormatError (parse) and OSError (I/O) rather than
-    reporting them as logical violations. `reorder` checks the steps in
-    topologically sorted order, sorting each closed prefix of the lines as
-    it is read (see `_Reorder`), in memory that follows how far lines are
-    out of order. With `spot_check` K > 0, an accepted report also carries
-    the spot check of K seeded sample steps, drawn in the same pass and
-    validated again by the reference rules with Miller-Rabin primality; a
-    sampled step they reject raises RuntimeError. The report's `phases`
-    (outside `to_dict()`) give each phase's seconds, count and peak RSS;
-    the reference phase counts the lines it parsed or validated.
+    reporting them as logical violations. `reorder` checks the steps in a
+    topological order, sorted as the lines are read (see `_Reorder`). With
+    `spot_check` K > 0, an accepted report also carries the spot check of K
+    seeded sample steps, drawn in the same pass and validated again by the
+    reference rules with Miller-Rabin primality; a sampled step they reject
+    raises RuntimeError. The report's `phases` (outside `to_dict()`) give
+    each phase's seconds, count and peak RSS; the reference phase counts the
+    lines it parsed or validated.
     """
     if claimed_bound < 0:
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")

@@ -1,6 +1,7 @@
 """Independent verification: fault injection for every rejection code."""
 
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -19,6 +20,7 @@ from quadcert.checker import check_store, spot_check_numeric
 from quadcert.engine import certify_range
 from quadcert.model import CertificateFormatError
 from quadcert.phases import Phases
+from quadcert.primes import is_prime
 from tests.conftest import base_rows
 
 
@@ -549,6 +551,61 @@ def test_reorder_cannot_rescue_true_cycles(write_cert):
     report = check_store(write_cert(rows), 25, reorder=True)
     assert not report.accepted
     assert M.CYCLE in _codes(report) or M.MISSING_PREREQ in _codes(report)
+
+
+# ---------------------------------------------------------------------------
+# the fast path against the reference on every small row
+# ---------------------------------------------------------------------------
+
+
+def _prereq_lists(values):
+    """Every subset of up to three of `values`, in sorted and in reversed
+    order, and the subsets of one or two with their first value repeated."""
+    out = []
+    for k in range(4):
+        for sub in itertools.combinations(sorted(values), k):
+            out += [sub, sub[::-1]] if k > 1 else [sub]
+            out += [sub + sub[:1]] if 0 < k < 3 else []
+    return out
+
+
+def _small_rows():
+    """Every canonical row of a small scope, as `_columns` rows (kind, n, x,
+    y, target, three prereq fields; -1 absent) and as steps: each kind and
+    target slot, with x and y in 0..7 and n in 0..7, base steps with n up to
+    past BASE_LIMIT, and as prereqs the lists of `_prereq_lists` of the
+    values x + y, x - y, x, y, n, 0 and 1 that are not negative."""
+    kinds = [(1, -1, M.CoprimeProduct), (2, -1, M.CoprimeQuotient)] + [
+        (3, t, lambda x, y, s=s: M.ParallelogramClose(x, y, s))
+        for t, s in enumerate(M.SLOTS, 1)]
+    cases = [(0, -1, n, -1, -1, M.Base()) for n in range(M.BASE_LIMIT + 3)]
+    cases += [(kind, t, n, x, y, just(x, y)) for kind, t, just in kinds
+              for n, x, y in itertools.product(range(8), repeat=3)]
+    cols, steps = [], []
+    for kind, t, n, x, y, just in cases:
+        values = {v for v in (x + y, x - y, x, y, n, 0, 1) if v >= 0}
+        for pre in _prereq_lists(values):
+            cols.append([kind, n, x, y, t, *pre, *[-1] * (3 - len(pre))])
+            steps.append(M.CertificateStep(n, just, pre))
+    return np.array(cols, dtype=np.int64), steps
+
+
+def test_fast_path_accepts_only_what_the_reference_accepts():
+    # bounded-exhaustive: no row the vectorised arithmetic accepts may draw a
+    # violation from the reference rules (establishment taken as given), and
+    # the rows only the reference accepts are exactly the degenerate ones,
+    # which the generator never writes
+    cols, steps = _small_rows()
+    fast = checker._arith_ok(cols, np.vectorize(is_prime, otypes=[bool]))
+    ref = np.array([not M.validate_step(s, lambda _: True, is_prime) for s in steps])
+    unsound = np.flatnonzero(fast & ~ref)
+    assert not len(unsound), [steps[i] for i in unsound[:5]]
+    # degenerate: the step consumes one value twice (p = q closing the sum or
+    # the difference slot, or product = divisor)
+    demanded = np.array([len(M.demanded_prereqs(s)) for s in steps])
+    degenerate = demanded < np.array([0, 2, 2, 3])[cols[:, 0]]
+    assert np.array_equal(ref & ~fast, ref & degenerate)
+    assert (ref & degenerate).any() and (fast & (cols[:, 0] == 0)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -410,7 +410,7 @@ reorder_op = st.one_of(
 # as established before any line report alike on such files, and feed
 # another order. Feed order is the oracle's: Kahn's algorithm keyed on each
 # fact's first line, base range included.
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(ops=st.lists(reorder_op, max_size=8), window=st.integers(2, 300),
        seed=st.integers(0, 2**32), chunk=st.sampled_from([1, 2, 7, 1 << 14]))
 def test_reorder_feeds_the_oracle_order(genuine_prefix, tmp_path_factory, ops, window,
