@@ -662,7 +662,7 @@ class _Reorder:
         cover = np.bincount(dst[s > dst] - lo + 1, minlength=hi - lo + 2)
         cover -= np.bincount(s[s > dst] - lo + 1, minlength=hi - lo + 2)
         p = hi - lo - int(np.argmax(np.cumsum(cover)[hi - lo::-1] == 0))
-        self.wait = keys[open_ & (dst == dst[open_].min(initial=0))]
+        self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
         edge = (dst < lo + p) & (src >= 0) & (src != dst)
         s, d = src[edge] - lo, dst[edge] - lo
         adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider

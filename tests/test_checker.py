@@ -528,8 +528,8 @@ def test_reorder_keeps_genuine_acceptance(cert_2k):
 
 @pytest.mark.parametrize("big", [10**6, 2**31 - 3, 2**31, 2**63, 2**64 + 13])
 def test_reorder_sorts_facts_of_any_size(write_cert, big):
-    # each line cites the fact of the next one; the sort runs in int32 below
-    # 2^31 and in int64 at and above it
+    # each line cites the fact of the next one; facts of 2^62 and above are
+    # keyed apart, as int64 cannot hold them all
     facts = [big + i for i in range(5)]
     rows = base_rows() + [
         {"n": f, "just": {"type": "coprime_product", "a": g, "b": 1}, "prereqs": [g, 1]}
@@ -539,6 +539,29 @@ def test_reorder_sorts_facts_of_any_size(write_cert, big):
     report = check_store(path, 20, reorder=True)
     assert M.CYCLE not in _codes(report) and M.MISSING_PREREQ not in _codes(report)
     assert report.stats["topological_depth"] == 6
+
+
+def test_reorder_holds_lines_after_an_absent_fact_without_sorting_them_again(cert_2k,
+                                                                          tmp_path):
+    # line 30 cites a fact no line provides, so it and every later line are
+    # held until end of file; they are sorted there, not again after each
+    # chunk, unless a chunk provides a fact that line waits for
+    with open(cert_2k["path"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[29] = lines[29].replace("]}", ",1000000]}", 1).replace("],", ",1000000],", 1)
+    path = tmp_path / "absent.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    sort, calls = checker._Reorder._sort, []
+
+    def record(self, rows, first, pairs, lo, hi, final):
+        calls.append(final)
+        return sort(self, rows, first, pairs, lo, hi, final)
+
+    with mock.patch.object(checker._Reorder, "_sort", record), \
+            mock.patch.object(checker, "CHUNK_LINES", 16):
+        report = check_store(str(path), cert_2k["limit"], reorder=True)
+    assert _codes(report) == {M.EXTRA_PREREQ}
+    assert calls.count(False) <= 4  # the chunks up to line 30's
 
 
 def test_reorder_cannot_rescue_true_cycles(write_cert):
