@@ -310,8 +310,8 @@ class _Pass:
         self.seed = seed
         self.rng = random.Random(seed)
         self.eligible = 0
-        # the sample (see _sample), and the parsed steps that entered it by line
-        self.sample = np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64)
+        # the sample's blocks (see _sample), and the parsed steps that entered it by line
+        self.sample = [(np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64))]
         self.held_steps, self.cut = {}, 1.0
         self.phases = Phases()
 
@@ -458,9 +458,9 @@ class _Pass:
 
     def _sample(self, line_nos, cols, steps, eligible: np.ndarray) -> None:
         """Priority sampling: each eligible (non-base) row draws a seeded
-        uniform key; the sample is the sample_size smallest, kept as keys,
-        int32 columns and lines. A chunk's rows whose keys are below `cut`,
-        its largest key once full, join it, and it is cut back at once."""
+        uniform key; the sample is the sample_size smallest, kept in blocks of
+        keys, int32 columns and lines. A chunk's rows whose keys are below
+        `cut`, the largest key kept once full, join it, cut back once over."""
         self.eligible += len(eligible)
         if self.sample_size <= 0 or not len(eligible):
             return
@@ -468,15 +468,13 @@ class _Pass:
         enter = np.flatnonzero(keys < self.cut)
         rows = eligible[enter]
         self.held_steps.update((line_nos[i], steps[i]) for i in rows.tolist() if i in steps)
-        keys, cols, lines = (np.concatenate(part) for part in zip(self.sample, (
-            keys[enter], cols[rows].astype(np.int32),
-            np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64))))
-        if len(keys) > self.sample_size:
-            del self.sample  # before the cut's copies
+        self.sample.append((keys[enter], cols[rows].astype(np.int32),
+                            np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64)))
+        if sum(len(block[0]) for block in self.sample) > self.sample_size:
+            keys, cols, lines = (np.concatenate(part) for part in zip(*self.sample))
+            del self.sample[:]  # before the cut's copies
             keep = np.argpartition(keys, self.sample_size - 1)[: self.sample_size]
-            keys, cols, lines = keys[keep], cols[keep], lines[keep]
-            self.cut = keys.max()
-        self.sample = keys, cols, lines
+            self.sample, self.cut = [(keys[keep], cols[keep], lines[keep])], keys[keep].max()
 
     # -- results ----------------------------------------------------------------
 
@@ -517,7 +515,7 @@ class _Pass:
     def spot_check(self) -> dict:
         """Re-validate the sample, in line order, with the reference rules and
         Miller-Rabin primality; establishment was judged by the pass."""
-        _, rows, lines = self.sample
+        _, rows, lines = (np.concatenate(part) for part in zip(*self.sample))
         for j in np.argsort(lines):  # no list or copy of the whole sample
             line_no = int(lines[j])
             step = self.held_steps.get(line_no) or _step(rows[j])
@@ -658,17 +656,19 @@ class _Reorder:
         src = np.where((first[0][at] == keys) & ~settled, first[1][at], -1)
         open_ = (src < 0) & ~settled & (not final)
         # p rows are closed unless one cites a row at or past lo + p (open: hi)
-        s = np.where(open_, hi, np.minimum(src, hi))
-        cover = np.bincount(dst[s > dst] - lo + 1, minlength=hi - lo + 2)
-        cover -= np.bincount(s[s > dst] - lo + 1, minlength=hi - lo + 2)
+        far = np.where(open_, hi, np.minimum(src, hi))
+        cover = np.bincount(dst[far > dst] - lo + 1, minlength=hi - lo + 2)
+        cover -= np.bincount(far[far > dst] - lo + 1, minlength=hi - lo + 2)
         p = hi - lo - int(np.argmax(np.cumsum(cover)[hi - lo::-1] == 0))
         self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
+        del keys, settled, open_, far, cover  # before the edges' arrays
         edge = (dst < lo + p) & (src >= 0) & (src != dst)
+        blocked = np.bincount(dst[lost & (dst < lo + p)] - lo, minlength=p)
         s, d = src[edge] - lo, dst[edge] - lo
+        del src, dst, lost, edge
         adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
         starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
-        indeg = memoryview(np.bincount(d, minlength=p)
-                           + np.bincount(dst[lost & (dst < lo + p)] - lo, minlength=p))
+        indeg = memoryview(np.bincount(d, minlength=p) + blocked)
         ready, order = np.flatnonzero(np.asarray(indeg) == 0).tolist(), array("q")  # a heap
         while ready:
             i = heapq.heappop(ready)
@@ -678,7 +678,7 @@ class _Reorder:
                 if indeg[k] == 0:
                     heapq.heappush(ready, k)
         # the unplaced rows are left, and the facts they provide first lost
-        if len(gone := np.setdiff1d(np.arange(lo, lo + p), order)):
+        if len(gone := np.flatnonzero(np.asarray(indeg)) + lo):
             mine = first[0][np.isin(first[1], gone)]
             self.lost = np.union1d(self.lost, mine[~self._fed(mine)])
             self.left.append(rows[gone])
