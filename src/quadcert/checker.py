@@ -599,7 +599,7 @@ class _Reorder:
 
     def __init__(self, run: _Pass):
         self.run, self.read, self.bigs = run, 0, {}  # bigs: parsed values >= 2^62 -> key
-        self.held, self.left = [], [np.zeros((0, 9), dtype=np.int32)]  # row blocks; unplaced
+        self.held, self.left = ([np.zeros((0, 9), dtype=np.int32)] for _ in range(2))
         self.steps: dict[int, CertificateStep] = {}  # line -> parsed step, until fed
         self.wait = self.lost = np.zeros(0, dtype=np.int64)  # the first open row's open facts
 

@@ -564,6 +564,13 @@ def test_reorder_holds_lines_after_an_absent_fact_without_sorting_them_again(cer
     assert calls.count(False) <= 4  # the chunks up to line 30's
 
 
+def test_reorder_of_an_empty_file_is_all_gaps(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    report = check_store(str(path), 3, reorder=True)
+    assert report.coverage_gaps == [[1, 3]] and report.stats["steps"] == 0
+
+
 def test_reorder_cannot_rescue_true_cycles(write_cert):
     # 25 needs 50 and 50 needs 25: no ordering fixes this
     rows = base_rows() + [
