@@ -601,7 +601,7 @@ class _Reorder:
         self.run, self.read, self.bigs = run, 0, {}  # bigs: parsed values >= 2^62 -> key
         self.held, self.left = ([np.zeros((0, 9), dtype=np.int32)] for _ in range(2))
         self.steps: dict[int, CertificateStep] = {}  # line -> parsed step, until fed
-        self.wait = self.lost = np.zeros(0, dtype=np.int64)  # the first open row's open facts
+        self.wait = self.lost = np.zeros(0, dtype=np.int64)  # first open row's; lost (sorted)
 
     def _key(self, v: int) -> int:  # a fact as an int64: a number past 2^62 if that large
         return v if v < 1 << 62 else self.bigs.setdefault(v, (1 << 62) + len(self.bigs))
