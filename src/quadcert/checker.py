@@ -652,13 +652,13 @@ class _Reorder:
         keys = np.append(pre[pre >= 0], pairs[a: b, 1])
         # each citation's first provider among the held rows; -1: fed, lost or open
         settled = (lost := np.isin(keys, self.lost)) | self._fed(keys)
-        at = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1)
-        src = np.where((first[0][at] == keys) & ~settled, first[1][at], -1)
+        far = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1)
+        src = np.where((first[0][far] == keys) & ~settled, first[1][far], -1)
         open_ = (src < 0) & ~settled & (not final)
         # p rows are closed unless one cites a row at or past lo + p (open: hi)
-        far = np.where(open_, hi, np.minimum(src, hi))
-        cover = np.bincount(dst[far > dst] - lo + 1, minlength=hi - lo + 2)
-        cover -= np.bincount(far[far > dst] - lo + 1, minlength=hi - lo + 2)
+        far = np.where(open_, hi, np.minimum(src, hi, out=far))
+        cover = np.bincount(dst[far > dst] - (lo - 1), minlength=hi - lo + 2)
+        cover -= np.bincount(far[far > dst] - (lo - 1), minlength=hi - lo + 2)
         p = hi - lo - int(np.argmax(np.cumsum(cover)[hi - lo::-1] == 0))
         self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
         del keys, settled, open_, far, cover  # before the edges' arrays
