@@ -336,6 +336,30 @@ def test_columns_keep_exactly_the_canonical_lines():
     assert kept > 300 and len(lines) - kept > 300
 
 
+def test_columns_leave_the_fast_path_exactly_on_long_or_zero_led_integers():
+    # every layout, each of its integer fields in turn at widths 1-10, with
+    # and without a leading zero, the other fields of 1-9 digits: kind -1
+    # iff that field has more than 9 digits or a leading zero (the module
+    # docstring's rule), else the row is parse_step's step
+    rng = random.Random(9)
+    lines, odd = [], []
+    for shape in checker._SHAPES:
+        text = shape.decode()
+        for j, width, lead in itertools.product(range(text.count("0")), range(1, 11), "x0"):
+            digits = str(rng.randrange(10 ** (width - 1), 10 ** width))
+            digits = "0" + digits[1:] if lead == "0" else digits
+            fields = iter([str(rng.randrange(1, 10 ** rng.randint(1, 9))) if i != j else digits
+                           for i in range(text.count("0"))])
+            lines.append(re.sub("0", lambda _: next(fields), text))
+            odd.append(width > 9 or width > 1 and lead == "0")
+    cols = checker_columns("\n".join(lines).encode() + b"\n")
+    assert len(cols) == len(lines) > 84 * 20
+    assert (cols[:, 0] < 0).tolist() == odd
+    for line, row, leaves in zip(lines, cols, odd):
+        if not leaves:
+            assert checker._step(row) == dataclasses.replace(M.parse_step(line, 1), meta=None), line
+
+
 @pytest.mark.parametrize("odd", ["\x00\x00", "\u00e9"])
 def test_a_nul_or_non_ascii_byte_in_a_shape_is_not_canonical(tmp_path, odd):
     # every layout filled, and twice more with two of its non-digit bytes
