@@ -61,9 +61,12 @@ edges, and duplicates, establishment, cycle vs. missing, coverage and the
 exact topological depth are computed once for all rows of a chunk, from one
 byte per fact index, its first provider's depth (0: not yet provided; over
 254: in a dict); first-provider rows are read off the chunk itself. A fact
-below the table size (at most 4 * (lines read) + 64) is its own index; a
-larger one is given the next index above that size when first provided. So
-memory follows the lines read, never an integer the file or the caller typed.
+below the table size is its own index, grown in place up to
+min(claimed_bound + 1, 4 * (lines read) + 64); a larger one is given the next
+index above that size in a dict when first provided (a genuine file's facts
+past its bound are a few Goldbach sums). Should that dict cost more than the
+slots the bound saves, the bound is dropped. So memory follows the lines
+read, never an integer the file or the caller typed.
 
 The optional numeric spot check draws a seeded random sample of non-base
 steps during the same pass, held as int32 columns and line numbers (see
@@ -256,7 +259,8 @@ def _arith_ok(cols: np.ndarray, prime: Callable[[np.ndarray], np.ndarray]) -> np
     """Rows for which validate_step would report nothing but establishment:
     the kind's arithmetic holds and the listed prereqs are exactly the
     demanded set, without repeats. `prime` maps values to their
-    primality. Values are below 10^9, so int64 is exact."""
+    primality. Values are below 10^9, so a sum of two is exact in int32
+    columns and the products are taken in int64."""
     kind, n, x, y, t = (cols[:, c] for c in (_KIND, _N, _X, _Y, _T))
     l0, l1, l2 = _sort3(*cols[:, _PRE].T)
     no_repeats = ((l1 > l0) | (l0 < 0)) & ((l2 > l1) | (l1 < 0))
@@ -272,9 +276,9 @@ def _arith_ok(cols: np.ndarray, prime: Callable[[np.ndarray], np.ndarray]) -> np
     # the four slots sum to 3x + y, and the demanded three are the others.
     ok = no_repeats & (l0 == d0) & (l1 == d1) & (l2 == d2) & (
         (kind == 0) & (n <= BASE_LIMIT)
-        | (kind == 1) & (x > 1) & (y > 1) & (x * y == n)
-        | (kind == 2) & (x >= 1) & (y >= 1) & (y * n == x)
-        | par & (x >= y) & (3 * x + y - d0 - d1 - d2 == n))
+        | (kind == 1) & (x > 1) & (y > 1) & (x.astype(np.int64) * y == n)
+        | (kind == 2) & (x >= 1) & (y >= 1) & (y.astype(np.int64) * n == x)
+        | par & (x >= y) & (3 * x.astype(np.int64) + y - d0 - d1 - d2 == n))
     # primality and the gcds, each on the rows of its kind that passed the rest
     i = np.flatnonzero(ok & par)
     ok[i] = prime(np.stack([x[i], y[i]])).all(axis=0)
@@ -293,11 +297,13 @@ class _Pass:
     Every fact has an index into `depth`, the depth of its first provider
     in one byte (0: none yet; 255: see `deep`): a fact below `size` is its
     own index, a larger one is given the next index above `size` in `ids`
-    when it is first provided.
+    when it is first provided. `size` grows up to min(`bound` (the claimed
+    bound + 1), 4 * (lines read) + 64) until `ids` would cost more than the
+    slots the bound saves (~100 bytes an entry, 1 a slot), then without it.
     """
 
-    def __init__(self, sample_size: int = 0, seed: int = 0):
-        self.size = 64
+    def __init__(self, sample_size: int = 0, seed: int = 0, bound: int | None = None):
+        self.size, self.bound = 64, bound
         self.ids: dict[int, int] = {}  # fact >= size -> index
         self.depth = np.zeros(64, dtype=np.uint8)  # index -> first depth
         self.deep: dict[int, int] = {}  # index -> first depth >= _DEEP
@@ -334,18 +340,20 @@ class _Pass:
 
     def _grow(self, need: int, cap: int, room: int) -> None:
         """Let facts below `need` (at most `cap`) index themselves, renumber
-        the larger ones above the new size, and leave room for `room` more."""
+        the larger ones above the new size, and leave room for `room` more.
+        The table is resized in place: no view of it outlives a chunk."""
         old = self.size
         size = min(cap, max(need, 2 * old)) if need > old else old
         if size == old and size + len(self.ids) + room <= len(self.depth):
             return
         facts, src = list(self.ids), list(self.ids.values())
+        got, self.depth[src] = self.depth[src], 0
         self.size, self.ids = size, {}
         dst = self._index(facts, True)
-        depth = np.zeros(size + 2 * (len(self.ids) + room), dtype=np.uint8)
-        depth[:old], depth[dst] = self.depth[:old], self.depth[src]
+        self.depth.resize(size + 2 * (len(self.ids) + room), refcheck=False)
+        self.depth[dst] = got
         moved = dict(zip(src, dst))
-        self.depth, self.deep = depth, {moved.get(i, i): d for i, d in self.deep.items()}
+        self.deep = {moved.get(i, i): d for i, d in self.deep.items()}
 
     def _is_prime(self, values: np.ndarray) -> np.ndarray:
         """Sieved primality below `size`. A larger value reads as not prime,
@@ -365,23 +373,25 @@ class _Pass:
         file line numbers, `lines_read` counts the file's lines read and
         `cols, steps` the chunk's int32 columns and parsed steps (see `_scan`)."""
         t = time.monotonic()
-        k, cols = len(cols), cols.astype(np.int64)
-        kind = cols[:, _KIND]
+        k, kind = len(cols), cols[:, _KIND]
 
         # every non-blank row as a fact index and prereq edges (erow[j]
         # cites eix[j]); parsed values may exceed int64, so stay Python ints
         cap = 4 * lines_read + 64
+        if self.bound is not None and 100 * len(self.ids) > cap - self.bound > 0:
+            self.bound = None  # its dict would cost more than the table slots it saves
+        cap = min(cap, self.bound or cap)
         parsed = list(steps)
         pfacts = [steps[i].fact for i in parsed]
         prow = [i for i in parsed for _ in steps[i].prereqs]
         pvals = [v for i in parsed for v in steps[i].prereqs]
         pre = cols[:, _PRE].T  # one prereq field per row, each contiguous
         erow = [np.flatnonzero(field >= 0) for field in pre]
-        evals = np.concatenate([field[rows] for field, rows in zip(pre, erow)])
+        evals = np.concatenate([field[rows] for field, rows in zip(pre, erow)], dtype=np.int64)
         small = np.array([v for v in chain(pfacts, pvals) if v < cap], dtype=np.int64)
         values = np.concatenate([cols[:, _N], evals, small])
         self._grow(int(values[values < cap].max(initial=-1)) + 1, cap, k)
-        fix = cols[:, _N].copy()  # -1 on rows that are not canonical
+        fix = cols[:, _N].astype(np.int64)  # -1 on rows that are not canonical
         large = fix >= self.size
         fix[large] = self._index(fix[large].tolist(), True)
         fix[parsed] = self._index(pfacts, True)
@@ -439,10 +449,9 @@ class _Pass:
         rd = np.ones(k, dtype=np.int64)
         outside = 1 + np.where(fr < 0, before, base_range)
         np.maximum.at(rd, erow[~inside], outside[~inside])
-        src, dst = fr[inside], erow[inside]
-        order = np.argsort(dst)
+        order = np.argsort(erow[inside])
         view = memoryview(rd)
-        for a, b in zip(src[order].tolist(), dst[order].tolist()):
+        for a, b in zip(memoryview(fr[inside][order]), memoryview(erow[inside][order])):
             if view[a] >= view[b]:
                 view[b] = view[a] + 1
         self.max_depth = max(self.max_depth, int(rd[active].max(initial=0)))
@@ -466,6 +475,8 @@ class _Pass:
             return
         keys = _random_keys(self.rng, len(eligible))
         enter = np.flatnonzero(keys < self.cut)
+        if len(enter) > self.sample_size:  # only the chunk's K smallest can be kept
+            enter = enter[np.argpartition(keys[enter], self.sample_size - 1)[: self.sample_size]]
         rows = eligible[enter]
         self.held_steps.update((line_nos[i], steps[i]) for i in rows.tolist() if i in steps)
         self.sample.append((keys[enter], cols[rows].astype(np.int32),
@@ -631,44 +642,54 @@ class _Reorder:
         pairs = np.array([(i, self._key(v)) for i, s in zip(at.tolist(), steps.values())
                           for v in s.prereqs], dtype=np.int64).reshape(-1, 2)  # their citations
         first = np.unique(facts, return_index=True)  # each fact's first row
+        first = first[0], first[1].astype(np.int32)
+        del facts  # before the sort's arrays
         done, size, p = 0, CHUNK_LINES, 1  # rows sorted; rows to sort, about
         while done < len(rows) and (p or hi < len(rows)):  # until all, or none can be
             hi = min(done + size, len(rows))
             order, p = self._sort(rows, first, pairs, done, hi, chunk is None)
             t = self.run.phases.add("reorder", t, p)
-            self._feed(rows[order])
+            self._feed(rows, order)
             t, done, size = time.monotonic(), done + p, CHUNK_LINES if p else 2 * size
         self.run.phases.add("reorder", t)
         self.held = [rows[done:]]
         if chunk is None:
-            self._feed(np.concatenate(self.left))
+            left = np.concatenate(self.left)
+            self._feed(left, np.arange(len(left)))
 
     def _sort(self, rows: np.ndarray, first: tuple, pairs: np.ndarray, lo: int, hi: int,
               final: bool) -> tuple[np.ndarray, int]:
         """The rows Kahn's algorithm places of the longest closed prefix of
         held rows lo..hi - 1, in order, and its length; the others are left."""
         pre, (a, b) = rows[lo: hi, _PRE], np.searchsorted(pairs[:, 0], [lo, hi])
-        dst = np.append(np.repeat(np.arange(lo, hi), (pre >= 0).sum(axis=1)), pairs[a: b, 0])
+        # row numbers (citing rows, providers) are int32: rows are fewer than 2^31
+        dst = np.concatenate([np.repeat(np.arange(lo, hi, dtype=np.int32), (pre >= 0).sum(axis=1)),
+                              pairs[a: b, 0]], dtype=np.int32)
         keys = np.append(pre[pre >= 0], pairs[a: b, 1])
         # each citation's first provider among the held rows; -1: fed, lost or open
         settled = (lost := np.isin(keys, self.lost)) | self._fed(keys)
-        far = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1)
+        far = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1).astype(np.int32)
         src = np.where((first[0][far] == keys) & ~settled, first[1][far], -1)
         open_ = (src < 0) & ~settled & (not final)
+        self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
+        del keys, settled  # before the closure bound's arrays
         # p rows are closed unless one cites a row at or past lo + p (open: hi)
         far = np.where(open_, hi, np.minimum(src, hi, out=far))
-        cover = np.bincount(dst[far > dst] - (lo - 1), minlength=hi - lo + 2)
-        cover -= np.bincount(far[far > dst] - (lo - 1), minlength=hi - lo + 2)
+        span = far > dst
+        cover = np.bincount(dst[span] - (lo - 1), minlength=hi - lo + 2)
+        cover -= np.bincount(far[span] - (lo - 1), minlength=hi - lo + 2)
         p = hi - lo - int(np.argmax(np.cumsum(cover)[hi - lo::-1] == 0))
-        self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
-        del keys, settled, open_, far, cover  # before the edges' arrays
+        del open_, far, span, cover  # before the edges' arrays
         edge = (dst < lo + p) & (src >= 0) & (src != dst)
         blocked = np.bincount(dst[lost & (dst < lo + p)] - lo, minlength=p)
         s, d = src[edge] - lo, dst[edge] - lo
         del src, dst, lost, edge
-        adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
+        indeg = np.bincount(d, minlength=p)
+        indeg += blocked
         starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
-        indeg = memoryview(np.bincount(d, minlength=p) + blocked)
+        adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
+        del s, d  # before Kahn's loop
+        indeg = memoryview(indeg)
         ready, order = np.flatnonzero(np.asarray(indeg) == 0).tolist(), array("q")  # a heap
         while ready:
             i = heapq.heappop(ready)
@@ -684,10 +705,10 @@ class _Reorder:
             self.left.append(rows[gone])
         return np.asarray(order), p
 
-    def _feed(self, rows: np.ndarray) -> None:
-        """Feed `rows` in chunks of CHUNK_LINES, with their parsed steps."""
-        for lo in range(0, len(rows), CHUNK_LINES):
-            part = rows[lo: lo + CHUNK_LINES]
+    def _feed(self, rows: np.ndarray, order: np.ndarray) -> None:
+        """Feed `rows[order]` in chunks of CHUNK_LINES, with their parsed steps."""
+        for lo in range(0, len(order), CHUNK_LINES):
+            part = rows[order[lo: lo + CHUNK_LINES]]
             lines = part[:, 8].tolist()
             self.run.feed(lines, self.read, part[:, :8], {
                 j: self.steps.pop(n) for j, n in enumerate(lines) if n in self.steps})
@@ -755,7 +776,7 @@ def check_store(
     if claimed_bound < 0:
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
     t0 = time.monotonic()
-    run = _Pass(spot_check, seed)
+    run = _Pass(spot_check, seed, claimed_bound + 1)
     boot = _bootstrap(run.immediate)
     run.phases.add("bootstrap", t0, boot["facts_pinned"])
     _scan(path, run, reorder)

@@ -756,6 +756,34 @@ def test_gap_ranges_around_a_fact_at_the_table_size(write_cert):
     assert report.stats["violation_counts"] == {M.BASE_OUT_OF_RANGE: 2, M.COVERAGE_GAP: 3}
 
 
+@pytest.mark.parametrize("bound", [50, 2000])
+def test_fact_table_stops_at_the_bound_or_goes_back_to_the_lines_rule(cert_2k, tmp_path, bound):
+    # the file at its own bound keeps a table of bound + 1 entries and only
+    # the facts past the bound in `ids`; a bound far below its facts would
+    # fill `ids`, so the pass drops it for the lines rule (4 * lines read + 64);
+    # either way the report is the lines rule's, here with a gap and a duplicate
+    with open(cert_2k["path"], encoding="utf-8") as fh:
+        lines = [line for line in fh if json.loads(line)["n"] != 30]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(lines + lines[500:501]), encoding="utf-8")
+    facts = {json.loads(line)["n"] for line in lines}
+    run, lines_rule = checker._Pass(bound=bound + 1), checker._Pass
+    with mock.patch.object(checker, "CHUNK_LINES", 256):
+        checker._scan(str(path), run, reorder=False)
+        got = check_store(str(path), bound)
+        with mock.patch.object(checker, "_Pass", lambda *args: lines_rule(*args[:2])):
+            want = check_store(str(path), bound)
+    if bound == 2000:
+        assert (run.bound, run.size) == (2001, 2001)
+        assert sorted(run.ids) == sorted(f for f in facts if f > bound) != []
+    else:
+        assert run.bound is None and run.size > 4 * 256 + 64
+    assert {M.COVERAGE_GAP, M.DUPLICATE_FACT, M.MISSING_PREREQ} <= _codes(got)
+    for report in (got, want):
+        del report.stats["elapsed_s"]
+    assert got.to_dict() == want.to_dict()
+
+
 def test_single_fact_gap_keeps_the_per_fact_text(write_cert):
     rows = [r for r in base_rows() if r["n"] != 7]
     report = check_store(write_cert(rows), 20)

@@ -211,18 +211,18 @@ def _object_scan(path, bound, reorder):
             "bootstrap": {"facts_pinned": 20, "surviving_branches": 1}}
 
 
-def _three_ways(rows, chunk, newline="\n", final_newline=True, reorder=False):
+def _three_ways(rows, chunk, newline="\n", final_newline=True, reorder=False, bound=BOUND):
     """Reports of the canonical file, of the spaced file, and of the object
-    scan; the first two with CHUNK_LINES set to `chunk`."""
+    scan, for the claimed `bound`; the first two with CHUNK_LINES set to `chunk`."""
     with tempfile.TemporaryDirectory() as tmp:
         fast = os.path.join(tmp, "canonical.jsonl")
         slow = os.path.join(tmp, "spaced.jsonl")
         _write(fast, rows, False, newline, final_newline)
         _write(slow, rows, True, newline, final_newline)
         with mock.patch.object(checker, "CHUNK_LINES", chunk):
-            got_fast = _run(fast, BOUND, reorder)
-            got_slow = _run(slow, BOUND, reorder)
-        return got_fast, got_slow, _object_scan(slow, BOUND, reorder)
+            got_fast = _run(fast, bound, reorder)
+            got_slow = _run(slow, bound, reorder)
+        return got_fast, got_slow, _object_scan(slow, bound, reorder)
 
 
 @pytest.fixture(scope="module")
@@ -231,14 +231,17 @@ def genuine_prefix(cert_2k):
         return [json.loads(line) for _, line in zip(range(PREFIX), fh)]
 
 
+# bounds below the prefix's facts (the pass drops the bound for the lines
+# rule), inside them and above them (4 * lines read + 64)
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(op, max_size=12), chunk=st.sampled_from([3, 16, 64]),
        newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
-       reorder=st.booleans())
+       reorder=st.booleans(), bound=st.one_of(st.integers(0, 100), st.just(BOUND),
+                                              st.integers(401, 4000)))
 def test_layouts_agree_with_object_scan(genuine_prefix, ops, chunk, newline,
-                                        final_newline, reorder):
+                                        final_newline, reorder, bound):
     fast, slow, want = _three_ways(_mutate(genuine_prefix, ops), chunk,
-                                   newline, final_newline, reorder)
+                                   newline, final_newline, reorder, bound)
     assert fast == want
     assert slow == want
 

@@ -2,7 +2,8 @@
 
 Hypothesis truncates the file at any byte, flips bytes, inserts invalid
 UTF-8, NUL and CR bytes, and writes 25-digit and 5,000-digit integers over
-the file's numbers; the claimed bound is the genuine one or any up to 10^12.
+the file's numbers; the claimed bound is the genuine one, any below it, or
+any up to 10^12.
 Whatever the bytes and the bound, `check_store` returns a report or raises
 one of the errors the CLI reports with exit 2, and `check` exits 0, 1 or 2.
 """
@@ -60,7 +61,7 @@ def genuine_bytes(cert_2k):
 
 @settings(max_examples=80, deadline=None)
 @given(ops=st.lists(op, min_size=1, max_size=4), reorder=st.booleans(),
-       bound=st.one_of(st.just(BOUND), st.integers(0, 10**12)))
+       bound=st.one_of(st.just(BOUND), st.integers(0, BOUND), st.integers(0, 10**12)))
 def test_any_bytes_end_in_a_report_or_a_clean_error(genuine_bytes, ops, reorder, bound):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cert.jsonl")
