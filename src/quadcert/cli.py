@@ -111,6 +111,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.out == "-" and (args.stats in (None, "-") or args.check):
+        print("error: --out - (stdout) needs --stats PATH and takes no --check", file=sys.stderr)
+        return EXIT_USAGE
     t0 = time.monotonic()
     phases = Phases()
     boot = solve_bootstrap()
@@ -119,7 +122,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t = phases.add("bootstrap", t0, len(boot.table))
     table = build_prime_table(table_limit(args.max), max_bits=_sieve_budget(args))
     phases.add("table", t, table.limit + 1)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(sys.stdout.fileno() if args.out == "-" else args.out, "w", encoding="utf-8",
+              newline="", closefd=args.out != "-") as fh:
         result = certify_range(args.max, policy=args.policy, table=table,
                                sink=fh, phases=phases)
     stats: dict = {
@@ -152,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     report = check_store(
-        args.infile, args.max, reorder=args.reorder,
+        "/dev/stdin" if args.infile == "-" else args.infile, args.max, reorder=args.reorder,
         spot_check=args.spot_check, seed=args.seed,
     )
     out = report.to_dict()
@@ -199,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICIES, default=MAX_Q,
                    help="Goldbach pair selection policy (default max-q)")
     p.add_argument("--out", default="certificate.jsonl",
-                   help="certificate output path (JSON lines)")
+                   help="certificate output path (JSON lines); - for stdout")
     p.add_argument("--stats", default=None, metavar="PATH",
                    help="write the stats JSON here instead of stdout")
     p.add_argument("--check", action="store_true",
@@ -214,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="verify a certificate file")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    p.add_argument("--in", dest="infile", required=True, metavar="FILE", help="- reads stdin")
     p.add_argument("--max", type=int, required=True, metavar="N",
                    help="claimed coverage bound (1..N must be justified)")
     p.add_argument("--spot-check", type=_sample_size, default=0, metavar="K",

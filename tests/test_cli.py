@@ -175,6 +175,37 @@ def test_check_reads_a_pipe_on_a_second_core(tmp_path):
     assert piped == on_file
 
 
+@pytest.mark.parametrize("bound, code", [(2000, 0), (4000, 1)])
+def test_verify_out_dash_streams_to_check_in_dash(tmp_path, bound, code):
+    # `--out -` writes the certificate to stdout, and no file named "-";
+    # `--in -` reads it from stdin and reports what a check of the file does
+    cli_ = [sys.executable, "-X", "dev", "-m", "quadcert.cli"]
+    gen = subprocess.Popen([*cli_, "verify", "--max", "2000", "--out", "-", "--stats", "s.json"],
+                           stdout=subprocess.PIPE, env=_cli_env(), cwd=tmp_path)
+    with gen:
+        out = subprocess.run([*cli_, "check", "--in", "-", "--max", str(bound)], stdin=gen.stdout,
+                             capture_output=True, text=True, env=_cli_env(), cwd=tmp_path)
+    assert (gen.returncode, out.returncode, out.stderr) == (0, code, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+    assert _read_json(tmp_path / "s.json")["engine"]["limit"] == 2000
+    cert, report = tmp_path / "c.jsonl", tmp_path / "r.json"
+    assert run("verify", "--max", "2000", "--out", str(cert),
+               "--stats", str(tmp_path / "s2.json")) == 0
+    assert run("check", "--in", str(cert), "--max", str(bound), "--report", str(report)) == code
+    piped, on_file = json.loads(out.stdout), _read_json(report)
+    for blob in (piped, on_file):
+        del blob["phases"], blob["stats"]["elapsed_s"]
+    assert piped == on_file and piped["accepted"] == (code == 0)
+
+
+@pytest.mark.parametrize("extra", [[], ["--stats", "-"], ["--stats", "s.json", "--check"]])
+def test_verify_out_dash_needs_a_stats_path_and_no_check(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    assert run("verify", "--max", "100", "--out", "-", *extra) == 2
+    assert "--out - (stdout) needs --stats PATH" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _check_outcome(path, pipe):
     """Exit code, stderr and report (without timings) of `check` on the file
     at `path`, read by name or piped to /dev/stdin."""
