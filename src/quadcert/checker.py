@@ -57,20 +57,24 @@ Each line takes one of two paths:
               violations, their codes and their text are the reference's.
 
 Either way a row then becomes one fact index plus a flat list of prereq
-edges, and duplicates, establishment, cycle vs. missing, coverage and the
-exact topological depth are computed once for all rows of a chunk, from one
+edges, and duplicates, establishment, coverage and the exact topological
+depth are computed once for all rows of a chunk (`_Pass.feed`), from one
 byte per fact index, its first provider's depth (0: not yet provided; over
-254: in a dict); first-provider rows are read off the chunk itself. A fact
-below the table size is its own index, grown in place up to
-min(claimed_bound + 1, 4 * (lines read) + 64); a larger one is given the next
-index above that size in a dict when first provided (a genuine file's facts
-past its bound are a few Goldbach sums). Should that dict cost more than the
-slots the bound saves, the bound is dropped. So memory follows the lines
-read, never an integer the file or the caller typed.
+254: in a dict); first-provider rows are read off the chunk itself.
+
+Each part of the pass's state has one owner. `_Facts`, the fact store, owns
+the table rule: a fact below the table size is its own index, grown in place
+up to min(claimed_bound + 1, 4 * (lines read) + 64); a larger one is given
+the next index above that size in a dict when first provided (a genuine
+file's facts past its bound are a few Goldbach sums). Should that dict cost
+more than the slots the bound saves, the bound is dropped. So memory follows
+the lines read, never an integer the file or the caller typed. `_Faults`,
+the fault log, owns cycle vs. missing, told by the store's one vectorised
+lookup (which `_Reorder` asks too); `_Sample` owns the spot check's sample.
 
 The optional numeric spot check draws a seeded random sample of non-base
-steps during the same pass, held as int32 columns and line numbers (see
-`_Pass._sample`), and, once the file is accepted, builds each step and runs
+steps during the same pass, held as int32 columns and line numbers, and,
+once the file is accepted, builds each step and runs
 it through `model.validate_step` again, with primality from Miller-Rabin
 rather than the sieve of the fast path (establishment was the pass's). A
 step the pass accepted and the reference rejects is a fault of the checker
@@ -159,7 +163,7 @@ def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
 
 
 _SHAPES, _LAYOUT, _WIDTHS = _layouts()
-_DEEP = 255  # a depth table entry whose depth is held in `_Pass.deep`
+_DEEP = 255  # a depth table entry whose depth is held in `_Facts.deep`
 
 
 @dataclass
@@ -289,73 +293,79 @@ def _arith_ok(cols: np.ndarray, prime: Callable[[np.ndarray], np.ndarray]) -> np
     return ok
 
 
-class _Pass:
-    """The state of one pass over certificate steps in check order.
+class _Facts:
+    """The fact store, the only owner of the fact-index table and its rule
+    (see the module docstring). Every fact has an index into `depth`, the
+    depth of its first provider in one byte (0: none yet; 255: see `deep`):
+    a fact below `size` is its own index, a larger one is given the next
+    index above `size` in `ids` when it is first provided. `size` grows up
+    to min(`bound`, 4 * (lines read) + 64) until `ids` would cost more than
+    the slots the bound saves (~100 bytes an entry, 1 a slot)."""
 
-    "Established before a step" means provided by an earlier step in check
-    order: of an earlier chunk, or on an earlier row of the same chunk.
-    Every fact has an index into `depth`, the depth of its first provider
-    in one byte (0: none yet; 255: see `deep`): a fact below `size` is its
-    own index, a larger one is given the next index above `size` in `ids`
-    when it is first provided. `size` grows up to min(`bound` (the claimed
-    bound + 1), 4 * (lines read) + 64) until `ids` would cost more than the
-    slots the bound saves (~100 bytes an entry, 1 a slot), then without it.
-    """
-
-    def __init__(self, sample_size: int = 0, seed: int = 0, bound: int | None = None):
+    def __init__(self, bound: int | None):
         self.size, self.bound = 64, bound
         self.ids: dict[int, int] = {}  # fact >= size -> index
         self.depth = np.zeros(64, dtype=np.uint8)  # index -> first depth
         self.deep: dict[int, int] = {}  # index -> first depth >= _DEEP
         self.primes: PrimeTable | None = None  # sieved below `size`
-        self.steps = 0
-        self.max_depth = 0
-        self.immediate: list[Violation] = []
-        self.deferred: list[Violation] = []
-        self.sample_size = sample_size
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.eligible = 0
-        # the sample's blocks (see _sample), and the parsed steps that entered it by line
-        self.sample = [(np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64))]
-        self.held_steps, self.cut = {}, 1.0
-        self.phases = Phases()
+        self.distinct = 0  # facts provided
 
-    # -- the fact-index table -------------------------------------------------
-
-    def _index(self, values: list[int], provide: bool) -> list[int]:
-        """The indices of `values`; with `provide`, a large fact seen for the
-        first time gets the next free index, else it reads as -1."""
+    def index(self, values, provide: bool = False) -> np.ndarray:
+        """The indices of `values` (ints, or an integer array) as int64; with
+        `provide`, a large fact seen for the first time gets the next free
+        index, else it reads as -1."""
         size, ids = self.size, self.ids
-        if provide:
-            return [v if v < size else ids.setdefault(v, size + len(ids)) for v in values]
-        return [v if v < size else ids.get(v, -1) for v in values]
+        if isinstance(values, np.ndarray):
+            out = values.astype(np.int64)
+            large = out >= size  # with no large fact indexed, each reads -1
+            out[large] = self.index(out[large].tolist(), provide) if provide or ids else -1
+            return out
+        return np.array([v if v < size else ids.setdefault(v, size + len(ids)) if provide
+                         else ids.get(v, -1) for v in values], dtype=np.int64)
 
-    def _before(self, v: int, rows: dict[int, int], row: int) -> bool:
-        """Whether fact v is established before `row` of a chunk whose facts
-        are first provided on `rows` (by index)."""
-        i = v if v < self.size else self.ids.get(v)
-        return 0 <= v <= BASE_LIMIT or i is not None and (
-            self.depth[i] != 0 or rows.get(i, row) < row)
+    def provided(self, values) -> np.ndarray:
+        """Whether a row fed so far provides each of `values` (see `index`)."""
+        i = self.index(values)
+        return (i >= 0) & (self.depth[i] != 0)
 
-    def _grow(self, need: int, cap: int, room: int) -> None:
-        """Let facts below `need` (at most `cap`) index themselves, renumber
-        the larger ones above the new size, and leave room for `room` more.
-        The table is resized in place: no view of it outlives a chunk."""
-        old = self.size
+    def depths(self, ix: np.ndarray) -> np.ndarray:
+        """Each index's first provider's depth as int64; 0: none yet, or -1."""
+        got = self.depth[ix].astype(np.int64)
+        got[ix < 0] = 0
+        for j in np.flatnonzero(got == _DEEP).tolist():
+            got[j] = self.deep[int(ix[j])]
+        return got
+
+    def settle(self, ix: np.ndarray, depths: np.ndarray) -> None:
+        """Record the first providers' depths of newly provided facts."""
+        self.distinct += len(ix)
+        self.depth[ix] = np.minimum(depths, _DEEP)
+        self.deep.update(zip(ix[depths >= _DEEP].tolist(), depths[depths >= _DEEP].tolist()))
+
+    def grow(self, lines_read: int, values: list[np.ndarray], more: list[int], room: int) -> None:
+        """Let the chunk's facts and citations, the arrays `values` and the
+        Python ints `more`, index themselves below the cap, renumber the
+        larger ones above the new size, and leave room for `room` more. The
+        table is resized in place: no view of it outlives a chunk."""
+        cap = 4 * lines_read + 64
+        if self.bound is not None and 100 * len(self.ids) > cap - self.bound > 0:
+            self.bound = None  # its dict would cost more than the table slots it saves
+        cap = min(cap, self.bound or cap)
+        values = np.concatenate([*values, np.array([v for v in more if v < cap], dtype=np.int64)])
+        need, old = int(values[values < cap].max(initial=-1)) + 1, self.size
         size = min(cap, max(need, 2 * old)) if need > old else old
         if size == old and size + len(self.ids) + room <= len(self.depth):
             return
         facts, src = list(self.ids), list(self.ids.values())
         got, self.depth[src] = self.depth[src], 0
         self.size, self.ids = size, {}
-        dst = self._index(facts, True)
+        dst = self.index(facts, True)
         self.depth.resize(size + 2 * (len(self.ids) + room), refcheck=False)
         self.depth[dst] = got
-        moved = dict(zip(src, dst))
+        moved = dict(zip(src, dst.tolist()))
         self.deep = {moved.get(i, i): d for i, d in self.deep.items()}
 
-    def _is_prime(self, values: np.ndarray) -> np.ndarray:
+    def prime(self, values: np.ndarray) -> np.ndarray:
         """Sieved primality below `size`. A larger value reads as not prime,
         which only sends its row to the reference path."""
         top = self.primes.limit if self.primes else -1
@@ -365,144 +375,10 @@ class _Pass:
         inside = values <= top
         return inside & self.primes.lookup(np.where(inside, values, 0))
 
-    # -- one chunk ------------------------------------------------------------
-
-    def feed(self, line_nos: Sequence[int], lines_read: int, cols: np.ndarray,
-             steps: dict[int, CertificateStep]) -> None:
-        """Check the next chunk of lines in check order; `line_nos` are their
-        file line numbers, `lines_read` counts the file's lines read and
-        `cols, steps` the chunk's int32 columns and parsed steps (see `_scan`)."""
-        t = time.monotonic()
-        k, kind = len(cols), cols[:, _KIND]
-
-        # every non-blank row as a fact index and prereq edges (erow[j]
-        # cites eix[j]); parsed values may exceed int64, so stay Python ints
-        cap = 4 * lines_read + 64
-        if self.bound is not None and 100 * len(self.ids) > cap - self.bound > 0:
-            self.bound = None  # its dict would cost more than the table slots it saves
-        cap = min(cap, self.bound or cap)
-        parsed = list(steps)
-        pfacts = [steps[i].fact for i in parsed]
-        prow = [i for i in parsed for _ in steps[i].prereqs]
-        pvals = [v for i in parsed for v in steps[i].prereqs]
-        pre = cols[:, _PRE].T  # one prereq field per row, each contiguous
-        erow = [np.flatnonzero(field >= 0) for field in pre]
-        evals = np.concatenate([field[rows] for field, rows in zip(pre, erow)], dtype=np.int64)
-        small = np.array([v for v in chain(pfacts, pvals) if v < cap], dtype=np.int64)
-        values = np.concatenate([cols[:, _N], evals, small])
-        self._grow(int(values[values < cap].max(initial=-1)) + 1, cap, k)
-        fix = cols[:, _N].astype(np.int64)  # -1 on rows that are not canonical
-        large = fix >= self.size
-        fix[large] = self._index(fix[large].tolist(), True)
-        fix[parsed] = self._index(pfacts, True)
-        large = evals >= self.size
-        evals[large] = self._index(evals[large].tolist(), False)
-        eix = np.concatenate([evals, np.array(self._index(pvals, False), dtype=np.int64)])
-        erow = np.concatenate([*erow, np.array(prow, dtype=np.int64)])
-
-        # providers: each fact's first row in this chunk; a row is a
-        # duplicate unless it is that row of a fact not provided before
-        depth = self.depth
-        active = np.flatnonzero(fix >= 0)
-        new_facts, first_idx = np.unique(fix[active], return_index=True)
-        new_rows = active[first_idx]
-        fresh = depth[new_facts] == 0
-        dup = np.ones(k, dtype=bool)
-        dup[new_rows] = ~fresh
-        for i in active[dup[active]].tolist():
-            f = steps[i].fact if i in steps else int(cols[i, _N])
-            self.immediate.append(Violation(
-                DUPLICATE_FACT, f"fact {f} was already justified",
-                line=line_nos[i], fact=f))
-
-        # per edge, the cited fact's first row here: -1 if an earlier chunk
-        # provided it, k if none has yet (eix -1 reads an entry it drops),
-        # searched for only on the edges to facts not provided before
-        before = depth[eix]
-        fr = np.full(len(eix), -1)
-        here = np.flatnonzero((before == 0) | (eix < 0))
-        loc = np.searchsorted(new_facts, eix[here])
-        fr[here] = np.where(np.append(new_facts, -2)[loc] == eix[here],
-                            np.append(new_rows, k)[loc], k)
-
-        # establishment and arithmetic; any other row goes to the reference
-        base_range = (eix >= 0) & (eix <= BASE_LIMIT)
-        t = self.phases.add("bookkeeping", t)
-        clean = _arith_ok(cols, self._is_prime)
-        t = self.phases.add("arithmetic", t, k)
-        clean[erow[~base_range & (fr >= erow)]] = False
-        todo = active[~clean[active]].tolist()
-        rows = dict(zip(new_facts.tolist(), new_rows.tolist())) if todo else {}
-        for i in todo:
-            step = steps.get(i) or _step(cols[i])
-            established = partial(self._before, rows=rows, row=i)
-            for v in validate_step(step, established, is_prime, line=line_nos[i]):
-                (self.deferred if v.establishment else self.immediate).append(v)
-        t = self.phases.add("reference", t, len(todo))
-
-        # depth: edges to providers before this chunk read the depth table,
-        # edges inside it are relaxed in row order, in place (a memoryview)
-        inside = (fr >= 0) & (fr < erow)
-        before = before.astype(np.int64)
-        for j in np.flatnonzero((before == _DEEP) & (fr < 0)).tolist():
-            before[j] = self.deep[int(eix[j])]
-        rd = np.ones(k, dtype=np.int64)
-        outside = 1 + np.where(fr < 0, before, base_range)
-        np.maximum.at(rd, erow[~inside], outside[~inside])
-        order = np.argsort(erow[inside])
-        view = memoryview(rd)
-        for a, b in zip(memoryview(fr[inside][order]), memoryview(erow[inside][order])):
-            if view[a] >= view[b]:
-                view[b] = view[a] + 1
-        self.max_depth = max(self.max_depth, int(rd[active].max(initial=0)))
-        new_facts, got = new_facts[fresh], rd[new_rows[fresh]]
-        depth[new_facts] = np.minimum(got, _DEEP)
-        self.deep.update(zip(new_facts[got >= _DEEP].tolist(), got[got >= _DEEP].tolist()))
-
-        base = kind == 0
-        base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
-        self._sample(line_nos, cols, steps, active[~base[active]])
-        self.steps += len(active)
-        self.phases.add("bookkeeping", t, k)
-
-    def _sample(self, line_nos, cols, steps, eligible: np.ndarray) -> None:
-        """Priority sampling: each eligible (non-base) row draws a seeded
-        uniform key; the sample is the sample_size smallest, kept in blocks of
-        keys, int32 columns and lines. A chunk's rows whose keys are below
-        `cut`, the largest key kept once full, join it, cut back once over."""
-        self.eligible += len(eligible)
-        if self.sample_size <= 0 or not len(eligible):
-            return
-        keys = _random_keys(self.rng, len(eligible))
-        enter = np.flatnonzero(keys < self.cut)
-        if len(enter) > self.sample_size:  # only the chunk's K smallest can be kept
-            enter = enter[np.argpartition(keys[enter], self.sample_size - 1)[: self.sample_size]]
-        rows = eligible[enter]
-        self.held_steps.update((line_nos[i], steps[i]) for i in rows.tolist() if i in steps)
-        self.sample.append((keys[enter], cols[rows].astype(np.int32),
-                            np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64)))
-        if sum(len(block[0]) for block in self.sample) > self.sample_size:
-            keys, cols, lines = (np.concatenate(part) for part in zip(*self.sample))
-            del self.sample[:]  # before the cut's copies
-            keep = np.argpartition(keys, self.sample_size - 1)[: self.sample_size]
-            self.sample, self.cut = [(keys[keep], cols[keep], lines[keep])], keys[keep].max()
-
-    # -- results ----------------------------------------------------------------
-
-    def report(self, bound: int) -> tuple[list[Violation], list[list[int]]]:
-        violations = list(self.immediate)
-        for v in self.deferred:
-            later = self._before(v.value, {}, 0)  # v.value is above the base range
-            violations.append(Violation(
-                CYCLE if later else MISSING_PREREQ,
-                f"prerequisite {as_decimal(v.value)} is justified only on a later line"
-                " (line order must be topological)" if later
-                else f"prerequisite {as_decimal(v.value)} is never justified",
-                line=v.line, fact=v.fact, value=v.value))
-        violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
-        # the facts 1..bound no step provides, as [lo, hi] runs: of `depth`
-        # below `size`, GAP_SLICE facts at a time, then between the sorted
-        # facts of `ids` above it
+    def gaps(self, bound: int) -> list[list[int]]:
+        """The facts 1..bound no step provides, as [lo, hi] runs: of `depth`
+        below `size`, GAP_SLICE facts at a time, then between the sorted
+        facts of `ids` above it."""
         gaps: list[list[int]] = []
         top = min(bound, self.size - 1) + 1
         for start in range(1, top, GAP_SLICE):
@@ -518,15 +394,69 @@ class _Pass:
             if v > lo:
                 gaps.append([lo, v - 1])
             lo = v + 1
+        return gaps
+
+
+class _Faults(list):
+    """The fault log: the violations found, in order. Establishment ones are
+    told apart at end of file: a cycle if a later line provides the prereq,
+    else a missing prereq."""
+
+    def report(self, provided: Callable, gaps: list[list[int]]) -> list[Violation]:
+        """Every violation by line, code and detail, then one per gap run;
+        `provided` (a `_Facts` lookup) tells cycles from missing prereqs."""
+        deferred = [v for v in self if v.establishment]
+        violations = [v for v in self if not v.establishment]
+        for v, later in zip(deferred, provided([v.value for v in deferred]).tolist()):
+            violations.append(Violation(
+                CYCLE if later else MISSING_PREREQ,
+                f"prerequisite {as_decimal(v.value)} is justified only on a later line"
+                " (line order must be topological)" if later
+                else f"prerequisite {as_decimal(v.value)} is never justified",
+                line=v.line, fact=v.fact, value=v.value))
+        violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
         for lo, hi in gaps:
             facts = f"fact {lo}" if lo == hi else f"facts {lo}..{hi}"
             violations.append(Violation(COVERAGE_GAP, f"no step justifies {facts}", value=lo))
-        return violations, gaps
+        return violations
+
+
+class _Sample:
+    """The spot check's sample, its only owner. Priority sampling: each
+    eligible (non-base) row draws a seeded uniform key; the sample is the
+    `size` smallest, kept in blocks of keys, int32 columns and lines, with
+    the parsed steps that entered it by line. A chunk's rows whose keys are
+    below `cut`, the largest key kept once full, join it, cut back once over.
+    """
+
+    def __init__(self, size: int, seed: int):
+        self.size, self.seed, self.rng = size, seed, random.Random(seed)
+        self.eligible = 0
+        self.blocks = [(np.zeros(0), np.zeros((0, 8), dtype=np.int32), np.zeros(0, dtype=np.int64))]
+        self.held_steps, self.cut = {}, 1.0
+
+    def offer(self, line_nos, cols, steps, eligible: np.ndarray) -> None:
+        self.eligible += len(eligible)
+        if self.size <= 0 or not len(eligible):
+            return
+        keys = _random_keys(self.rng, len(eligible))
+        enter = np.flatnonzero(keys < self.cut)
+        if len(enter) > self.size:  # only the chunk's K smallest can be kept
+            enter = enter[np.argpartition(keys[enter], self.size - 1)[: self.size]]
+        rows = eligible[enter]
+        self.held_steps.update((line_nos[i], steps[i]) for i in rows.tolist() if i in steps)
+        self.blocks.append((keys[enter], cols[rows].astype(np.int32),
+                            np.array([line_nos[i] for i in rows.tolist()], dtype=np.int64)))
+        if sum(len(block[0]) for block in self.blocks) > self.size:
+            keys, cols, lines = (np.concatenate(part) for part in zip(*self.blocks))
+            del self.blocks[:]  # before the cut's copies
+            keep = np.argpartition(keys, self.size - 1)[: self.size]
+            self.blocks, self.cut = [(keys[keep], cols[keep], lines[keep])], keys[keep].max()
 
     def spot_check(self) -> dict:
         """Re-validate the sample, in line order, with the reference rules and
         Miller-Rabin primality; establishment was judged by the pass."""
-        _, rows, lines = (np.concatenate(part) for part in zip(*self.sample))
+        _, rows, lines = (np.concatenate(part) for part in zip(*self.blocks))
         for j in np.argsort(lines):  # no list or copy of the whole sample
             line_no = int(lines[j])
             step = self.held_steps.get(line_no) or _step(rows[j])
@@ -539,6 +469,103 @@ class _Pass:
             "seed": self.seed,
             "mismatches": 0,
         }
+
+
+class _Pass:
+    """One pass over certificate steps in check order, feeding each chunk to
+    a fact store, a fault log and a sample. "Established before a step"
+    means provided by an earlier step in check order: of an earlier chunk,
+    or on an earlier row of the same chunk."""
+
+    def __init__(self, sample_size: int = 0, seed: int = 0, bound: int | None = None):
+        self.facts, self.faults, self.sample = _Facts(bound), _Faults(), _Sample(sample_size, seed)
+        self.steps = self.max_depth = 0
+        self.phases = Phases()
+
+    def feed(self, line_nos: Sequence[int], lines_read: int, cols: np.ndarray,
+             steps: dict[int, CertificateStep]) -> None:
+        """Check the next chunk of lines in check order; `line_nos` are their
+        file line numbers, `lines_read` counts the file's lines read and
+        `cols, steps` the chunk's int32 columns and parsed steps (see `_scan`)."""
+        t = time.monotonic()
+        facts, k, kind = self.facts, len(cols), cols[:, _KIND]
+
+        # every non-blank row as a fact index and prereq edges (erow[j]
+        # cites eix[j]); parsed values may exceed int64, so stay Python ints
+        parsed = list(steps)
+        pfacts = [steps[i].fact for i in parsed]
+        prow = [i for i in parsed for _ in steps[i].prereqs]
+        pvals = [v for i in parsed for v in steps[i].prereqs]
+        pre = cols[:, _PRE].T  # one prereq field per row, each contiguous
+        erow = [np.flatnonzero(field >= 0) for field in pre]
+        evals = np.concatenate([field[rows] for field, rows in zip(pre, erow)], dtype=np.int64)
+        facts.grow(lines_read, [cols[:, _N], evals], pfacts + pvals, k)
+        fix = facts.index(cols[:, _N], True)  # -1 on rows that are not canonical
+        fix[parsed] = facts.index(pfacts, True)
+        eix = np.concatenate([facts.index(evals), facts.index(pvals)])
+        erow = np.concatenate([*erow, np.array(prow, dtype=np.int64)])
+
+        # providers: each fact's first row in this chunk; a row is a
+        # duplicate unless it is that row of a fact not provided before
+        active = np.flatnonzero(fix >= 0)
+        new_facts, first_idx = np.unique(fix[active], return_index=True)
+        new_rows = active[first_idx]
+        fresh = facts.depths(new_facts) == 0
+        dup = np.ones(k, dtype=bool)
+        dup[new_rows] = ~fresh
+        for i in active[dup[active]].tolist():
+            f = steps[i].fact if i in steps else int(cols[i, _N])
+            self.faults.append(Violation(
+                DUPLICATE_FACT, f"fact {f} was already justified",
+                line=line_nos[i], fact=f))
+
+        # per edge, the cited fact's first row here: -1 if an earlier chunk
+        # provided it (at depth `before`), k if none has yet, searched for
+        # only on the edges to facts not provided before
+        before = facts.depths(eix)
+        fr = np.full(len(eix), -1)
+        here = np.flatnonzero(before == 0)
+        loc = np.searchsorted(new_facts, eix[here])
+        fr[here] = np.where(np.append(new_facts, -2)[loc] == eix[here],
+                            np.append(new_rows, k)[loc], k)
+
+        # establishment and arithmetic; any other row goes to the reference,
+        # which reads a prereq as established unless its edge is late
+        base_range = (eix >= 0) & (eix <= BASE_LIMIT)
+        t = self.phases.add("bookkeeping", t)
+        clean = _arith_ok(cols, facts.prime)
+        t = self.phases.add("arithmetic", t, k)
+        late = np.flatnonzero(~base_range & (fr >= erow))
+        clean[erow[late]] = False
+        todo = active[~clean[active]].tolist()
+        e = len(evals)
+        unmet = set(zip(erow[late].tolist(), [int(evals[j]) if j < e else pvals[j - e]
+                                               for j in late.tolist()]))
+        for i in todo:
+            self.faults += validate_step(steps.get(i) or _step(cols[i]),
+                                         lambda v, i=i: (i, v) not in unmet, is_prime,
+                                         line=line_nos[i])
+        t = self.phases.add("reference", t, len(todo))
+
+        # depth: edges to providers before this chunk read the depth table,
+        # edges inside it are relaxed in row order, in place (a memoryview)
+        inside = (fr >= 0) & (fr < erow)
+        rd = np.ones(k, dtype=np.int64)
+        outside = 1 + np.where(fr < 0, before, base_range)
+        np.maximum.at(rd, erow[~inside], outside[~inside])
+        order = np.argsort(erow[inside])
+        view = memoryview(rd)
+        for a, b in zip(memoryview(fr[inside][order]), memoryview(erow[inside][order])):
+            if view[a] >= view[b]:
+                view[b] = view[a] + 1
+        self.max_depth = max(self.max_depth, int(rd[active].max(initial=0)))
+        facts.settle(new_facts[fresh], rd[new_rows[fresh]])
+
+        base = kind == 0
+        base[parsed] = [isinstance(steps[i].just, Base) for i in parsed]
+        self.sample.offer(line_nos, cols, steps, active[~base[active]])
+        self.steps += len(active)
+        self.phases.add("bookkeeping", t, k)
 
 
 def _random_keys(rng: random.Random, count: int) -> np.ndarray:
@@ -619,9 +646,10 @@ class _Reorder:
 
     def _fed(self, keys: np.ndarray) -> np.ndarray:
         """Whether a row fed to the pass provides each fact (key)."""
-        run = self.run  # a fact in `ids` is at least `size`
-        return (keys < run.size) & (run.depth[keys % run.size] != 0) | np.isin(
-            keys, np.array([self._key(v) for v in run.ids], dtype=np.int64))
+        big, values = np.flatnonzero(keys >= 1 << 62), list(self.bigs)  # 2^62 + j: values[j]
+        fed = self.run.facts.provided(keys)  # a key past 2^62 is asked again as its value
+        fed[big] = self.run.facts.provided([values[j - (1 << 62)] for j in keys[big].tolist()])
+        return fed
 
     def add(self, chunk: tuple | None = None) -> None:
         """Hold a chunk (see `_chunks`), or none at end of file; feed what can be."""
@@ -668,7 +696,7 @@ class _Reorder:
         keys = np.append(pre[pre >= 0], pairs[a: b, 1])
         # each citation's first provider among the held rows; -1: fed, lost or open
         settled = (lost := np.isin(keys, self.lost)) | self._fed(keys)
-        far = np.minimum(np.searchsorted(first[0], keys), len(first[0]) - 1).astype(np.int32)
+        far = np.searchsorted(first[0][:-1], keys).astype(np.int32)  # the last if past it
         src = np.where((first[0][far] == keys) & ~settled, first[1][far], -1)
         open_ = (src < 0) & ~settled & (not final)
         self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
@@ -686,11 +714,17 @@ class _Reorder:
         del src, dst, lost, edge
         indeg = np.bincount(d, minlength=p)
         indeg += blocked
-        starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
+        out = np.bincount(s, minlength=p)  # each row's dependents
+        # a free row, ready from the start with no row waiting on it, skips
+        # the heap: the heap's t-th row follows the free rows below the
+        # largest of its first t
+        free = (np.flatnonzero((indeg == 0) & (out == 0)) + lo).astype(np.int32)
+        ready = np.flatnonzero((indeg == 0) & (out > 0)).tolist()  # a heap
+        starts = memoryview(np.append(0, np.cumsum(out)))
+        del blocked, out  # before the dependents' sort
         adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
         del s, d  # before Kahn's loop
-        indeg = memoryview(indeg)
-        ready, order = np.flatnonzero(np.asarray(indeg) == 0).tolist(), array("q")  # a heap
+        indeg, order = memoryview(indeg), array("i")
         while ready:
             i = heapq.heappop(ready)
             order.append(lo + i)
@@ -703,7 +737,10 @@ class _Reorder:
             mine = first[0][np.isin(first[1], gone)]
             self.lost = np.union1d(self.lost, mine[~self._fed(mine)])
             self.left.append(rows[gone])
-        return np.asarray(order), p
+        del adj, starts  # before the merge's arrays
+        order = np.asarray(order)
+        at = np.searchsorted(free, order)  # the free rows before each heap row
+        return np.insert(free, np.maximum.accumulate(at, out=at), order), p
 
     def _feed(self, rows: np.ndarray, order: np.ndarray) -> None:
         """Feed `rows[order]` in chunks of CHUNK_LINES, with their parsed steps."""
@@ -711,7 +748,8 @@ class _Reorder:
             part = rows[order[lo: lo + CHUNK_LINES]]
             lines = part[:, 8].tolist()
             self.run.feed(lines, self.read, part[:, :8], {
-                j: self.steps.pop(n) for j, n in enumerate(lines) if n in self.steps})
+                j: self.steps.pop(n) for j, n in enumerate(lines) if n in self.steps}
+                if self.steps else {})
 
 
 def _chunks(path: str, ph: Phases) -> Iterator[tuple]:
@@ -777,14 +815,15 @@ def check_store(
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
     t0 = time.monotonic()
     run = _Pass(spot_check, seed, claimed_bound + 1)
-    boot = _bootstrap(run.immediate)
+    boot = _bootstrap(run.faults.extend)
     run.phases.add("bootstrap", t0, boot["facts_pinned"])
     _scan(path, run, reorder)
     t = time.monotonic()
-    violations, gaps = run.report(claimed_bound)
+    gaps = run.facts.gaps(claimed_bound)
+    violations = run.faults.report(run.facts.provided, gaps)
     stats = {
         "steps": run.steps,
-        "distinct_facts": int(np.count_nonzero(run.depth[: run.size])) + len(run.ids),
+        "distinct_facts": run.facts.distinct,
         "topological_depth": run.max_depth,
         "claimed_bound": claimed_bound,
         "coverage_gap_count": sum(hi - lo + 1 for lo, hi in gaps),
@@ -793,26 +832,26 @@ def check_store(
         "elapsed_s": round(time.monotonic() - t0, 3),
     }
     t = run.phases.add("report", t, len(violations))
-    spot = run.spot_check() if not violations and spot_check > 0 else None
+    spot = run.sample.spot_check() if not violations and spot_check > 0 else None
     if spot:
         run.phases.add("spot_check", t, spot["sampled"])
     return CheckReport(not violations, violations, gaps, stats, boot, spot,
                        run.phases.to_dict())
 
 
-def _bootstrap(violations: list[Violation]) -> dict:
-    """Rerun the bootstrap and return its report block; add a violation
+def _bootstrap(log: Callable[[list[Violation]], None]) -> dict:
+    """Rerun the bootstrap and return its report block; `log` a violation
     unless it pins f(n) = n^2 on 1..BASE_LIMIT on one surviving branch."""
     try:
         boot = solve_bootstrap()
     except BootstrapError as exc:
-        violations.append(Violation(BOOTSTRAP_FAILED, f"bootstrap failed: {exc}"))
+        log([Violation(BOOTSTRAP_FAILED, f"bootstrap failed: {exc}")])
         return {"facts_pinned": 0, "surviving_branches": None}
     live = len(boot.leaves) - len(boot.pruned)
     if boot.table != {n: n * n for n in range(1, BASE_LIMIT + 1)} or live != 1:
-        violations.append(Violation(BOOTSTRAP_FAILED, f"bootstrap pinned {len(boot.table)}"
-                                    f" facts on {live} surviving branches; f(n) = n^2 on"
-                                    f" 1..{BASE_LIMIT} on exactly one is required"))
+        log([Violation(BOOTSTRAP_FAILED, f"bootstrap pinned {len(boot.table)}"
+                       f" facts on {live} surviving branches; f(n) = n^2 on"
+                       f" 1..{BASE_LIMIT} on exactly one is required")])
     return {"facts_pinned": len(boot.table), "surviving_branches": live}
 
 
@@ -828,4 +867,4 @@ def spot_check_numeric(path: str, sample_size: int, seed: int = 0) -> dict:
     """
     run = _Pass(sample_size, seed)
     _scan(path, run, reorder=False)
-    return run.spot_check()
+    return run.sample.spot_check()

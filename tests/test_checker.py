@@ -1,5 +1,6 @@
 """Independent verification: fault injection for every rejection code."""
 
+import ast
 import dataclasses
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import pickle
 import random
 import re
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -247,6 +249,18 @@ def test_depth_comes_from_the_first_provider_across_chunks(write_cert, chunk):
     assert _codes(report) == {M.DUPLICATE_FACT}
     assert report.stats["topological_depth"] == 4
 
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+@pytest.mark.parametrize("late", [False, True])
+def test_a_base_range_fact_no_earlier_line_provides_sits_at_depth_1(write_cert, chunk, late):
+    # 20 is established as a base-range fact whether its base line comes
+    # after the line citing it or never, and counts depth 1 either way
+    rows = base_rows(19) + [_product(400, 20, 20, [20])] + base_rows()[20:] * late
+    with mock.patch.object(checker, "CHUNK_LINES", chunk):
+        report = check_store(write_cert(rows), 19)
+    assert _codes(report) == {M.NOT_COPRIME}
+    assert report.stats["topological_depth"] == 2
 
 def test_fast_path_takes_nine_digit_integers_only():
     # ten digits could wrap int64 products, so such a line must
@@ -747,7 +761,7 @@ def test_gap_ranges_around_a_fact_at_the_table_size(write_cert):
     path = write_cert(_bases(range(11)) + _bases([65, 116]))
     run = checker._Pass()
     checker._scan(path, run, reorder=False)
-    assert run.size == 116 and 116 in run.ids
+    assert run.facts.size == 116 and 116 in run.facts.ids
     report = check_store(path, 120)
     assert report.coverage_gaps == [[11, 64], [66, 115], [117, 120]]
     assert [v.detail for v in report.violations if v.code == M.COVERAGE_GAP] == [
@@ -755,6 +769,20 @@ def test_gap_ranges_around_a_fact_at_the_table_size(write_cert):
         "no step justifies facts 117..120"]
     assert report.stats["violation_counts"] == {M.BASE_OUT_OF_RANGE: 2, M.COVERAGE_GAP: 3}
 
+
+def test_only_the_fact_store_and_the_sample_touch_their_fields():
+    # the fact table is `_Facts`' alone and the held sample `_Sample`'s: no
+    # other code in the checker reads or writes these attributes, so a new
+    # store or sample is a change to one class
+    owner = {"depth": "_Facts", "ids": "_Facts", "deep": "_Facts",
+             "held_steps": "_Sample", "cut": "_Sample"}
+    tree = ast.parse(Path(checker.__file__).read_text(encoding="utf-8"))
+    inside = {node.name: {id(n) for n in ast.walk(node)}
+              for node in tree.body if isinstance(node, ast.ClassDef)}
+    uses = [(node.attr, id(node) in inside.get(owner[node.attr], ()), node.lineno)
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in owner]
+    assert [(attr, line) for attr, mine, line in uses if not mine] == []
+    assert {attr for attr, mine, _ in uses if mine} == set(owner)  # each is in use
 
 @pytest.mark.parametrize("bound", [50, 2000])
 def test_fact_table_stops_at_the_bound_or_goes_back_to_the_lines_rule(cert_2k, tmp_path, bound):
@@ -774,10 +802,10 @@ def test_fact_table_stops_at_the_bound_or_goes_back_to_the_lines_rule(cert_2k, t
         with mock.patch.object(checker, "_Pass", lambda *args: lines_rule(*args[:2])):
             want = check_store(str(path), bound)
     if bound == 2000:
-        assert (run.bound, run.size) == (2001, 2001)
-        assert sorted(run.ids) == sorted(f for f in facts if f > bound) != []
+        assert (run.facts.bound, run.facts.size) == (2001, 2001)
+        assert sorted(run.facts.ids) == sorted(f for f in facts if f > bound) != []
     else:
-        assert run.bound is None and run.size > 4 * 256 + 64
+        assert run.facts.bound is None and run.facts.size > 4 * 256 + 64
     assert {M.COVERAGE_GAP, M.DUPLICATE_FACT, M.MISSING_PREREQ} <= _codes(got)
     for report in (got, want):
         del report.stats["elapsed_s"]
