@@ -58,23 +58,21 @@ Each line takes one of two paths:
 
 Either way a row then becomes one fact index plus a flat list of prereq
 edges, and duplicates, establishment, coverage and the exact topological
-depth are computed once for all rows of a chunk (`_Pass.feed`), from one
-byte per fact index, its first provider's depth (0: not yet provided; over
-254: in a dict); first-provider rows are read off the chunk itself.
-
-Each part of the pass's state has one owner. `_Facts`, the fact store, owns
-the table rule: a fact below the table size is its own index, grown in place
-up to min(claimed_bound + 1, 4 * (lines read) + 64); a larger one is given
-the next index above that size in a dict when first provided (a genuine
-file's facts past its bound are a few Goldbach sums). Should that dict cost
-more than the slots the bound saves, the bound is dropped. So memory follows
-the lines read, never an integer the file or the caller typed. `_Faults`,
-the fault log, owns cycle vs. missing, told by the store's one vectorised
-lookup (which `_Reorder` asks too); `_Sample` owns the spot check's sample.
+depth are computed once for all rows of a chunk, from one byte per fact
+index, its first provider's depth (0: not yet provided; over 254: in a
+dict); first-provider rows are read off the chunk itself. The fact store
+`_Facts` alone owns that table and its rule: a fact below the table size is
+its own index, grown in place up to min(claimed_bound + 1, 4 * (lines
+read) + 64); a larger one is given the next index above that size in a
+dict when first provided (a genuine file's facts past its bound are a few
+Goldbach sums). Should that dict cost more than the slots the bound saves,
+the bound is dropped. So memory follows the lines read, never an integer
+the file or the caller typed. `_report` tells cycle from missing by the
+store's lookup of provided facts, which `_Reorder` asks too.
 
 The optional numeric spot check draws a seeded random sample of non-base
-steps during the same pass, held as int32 columns and line numbers, and,
-once the file is accepted, builds each step and runs
+steps during the same pass, held as int32 columns and line numbers (see
+`_Sample`), and, once the file is accepted, builds each step and runs
 it through `model.validate_step` again, with primality from Miller-Rabin
 rather than the sieve of the fast path (establishment was the pass's). A
 step the pass accepted and the reference rejects is a fault of the checker
@@ -325,8 +323,7 @@ class _Facts:
 
     def provided(self, values) -> np.ndarray:
         """Whether a row fed so far provides each of `values` (see `index`)."""
-        i = self.index(values)
-        return (i >= 0) & (self.depth[i] != 0)
+        return self.depths(self.index(values)) != 0
 
     def depths(self, ix: np.ndarray) -> np.ndarray:
         """Each index's first provider's depth as int64; 0: none yet, or -1."""
@@ -397,28 +394,25 @@ class _Facts:
         return gaps
 
 
-class _Faults(list):
-    """The fault log: the violations found, in order. Establishment ones are
-    told apart at end of file: a cycle if a later line provides the prereq,
-    else a missing prereq."""
-
-    def report(self, provided: Callable, gaps: list[list[int]]) -> list[Violation]:
-        """Every violation by line, code and detail, then one per gap run;
-        `provided` (a `_Facts` lookup) tells cycles from missing prereqs."""
-        deferred = [v for v in self if v.establishment]
-        violations = [v for v in self if not v.establishment]
-        for v, later in zip(deferred, provided([v.value for v in deferred]).tolist()):
-            violations.append(Violation(
-                CYCLE if later else MISSING_PREREQ,
-                f"prerequisite {as_decimal(v.value)} is justified only on a later line"
-                " (line order must be topological)" if later
-                else f"prerequisite {as_decimal(v.value)} is never justified",
-                line=v.line, fact=v.fact, value=v.value))
-        violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
-        for lo, hi in gaps:
-            facts = f"fact {lo}" if lo == hi else f"facts {lo}..{hi}"
-            violations.append(Violation(COVERAGE_GAP, f"no step justifies {facts}", value=lo))
-        return violations
+def _report(faults: list[Violation], provided: Callable, gaps: list[list[int]]) -> list[Violation]:
+    """The violations found, by line, code and detail, then one per gap run.
+    An establishment violation becomes a cycle if `provided` (the fact
+    store's lookup) says a later line provides the prereq, else a missing
+    prereq."""
+    deferred = [v for v in faults if v.establishment]
+    violations = [v for v in faults if not v.establishment]
+    for v, later in zip(deferred, provided([v.value for v in deferred]).tolist()):
+        violations.append(Violation(
+            CYCLE if later else MISSING_PREREQ,
+            f"prerequisite {as_decimal(v.value)} is justified only on a later line"
+            " (line order must be topological)" if later
+            else f"prerequisite {as_decimal(v.value)} is never justified",
+            line=v.line, fact=v.fact, value=v.value))
+    violations.sort(key=lambda v: (v.line or 0, v.code, v.detail))
+    for lo, hi in gaps:
+        facts = f"fact {lo}" if lo == hi else f"facts {lo}..{hi}"
+        violations.append(Violation(COVERAGE_GAP, f"no step justifies {facts}", value=lo))
+    return violations
 
 
 class _Sample:
@@ -478,7 +472,8 @@ class _Pass:
     or on an earlier row of the same chunk."""
 
     def __init__(self, sample_size: int = 0, seed: int = 0, bound: int | None = None):
-        self.facts, self.faults, self.sample = _Facts(bound), _Faults(), _Sample(sample_size, seed)
+        self.facts, self.sample = _Facts(bound), _Sample(sample_size, seed)
+        self.faults: list[Violation] = []  # in the order found (see `_report`)
         self.steps = self.max_depth = 0
         self.phases = Phases()
 
@@ -540,7 +535,7 @@ class _Pass:
         todo = active[~clean[active]].tolist()
         e = len(evals)
         unmet = set(zip(erow[late].tolist(), [int(evals[j]) if j < e else pvals[j - e]
-                                               for j in late.tolist()]))
+                                               for j in late.tolist()])) if todo else set()
         for i in todo:
             self.faults += validate_step(steps.get(i) or _step(cols[i]),
                                          lambda v, i=i: (i, v) not in unmet, is_prime,
@@ -714,17 +709,11 @@ class _Reorder:
         del src, dst, lost, edge
         indeg = np.bincount(d, minlength=p)
         indeg += blocked
-        out = np.bincount(s, minlength=p)  # each row's dependents
-        # a free row, ready from the start with no row waiting on it, skips
-        # the heap: the heap's t-th row follows the free rows below the
-        # largest of its first t
-        free = (np.flatnonzero((indeg == 0) & (out == 0)) + lo).astype(np.int32)
-        ready = np.flatnonzero((indeg == 0) & (out > 0)).tolist()  # a heap
-        starts = memoryview(np.append(0, np.cumsum(out)))
-        del blocked, out  # before the dependents' sort
+        starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
         adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
         del s, d  # before Kahn's loop
-        indeg, order = memoryview(indeg), array("i")
+        indeg = memoryview(indeg)
+        ready, order = np.flatnonzero(np.asarray(indeg) == 0).tolist(), array("i")  # a heap
         while ready:
             i = heapq.heappop(ready)
             order.append(lo + i)
@@ -737,10 +726,7 @@ class _Reorder:
             mine = first[0][np.isin(first[1], gone)]
             self.lost = np.union1d(self.lost, mine[~self._fed(mine)])
             self.left.append(rows[gone])
-        del adj, starts  # before the merge's arrays
-        order = np.asarray(order)
-        at = np.searchsorted(free, order)  # the free rows before each heap row
-        return np.insert(free, np.maximum.accumulate(at, out=at), order), p
+        return np.asarray(order), p
 
     def _feed(self, rows: np.ndarray, order: np.ndarray) -> None:
         """Feed `rows[order]` in chunks of CHUNK_LINES, with their parsed steps."""
@@ -815,12 +801,12 @@ def check_store(
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
     t0 = time.monotonic()
     run = _Pass(spot_check, seed, claimed_bound + 1)
-    boot = _bootstrap(run.faults.extend)
+    boot = _bootstrap(run.faults)
     run.phases.add("bootstrap", t0, boot["facts_pinned"])
     _scan(path, run, reorder)
     t = time.monotonic()
     gaps = run.facts.gaps(claimed_bound)
-    violations = run.faults.report(run.facts.provided, gaps)
+    violations = _report(run.faults, run.facts.provided, gaps)
     stats = {
         "steps": run.steps,
         "distinct_facts": run.facts.distinct,
@@ -839,19 +825,19 @@ def check_store(
                        run.phases.to_dict())
 
 
-def _bootstrap(log: Callable[[list[Violation]], None]) -> dict:
-    """Rerun the bootstrap and return its report block; `log` a violation
+def _bootstrap(violations: list[Violation]) -> dict:
+    """Rerun the bootstrap and return its report block; add a violation
     unless it pins f(n) = n^2 on 1..BASE_LIMIT on one surviving branch."""
     try:
         boot = solve_bootstrap()
     except BootstrapError as exc:
-        log([Violation(BOOTSTRAP_FAILED, f"bootstrap failed: {exc}")])
+        violations.append(Violation(BOOTSTRAP_FAILED, f"bootstrap failed: {exc}"))
         return {"facts_pinned": 0, "surviving_branches": None}
     live = len(boot.leaves) - len(boot.pruned)
     if boot.table != {n: n * n for n in range(1, BASE_LIMIT + 1)} or live != 1:
-        log([Violation(BOOTSTRAP_FAILED, f"bootstrap pinned {len(boot.table)}"
-                       f" facts on {live} surviving branches; f(n) = n^2 on"
-                       f" 1..{BASE_LIMIT} on exactly one is required")])
+        violations.append(Violation(BOOTSTRAP_FAILED, f"bootstrap pinned {len(boot.table)}"
+                                    f" facts on {live} surviving branches; f(n) = n^2 on"
+                                    f" 1..{BASE_LIMIT} on exactly one is required"))
     return {"facts_pinned": len(boot.table), "surviving_branches": live}
 
 

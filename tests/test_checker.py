@@ -250,7 +250,6 @@ def test_depth_comes_from_the_first_provider_across_chunks(write_cert, chunk):
     assert report.stats["topological_depth"] == 4
 
 
-
 @pytest.mark.parametrize("chunk", [1, 1 << 14])
 @pytest.mark.parametrize("late", [False, True])
 def test_a_base_range_fact_no_earlier_line_provides_sits_at_depth_1(write_cert, chunk, late):
@@ -261,6 +260,7 @@ def test_a_base_range_fact_no_earlier_line_provides_sits_at_depth_1(write_cert, 
         report = check_store(write_cert(rows), 19)
     assert _codes(report) == {M.NOT_COPRIME}
     assert report.stats["topological_depth"] == 2
+
 
 def test_fast_path_takes_nine_digit_integers_only():
     # ten digits could wrap int64 products, so such a line must
@@ -783,6 +783,7 @@ def test_only_the_fact_store_and_the_sample_touch_their_fields():
             for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in owner]
     assert [(attr, line) for attr, mine, line in uses if not mine] == []
     assert {attr for attr, mine, _ in uses if mine} == set(owner)  # each is in use
+
 
 @pytest.mark.parametrize("bound", [50, 2000])
 def test_fact_table_stops_at_the_bound_or_goes_back_to_the_lines_rule(cert_2k, tmp_path, bound):

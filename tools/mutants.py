@@ -3,10 +3,10 @@
 Each mutant changes one token of `src/quadcert/checker.py` inside one
 function (DeMillo, Lipton and Sayward, 1978). The checker's tests run once
 per mutant, against a mutated copy of the package; a mutant is killed when
-a test fails (or the run takes longer than --timeout), and survives when
-every test passes. Run from the repository root:
+a test fails (or the run takes longer than TIMEOUT seconds), and survives
+when every test passes. Run from the repository root:
 
-    python tools/mutants.py [--root DIR] [--jobs N] [--only NAME ...]
+    python tools/mutants.py [--root DIR]
 
 It prints one line per mutant and then the score. `--root` scores another
 checkout (say, an older commit's); a mutant names the functions it may
@@ -25,12 +25,12 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TESTS = ["tests/test_checker.py", "tests/test_checker_differential.py",
          "tests/test_checker_fuzz.py", "tests/test_checker_golden.py",
          "tests/test_checker_pipeline.py", "tests/test_model.py"]
+TIMEOUT = 600.0  # seconds; a mutant that hangs the tests counts as killed
 
 # (name, functions it may apply to, text, replacement)
 MUTANTS = [
@@ -75,8 +75,7 @@ MUTANTS = [
     ("steps-count-blank", "_Pass.feed", "self.steps += len(active)", "self.steps += len(dup)"),
     # the fact store
     ("index-collides", "_Facts.index _Pass._index", "size + len(ids)", "size - len(ids)"),
-    ("provided-inverted", "_Facts.provided _Pass._before", "self.depth[i] != 0",
-     "self.depth[i] == 0"),
+    ("provided-inverted", "_Facts.provided _Pass._before", " != 0", " == 0"),
     ("deep-not-read", "_Facts.depths _Pass.feed", "== _DEEP", "== _DEEP - 1"),
     ("deep-not-moved", "_Facts.grow _Pass._grow", "moved.get(i, i)", "moved.get(i, 0)"),
     ("old-slots-kept", "_Facts.grow _Pass._grow", "self.depth[src], 0", "self.depth[src], 1"),
@@ -91,10 +90,10 @@ MUTANTS = [
     ("gap-scan-short", "_Facts.gaps _Pass.report", "min(bound, self.size - 1) + 1",
      "min(bound, self.size - 2) + 1"),
     # the fault log
-    ("all-cycles", "_Faults.report _Pass.report", "CYCLE if later", "CYCLE if v"),
-    ("sort-ignores-detail", "_Faults.report _Pass.report", "v.code, v.detail)",
+    ("all-cycles", "_report _Pass.report", "CYCLE if later", "CYCLE if v"),
+    ("sort-ignores-detail", "_report _Pass.report", "v.code, v.detail)",
      "v.code, v.code)"),
-    ("gap-text-swapped", "_Faults.report _Pass.report", "if lo == hi else", "if lo != hi else"),
+    ("gap-text-swapped", "_report _Pass.report", "if lo == hi else", "if lo != hi else"),
 ]
 
 
@@ -126,7 +125,7 @@ def mutate(source: str, where: str, old: str, new: str) -> str:
     raise LookupError(f"{old!r} is not once in any of {where}")
 
 
-def run(root: Path, mutant: tuple, timeout: float) -> tuple[str, str, float]:
+def run(root: Path, mutant: tuple) -> tuple[str, str, float]:
     name, where, old, new = mutant
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         shutil.copytree(root / "src", Path(tmp) / "src",
@@ -141,7 +140,7 @@ def run(root: Path, mutant: tuple, timeout: float) -> tuple[str, str, float]:
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                  "--hypothesis-seed=0", *[str(root / t) for t in TESTS]],
                 cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=timeout).returncode
+                timeout=TIMEOUT).returncode
             verdict = "survived" if code == 0 else "killed"
         except subprocess.TimeoutExpired:
             verdict = "killed (timeout)"
@@ -151,22 +150,18 @@ def run(root: Path, mutant: tuple, timeout: float) -> tuple[str, str, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=600.0)
-    parser.add_argument("--only", nargs="*", default=None, metavar="NAME")
     args = parser.parse_args()
-    mutants = [m for m in MUTANTS if args.only is None or m[0] in args.only]
     source = (args.root / "src" / "quadcert" / "checker.py").read_text(encoding="utf-8")
-    for _, where, old, new in mutants:  # every mutant applies before any runs
+    for _, where, old, new in MUTANTS:  # every mutant applies before any runs
         mutate(source, where, old, new)
     survivors = []
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        for name, verdict, secs in pool.map(lambda m: run(args.root, m, args.timeout), mutants):
-            print(f"{name:28s} {verdict:16s} {secs:6.1f} s", flush=True)
-            if verdict == "survived":
-                survivors.append(name)
-    killed = len(mutants) - len(survivors)
-    print(f"score: {killed}/{len(mutants)} killed; survived: {', '.join(survivors) or 'none'}")
+    for mutant in MUTANTS:
+        name, verdict, secs = run(args.root, mutant)
+        print(f"{name:28s} {verdict:16s} {secs:6.1f} s", flush=True)
+        if verdict == "survived":
+            survivors.append(name)
+    killed = len(MUTANTS) - len(survivors)
+    print(f"score: {killed}/{len(MUTANTS)} killed; survived: {', '.join(survivors) or 'none'}")
     return 0
 
 
