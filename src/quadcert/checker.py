@@ -323,7 +323,8 @@ class _Facts:
 
     def provided(self, values) -> np.ndarray:
         """Whether a row fed so far provides each of `values` (see `index`)."""
-        return self.depths(self.index(values)) != 0
+        i = self.index(values)
+        return (i >= 0) & (self.depth[i] != 0)
 
     def depths(self, ix: np.ndarray) -> np.ndarray:
         """Each index's first provider's depth as int64; 0: none yet, or -1."""
