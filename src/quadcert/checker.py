@@ -24,7 +24,7 @@ CHUNK_LINES * 64 bytes): in binary while a block is ASCII without CR, then
 decoded as `model.iter_steps` decodes (so line numbers, universal newlines
 and decode errors are the reference's). Each block's line ends are found in
 one pass; its lines are checked in chunks of at most CHUNK_LINES (with
-`reorder`, held only until they can be sorted: see `_Reorder`).
+`reorder`, held until the facts they wait for arrive: see `_Reorder`).
 
 A file larger than one block, or one that is not a regular file (a pipe,
 /dev/stdin, whose size reads 0), is read by a child that `phases.forked`
@@ -625,17 +625,18 @@ class _Reorder:
     """Feeds a `_Pass` a file's rows in Kahn's order: first-provider lines,
     the smallest ready line first, then the rows in true cycles in line
     order. A row is held (int32 columns, then its line number) until it lies
-    in a closed prefix of the held rows, each of whose citations is of a fact
-    first provided by a row fed, of the prefix or left unplaced (lost), which
-    Kahn's algorithm places as on the whole file, before any later row. A
-    citation of a fact that no row read so far provides (open) holds its row
-    and every later one until one does."""
+    in the longest closed prefix of the held rows, each of whose citations is
+    of a fact first provided by a row fed, of the prefix or left unplaced
+    (lost), which Kahn's algorithm places as on the whole file, before any
+    later row. A citation of a fact that no row read so far provides (open)
+    holds its row and every later one; the held rows are sorted again, once,
+    when chunks have provided every open fact (`wait`), or at end of file."""
 
     def __init__(self, run: _Pass):
         self.run, self.read, self.bigs = run, 0, {}  # bigs: parsed values >= 2^62 -> key
         self.held, self.left = ([np.zeros((0, 9), dtype=np.int32)] for _ in range(2))
         self.steps: dict[int, CertificateStep] = {}  # line -> parsed step, until fed
-        self.wait = self.lost = np.zeros(0, dtype=np.int64)  # first open row's; lost (sorted)
+        self.wait = self.lost = np.zeros(0, dtype=np.int64)  # awaited facts; lost (sorted)
 
     def _key(self, v: int) -> int:  # a fact as an int64: a number past 2^62 if that large
         return v if v < 1 << 62 else self.bigs.setdefault(v, (1 << 62) + len(self.bigs))
@@ -655,8 +656,9 @@ class _Reorder:
             keep = np.union1d(np.flatnonzero(cols[:, _KIND] >= 0), list(parsed)).astype(np.intp)
             self.steps.update((nos[i], s) for i, s in parsed.items())
             self.held.append(np.column_stack([cols[keep], nos[0] + keep]).astype(np.int32))
-            if len(self.wait) and not np.isin(self.wait, np.append(
-                    cols[:, _N], [self._key(s.fact) for s in parsed.values()])).any():
+            self.wait = self.wait[~np.isin(self.wait, np.append(
+                cols[:, _N], [self._key(s.fact) for s in parsed.values()]))]
+            if len(self.wait):  # no longer prefix can close yet
                 self.run.phases.add("reorder", t)
                 return
         rows, self.held = np.concatenate(self.held), []
@@ -668,62 +670,59 @@ class _Reorder:
         first = np.unique(facts, return_index=True)  # each fact's first row
         first = first[0], first[1].astype(np.int32)
         del facts  # before the sort's arrays
-        done, size, p = 0, CHUNK_LINES, 1  # rows sorted; rows to sort, about
-        while done < len(rows) and (p or hi < len(rows)):  # until all, or none can be
-            hi = min(done + size, len(rows))
-            order, p = self._sort(rows, first, pairs, done, hi, chunk is None)
-            t = self.run.phases.add("reorder", t, p)
-            self._feed(rows, order)
-            t, done, size = time.monotonic(), done + p, CHUNK_LINES if p else 2 * size
-        self.run.phases.add("reorder", t)
-        self.held = [rows[done:]]
+        order, p = self._sort(rows, first, pairs, chunk is None)
+        self.run.phases.add("reorder", t, p)
+        self._feed(rows, order)
+        self.held = [rows[p:]]
         if chunk is None:
             left = np.concatenate(self.left)
             self._feed(left, np.arange(len(left)))
 
-    def _sort(self, rows: np.ndarray, first: tuple, pairs: np.ndarray, lo: int, hi: int,
+    def _sort(self, rows: np.ndarray, first: tuple, pairs: np.ndarray,
               final: bool) -> tuple[np.ndarray, int]:
         """The rows Kahn's algorithm places of the longest closed prefix of
-        held rows lo..hi - 1, in order, and its length; the others are left."""
-        pre, (a, b) = rows[lo: hi, _PRE], np.searchsorted(pairs[:, 0], [lo, hi])
+        the held rows, in order, and its length; the others are left."""
+        n, pre = len(rows), rows[:, _PRE]
         # row numbers (citing rows, providers) are int32: rows are fewer than 2^31
-        dst = np.concatenate([np.repeat(np.arange(lo, hi, dtype=np.int32), (pre >= 0).sum(axis=1)),
-                              pairs[a: b, 0]], dtype=np.int32)
-        keys = np.append(pre[pre >= 0], pairs[a: b, 1])
+        dst = np.concatenate([np.repeat(np.arange(n, dtype=np.int32), (pre >= 0).sum(axis=1)),
+                              pairs[:, 0]], dtype=np.int32)
+        keys = np.append(pre[pre >= 0], pairs[:, 1])
         # each citation's first provider among the held rows; -1: fed, lost or open
         settled = (lost := np.isin(keys, self.lost)) | self._fed(keys)
         far = np.searchsorted(first[0][:-1], keys).astype(np.int32)  # the last if past it
         src = np.where((first[0][far] == keys) & ~settled, first[1][far], -1)
         open_ = (src < 0) & ~settled & (not final)
-        self.wait = keys[open_ & (dst == dst[open_].min(initial=hi))]
-        del keys, settled  # before the closure bound's arrays
-        # p rows are closed unless one cites a row at or past lo + p (open: hi)
-        far = np.where(open_, hi, np.minimum(src, hi, out=far))
-        span = far > dst
-        cover = np.bincount(dst[span] - (lo - 1), minlength=hi - lo + 2)
-        cover -= np.bincount(far[span] - (lo - 1), minlength=hi - lo + 2)
-        p = hi - lo - int(np.argmax(np.cumsum(cover)[hi - lo::-1] == 0))
-        del open_, far, span, cover  # before the edges' arrays
-        edge = (dst < lo + p) & (src >= 0) & (src != dst)
-        blocked = np.bincount(dst[lost & (dst < lo + p)] - lo, minlength=p)
-        s, d = src[edge] - lo, dst[edge] - lo
+        self.wait = np.unique(keys[open_])  # each provided, if ever, past every held row
+        del keys, settled, far  # before the closure bound's arrays
+        # p rows are closed unless one cites a row at or past p (open: n)
+        reach = np.full(n, -1, dtype=np.int32)  # the furthest row each row cites
+        np.maximum.at(reach, dst, src)
+        reach[dst[open_]] = n
+        closed = np.maximum.accumulate(reach) < np.arange(1, n + 1, dtype=np.int32)
+        at = np.flatnonzero(np.append(True, closed))  # the closed prefixes' lengths
+        p = int(at[-1])  # the longest; Kahn's algorithm runs on closed pieces of a chunk or more
+        cuts = np.unique(at[np.searchsorted(at, [*range(CHUNK_LINES, p, CHUNK_LINES), p])]).tolist()
+        del open_, reach, closed, at  # before the edges' arrays
+        src[lost] = p  # a lost fact's row: one never placed
+        edge = (dst < p) & (src >= 0) & (src != dst)
+        s, d = src[edge], dst[edge]
         del src, dst, lost, edge
         indeg = np.bincount(d, minlength=p)
-        indeg += blocked
         starts = memoryview(np.append(0, np.cumsum(np.bincount(s, minlength=p))))
         adj = memoryview(d[np.argsort(s, kind="stable")])  # dependents by provider
         del s, d  # before Kahn's loop
-        indeg = memoryview(indeg)
-        ready, order = np.flatnonzero(np.asarray(indeg) == 0).tolist(), array("i")  # a heap
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(lo + i)
-            for k in adj[starts[i]: starts[i + 1]]:
-                indeg[k] -= 1
-                if indeg[k] == 0:
-                    heapq.heappush(ready, k)
+        indeg, order = memoryview(indeg), array("i")
+        for a, b in zip([0] + cuts, cuts):  # a closed piece: rows a..b - 1
+            ready = (np.flatnonzero(np.asarray(indeg)[a: b] == 0) + a).tolist()  # a heap
+            while ready:
+                i = heapq.heappop(ready)
+                order.append(i)
+                for k in adj[starts[i]: starts[i + 1]]:
+                    indeg[k] -= 1
+                    if indeg[k] == 0 and k < b:
+                        heapq.heappush(ready, k)
         # the unplaced rows are left, and the facts they provide first lost
-        if len(gone := np.flatnonzero(np.asarray(indeg)) + lo):
+        if len(gone := np.flatnonzero(np.asarray(indeg))):
             mine = first[0][np.isin(first[1], gone)]
             self.lost = np.union1d(self.lost, mine[~self._fed(mine)])
             self.left.append(rows[gone])

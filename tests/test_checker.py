@@ -591,15 +591,44 @@ def test_reorder_holds_lines_after_an_absent_fact_without_sorting_them_again(cer
     path.write_text("".join(lines), encoding="utf-8")
     sort, calls = checker._Reorder._sort, []
 
-    def record(self, rows, first, pairs, lo, hi, final):
+    def record(self, rows, first, pairs, final):
         calls.append(final)
-        return sort(self, rows, first, pairs, lo, hi, final)
+        return sort(self, rows, first, pairs, final)
 
     with mock.patch.object(checker._Reorder, "_sort", record), \
             mock.patch.object(checker, "CHUNK_LINES", 16):
         report = check_store(str(path), cert_2k["limit"], reorder=True)
     assert _codes(report) == {M.EXTRA_PREREQ}
     assert calls.count(False) <= 4  # the chunks up to line 30's
+
+
+def test_reorder_sorts_a_reversed_file_once_per_chunk_and_its_rows_about_once(cert_2k,
+                                                                           tmp_path):
+    # a reversed file is held whole: each chunk's `add` sorts at most once,
+    # and held rows are sorted again only once every fact they cite and no
+    # line has provided yet has arrived, here at the last chunk
+    with open(cert_2k["path"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    path = tmp_path / "reversed.jsonl"
+    path.write_text("".join(reversed(lines)), encoding="utf-8")
+    sort, add, sizes, per_add = checker._Reorder._sort, checker._Reorder.add, [], []
+
+    def record_sort(self, rows, *args):
+        sizes.append(len(rows))
+        return sort(self, rows, *args)
+
+    def record_add(self, chunk=None):
+        before = len(sizes)
+        add(self, chunk)
+        per_add.append(len(sizes) - before)
+
+    with mock.patch.object(checker._Reorder, "_sort", record_sort), \
+            mock.patch.object(checker._Reorder, "add", record_add), \
+            mock.patch.object(checker, "CHUNK_LINES", 16):
+        report = check_store(str(path), cert_2k["limit"], reorder=True)
+    assert report.accepted
+    assert len(per_add) > 100 and max(per_add) == 1
+    assert sum(sizes) <= len(lines) + 16  # the file's rows and one chunk's
 
 
 def test_reorder_of_an_empty_file_is_all_gaps(tmp_path):
