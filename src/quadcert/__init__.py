@@ -22,7 +22,8 @@ if _ours:
 from .bootstrap import solve_bootstrap, uniqueness_probe
 from .checker import check_store, spot_check_numeric
 from .engine import certify_range
+from .goldbach import goldbach_sweep
 from .model import iter_steps, validate_step
-from .primes import build_prime_table, goldbach_sweep, is_prime
+from .primes import build_prime_table, is_prime
 
 __version__ = "0.1.0"

@@ -105,6 +105,7 @@ from .model import (
     CYCLE,
     DUPLICATE_FACT,
     MISSING_PREREQ,
+    POLICIES,
     SLOTS,
     Base,
     CertificateStep,
@@ -118,7 +119,7 @@ from .model import (
     validate_step,
 )
 from .phases import Phases, forked
-from .primes import MAX_Q, MIN_Q, PrimeTable, build_prime_table, is_prime
+from .primes import PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
 GAP_SLICE = 1 << 20  # facts per slice of the report's coverage-gap scan
@@ -145,7 +146,7 @@ def _layouts() -> tuple[dict[bytes, int], np.ndarray, dict]:
         first = 3 if i else 1  # the position of the first prereq
         # i = 3..6 are parallelogram steps on the slots of SLOTS, in order
         for k in range(4):
-            for meta in (None, {"policy": MAX_Q}, {"policy": MIN_Q}):
+            for meta in (None, *({"policy": p} for p in POLICIES)):
                 line = serialize_step(CertificateStep(0, just, (0,) * k, meta))
                 shapes[line[:-1].encode()] = len(table)
             table.append([min(i, 3), 0, *((1, 2) if i else (_FAR, _FAR)),

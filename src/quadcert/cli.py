@@ -34,17 +34,10 @@ from .bootstrap import (
 )
 from .checker import check_store
 from .engine import MIN_TARGET, BoundViolation, certify_range, table_limit
-from .model import CertificateFormatError
+from .goldbach import GoldbachFailure, goldbach_sweep
+from .model import MAX_Q, POLICIES, CertificateFormatError
 from .phases import Phases
-from .primes import (
-    DEFAULT_MAX_TABLE_BITS,
-    MAX_Q,
-    POLICIES,
-    GoldbachFailure,
-    SieveBudgetError,
-    build_prime_table,
-    goldbach_sweep,
-)
+from .primes import DEFAULT_MAX_TABLE_BITS, SieveBudgetError, build_prime_table
 
 ENV_SIEVE_LIMIT = "QUADCERT_SIEVE_LIMIT"
 

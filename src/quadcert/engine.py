@@ -51,6 +51,7 @@ products of established facts, and the close on the p slot yields p. An
 above-frontier even difference d = 2^k * a is a coprime product when a > 1;
 when a = 1 the power of two is itself closed from a Goldbach pair, and that
 recursion is at most two deep (the nested difference is below the frontier).
+select_r picks that r, and select_q_for_prime the q of case (iii).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from typing import IO
 
 import numpy as np
 
+from .goldbach import goldbach_pair
 from .model import (
     BASE_LIMIT,
     BASE_LINE,
@@ -69,20 +71,11 @@ from .model import (
     CLOSE_SUM_LINE,
     COPRIME_PRODUCT_LINE,
     COPRIME_QUOTIENT_LINE,
-)
-from .phases import Phases
-from .primes import (
     MAX_Q,
     POLICIES,
-    PrimeTable,
-    build_prime_table,
-    goldbach_pair,
-    lookup_bits,
-    primes_upto,
-    select_q_for_prime,
-    select_r,
-    spf_segment,
 )
+from .phases import Phases
+from .primes import PrimeTable, build_prime_table, lookup_bits, primes_upto, spf_segment
 
 MIN_TARGET = BASE_LIMIT + 1
 AUX_MARGIN = 64  # auxiliary facts reach at most 2*limit + 14; pad a little
@@ -90,8 +83,26 @@ POW2_DEPTH_LIMIT = 2
 WINDOW = 2048  # targets per window; its columns and text take well under 1 MB
 SEGMENT = 32 * WINDOW  # targets per spf sieve: one numpy pass per base prime
 
-# q of select_q_for_prime, indexed by n % 4 for odd n.
-_Q_BY_MOD4 = np.array([0, select_q_for_prime(1), 0, select_q_for_prime(3)])
+# Residue selectors. select_r feeds the auxiliary-prime derivation: r is an
+# odd prime with p + r ≡ 4 (mod 8), so (p+r)/4 and (p-r)/2 are both odd.
+_R_BY_RESIDUE = {1: 3, 3: 17, 5: 7, 7: 5}
+# select_q_for_prime's q by n % 4 for odd n, so (n+q)/2 is odd (case (iii)).
+_Q_BY_MOD4 = np.array([0, 5, 0, 3])
+
+
+def select_r(p: int) -> int:
+    """Prime r in {3,5,7,17} with (p + r) ≡ 4 (mod 8); p must be odd."""
+    if p % 2 == 0:
+        raise ValueError(f"select_r needs odd p, got {p}")
+    return _R_BY_RESIDUE[p % 8]
+
+
+def select_q_for_prime(n: int) -> int:
+    """q in {3,5} with (n + q) ≡ 2 (mod 4), i.e. (n+q)/2 odd; n must be odd."""
+    if n % 2 == 0:
+        raise ValueError(f"select_q_for_prime needs odd n, got {n}")
+    return int(_Q_BY_MOD4[n % 4])
+
 
 # What a target writes at its place in the window's text, by kind: nothing
 # (memoized, or walked: its finished lines go in the template's place), a

@@ -19,7 +19,7 @@ The wire format is JSON lines, one step per line, UTF-8 with LF:
 
 Field order and separators are fixed so identical runs produce byte-identical
 files. An optional "meta" object may carry trace tags (e.g. the Goldbach
-policy); validators recompute everything and never trust it.
+policy, one of POLICIES); validators recompute everything and never trust it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ SLOT_DIFF = "diff"
 SLOT_P = "p"
 SLOT_Q = "q"
 SLOTS = (SLOT_SUM, SLOT_DIFF, SLOT_P, SLOT_Q)
+
+# Goldbach pair selection policies: the wire values of a close's meta.policy
+# tag, which CLOSE_SUM_LINE writes and the checker's line layouts enumerate.
+MAX_Q = "max-q"
+MIN_Q = "min-q"
+POLICIES = (MAX_Q, MIN_Q)
 
 BASE_LIMIT = 20  # base facts cover n = 0 and 1..20
 

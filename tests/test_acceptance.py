@@ -16,8 +16,9 @@ from quadcert import cli
 from quadcert import model as M
 from quadcert.bootstrap import solve_bootstrap, uniqueness_probe
 from quadcert.checker import check_store
-from quadcert.engine import certify_range, table_limit
-from quadcert.primes import build_prime_table, goldbach_sweep, select_q_for_prime, select_r
+from quadcert.engine import certify_range, select_q_for_prime, select_r, table_limit
+from quadcert.goldbach import goldbach_sweep
+from quadcert.primes import build_prime_table
 from tests.conftest import base_rows
 
 

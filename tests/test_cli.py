@@ -10,11 +10,11 @@ from unittest import mock
 
 import pytest
 
-from quadcert import checker, cli, primes
+from quadcert import checker, cli, goldbach, primes
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
+from quadcert.goldbach import GoldbachFailure
 from quadcert.model import COVERAGE_GAP, CertificateFormatError, Violation, iter_steps
-from quadcert.primes import GoldbachFailure
 from tests.conftest import base_rows
 
 
@@ -745,13 +745,13 @@ def test_goldbach_budget_counts_the_table_bits(m, code, tmp_path):
 
 def test_goldbach_builds_its_table_under_the_given_budget(tmp_path):
     budgets = []
-    real = primes.build_prime_table
+    real = goldbach.build_prime_table
 
     def spy(limit, max_bits=primes.DEFAULT_MAX_TABLE_BITS):
         budgets.append(max_bits)
         return real(limit, max_bits)
 
-    with mock.patch.object(primes, "build_prime_table", spy):
+    with mock.patch.object(goldbach, "build_prime_table", spy):
         assert run("goldbach", "--max", "1000", "--sieve-limit", "5000",
                    "--report", str(tmp_path / "r.json")) == 0
     assert budgets == [5000]

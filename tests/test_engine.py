@@ -20,6 +20,7 @@ from quadcert.engine import (
     _PRIME,
     _PRIME_AUX,
     certify_range,
+    select_q_for_prime,
     table_limit,
 )
 from quadcert.model import (
@@ -27,6 +28,8 @@ from quadcert.model import (
     BASE_LINE,
     CLOSE_P_LINE,
     COPRIME_PRODUCT_LINE,
+    MAX_Q,
+    MIN_Q,
     CertificateStep,
     CoprimeProduct,
     ParallelogramClose,
@@ -34,14 +37,7 @@ from quadcert.model import (
     parse_step,
     serialize_step,
 )
-from quadcert.primes import (
-    MAX_Q,
-    MIN_Q,
-    build_prime_table,
-    primes_upto,
-    select_q_for_prime,
-    spf_segment,
-)
+from quadcert.primes import build_prime_table, primes_upto, spf_segment
 
 
 def spf_array(limit):

@@ -19,23 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcert import primes
+from quadcert import goldbach, primes
+from quadcert.engine import select_q_for_prime, select_r
+from quadcert.goldbach import HIST_CAP, GoldbachFailure, goldbach_pair, goldbach_sweep
+from quadcert.model import MAX_Q, MIN_Q
 from quadcert.phases import Phases
 from quadcert.primes import (
-    HIST_CAP,
-    MAX_Q,
-    MIN_Q,
-    GoldbachFailure,
     PrimeTable,
     SieveBudgetError,
     UnsupportedIntegerError,
     build_prime_table,
-    goldbach_pair,
-    goldbach_sweep,
     is_prime,
     primes_upto,
-    select_q_for_prime,
-    select_r,
     spf_segment,
 )
 
@@ -419,8 +414,8 @@ def test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m):
 
 def _clear_primes(monkeypatch, cleared):
     """Make the sweep's table read the primes in `cleared` as composite."""
-    real = primes.build_prime_table
-    monkeypatch.setattr(primes, "build_prime_table",
+    real = goldbach.build_prime_table
+    monkeypatch.setattr(goldbach, "build_prime_table",
                         lambda *args, **kwargs: _without(real(*args, **kwargs), cleared))
 
 
@@ -429,7 +424,7 @@ def _clear_primes(monkeypatch, cleared):
 @pytest.mark.parametrize("block", [7, 16])
 def test_sweep_names_an_uncovered_even_in_a_later_block(monkeypatch, block):
     _clear_primes(monkeypatch, (31, 61))
-    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(goldbach, "SWEEP_BLOCK", block)
     with pytest.raises(GoldbachFailure) as exc:
         goldbach_sweep(1_000)
     assert exc.value.m == 68
@@ -453,7 +448,7 @@ def one_block_blobs():
 # 10,000 does not divide the 49,999 evens 4..10^5 into whole blocks
 @pytest.mark.parametrize("block", [1, 7, 64, 10_000])
 def test_sweep_blocks_leave_the_report_unchanged(monkeypatch, one_block_blobs, block):
-    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(goldbach, "SWEEP_BLOCK", block)
     assert _sweep_blobs() == one_block_blobs
 
 
@@ -486,15 +481,15 @@ def test_sweep_memory_does_not_follow_the_bound():
 # below its start.
 @pytest.mark.parametrize("margin", [1, 2, 8])
 def test_sweep_margins_leave_the_report_unchanged(monkeypatch, one_block_blobs, margin):
-    monkeypatch.setattr(primes, "SWEEP_MARGIN", margin)
+    monkeypatch.setattr(goldbach, "SWEEP_MARGIN", margin)
     assert _sweep_blobs() == one_block_blobs
 
 
 def test_one_h_blocks_through_the_narrowest_windows(monkeypatch, one_block_blobs):
     # each h is its own block and widens from a margin of 1, so some max-q
     # search reads the last bit of its window: 2h - q with q at its start
-    monkeypatch.setattr(primes, "SWEEP_BLOCK", 1)
-    monkeypatch.setattr(primes, "SWEEP_MARGIN", 1)
+    monkeypatch.setattr(goldbach, "SWEEP_BLOCK", 1)
+    monkeypatch.setattr(goldbach, "SWEEP_MARGIN", 1)
     blobs = [goldbach_sweep(n).to_dict() for n in range(4, 101)]
     for blob in blobs:
         del blob["elapsed_s"]
@@ -506,19 +501,19 @@ UNCOVERED = test_sweep_names_the_smallest_uncovered_even.pytestmark[0].args[1]
 
 @pytest.mark.parametrize("cleared, m", UNCOVERED)
 def test_narrow_windows_name_the_same_uncovered_even(monkeypatch, cleared, m):
-    monkeypatch.setattr(primes, "SWEEP_MARGIN", 1)
+    monkeypatch.setattr(goldbach, "SWEEP_MARGIN", 1)
     test_sweep_names_the_smallest_uncovered_even(monkeypatch, cleared, m)
 
 
 # The min-q search runs first and names every uncovered even; the max-q
 # search must name the same one on its own, widening from either margin.
-@pytest.mark.parametrize("margin", [1, primes.SWEEP_MARGIN])
+@pytest.mark.parametrize("margin", [1, goldbach.SWEEP_MARGIN])
 @pytest.mark.parametrize("cleared, m", UNCOVERED)
 def test_max_q_search_names_the_uncovered_even(monkeypatch, cleared, m, margin):
     _clear_primes(monkeypatch, cleared)
-    monkeypatch.setattr(primes, "SWEEP_MARGIN", margin)
+    monkeypatch.setattr(goldbach, "SWEEP_MARGIN", margin)
     with pytest.raises(GoldbachFailure) as exc:
-        primes._max_q_gap(primes.build_prime_table(1_000), 2, 501)
+        goldbach._max_q_gap(goldbach.build_prime_table(1_000), 2, 501)
     assert exc.value.m == m
 
 
@@ -553,10 +548,10 @@ _PHASES = ["table", "min_q", "max_q", "verify"]
 # 32,768 evens 4..65,538 fill one default block and do not fork, 8 evens
 # in two blocks of 7 are too few to, and 65,536 evens fill one block of 2^16
 @pytest.mark.parametrize("block, limit, two", [
-    (primes.SWEEP_BLOCK, 65_538, False), (primes.SWEEP_BLOCK, 65_540, True),
+    (goldbach.SWEEP_BLOCK, 65_538, False), (goldbach.SWEEP_BLOCK, 65_540, True),
     (7, 18, False), (64, 65_540, True), (1 << 16, 131_074, False)])
 def test_a_sweep_forks_iff_it_has_two_blocks_of_enough_evens(monkeypatch, block, limit, two):
-    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(goldbach, "SWEEP_BLOCK", block)
     fork, fail = _forks(), _fails()
     (forked, phases), (alone, alone_phases) = _outcome(limit, fork), _outcome(limit, fail)
     assert fork.called == fail.called == two
@@ -568,7 +563,7 @@ def test_a_sweep_forks_iff_it_has_two_blocks_of_enough_evens(monkeypatch, block,
 # these blocks (and of blocks of 1) to the same one-block reports
 @pytest.mark.parametrize("block", [7, 64, 10_000])
 def test_a_sweep_whose_fork_fails_reports_in_one_process(monkeypatch, one_block_blobs, block):
-    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(goldbach, "SWEEP_BLOCK", block)
     fail = _fails()
     assert _outcome(10**5, fail) == (one_block_blobs[-1], _PHASES)
     assert fail.called
@@ -583,7 +578,7 @@ def test_a_sweep_whose_fork_fails_reports_in_one_process(monkeypatch, one_block_
 def test_forked_and_one_process_sweeps_name_the_same_uncovered_even(
         monkeypatch, cleared, m, block):
     _clear_primes(monkeypatch, cleared)
-    monkeypatch.setattr(primes, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(goldbach, "SWEEP_BLOCK", block)
     fork = _forks()
     assert _outcome(70_000, fork) == _outcome(70_000, _fails()) == m
     assert fork.called == (m // 2 - 2 >= block)

@@ -43,6 +43,10 @@ def test_the_checker_trusts_exactly_these_modules():
     assert trusted_base() == {"checker", "model", "primes", "phases", "bootstrap"}
 
 
+def test_the_sieve_imports_no_package_module():
+    assert trusted_base("primes") == {"primes"}
+
+
 if __name__ == "__main__":
     counts = {name: len((PACKAGE / f"{name}.py").read_text(encoding="utf-8").splitlines())
               for name in sorted(trusted_base())}
