@@ -31,17 +31,15 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .basecase import Monom, factor
 from .model import BASE_LIMIT
 from .primes import is_prime, primes_upto
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-Monom = tuple[int, ...]  # sorted prime-power ids; () marks the constant term
 
 BOOTSTRAP_BOUND = 40  # instances with m + n <= 40 suffice to pin 1..20
 PROBE_BOUND_CAP = 10_000
@@ -72,25 +70,6 @@ def pp_label(pk: int) -> str:
                 k += 1
             return f"{p}^{k}" if k > 1 else str(p)
     return str(pk)
-
-
-@cache  # every argument is at most an instance set's bound
-def _factor(x: int) -> Monom:
-    """Prime-power decomposition of x >= 2 as sorted unknown ids."""
-    ids = []
-    rem = x
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            pk = 1
-            while rem % p == 0:
-                pk *= p
-                rem //= p
-            ids.append(pk)
-        p += 1
-    if rem > 1:
-        ids.append(rem)
-    return tuple(sorted(ids))
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,10 +167,8 @@ class BootstrapSystem:
         return pairs
 
     def _add_term(self, terms: dict[Monom, Fraction], x: int, coeff: Fraction) -> None:
-        if x == 0:
-            return  # f(0) = 0
-        key: Monom = () if x == 1 else _factor(x)  # f(1) = 1
-        terms[key] = terms.get(key, F0) + coeff
+        if x != 0:  # f(0) = 0; f(1) = 1 is the constant term ()
+            terms[factor(x)] = terms.get(factor(x), F0) + coeff
 
     def enqueue(self, eq: Eq) -> None:
         self._seq += 1
@@ -210,21 +187,21 @@ class BootstrapSystem:
             if not ids:
                 const += coeff
                 continue
-            factor = coeff
+            scale = coeff
             unknown: list[int] = []
             for i in ids:
                 v = val(i)
                 if v is None:
                     unknown.append(i)
                 else:
-                    factor *= v
+                    scale *= v
             if not unknown:
-                const += factor
-            elif factor == 0:
+                const += scale
+            elif scale == 0:
                 continue
             elif len(unknown) == 1:
                 i = unknown[0]
-                lin[i] = lin.get(i, F0) + factor
+                lin[i] = lin.get(i, F0) + scale
             else:
                 blocking.update(unknown)
         if blocking:
@@ -462,7 +439,7 @@ def solve_bootstrap(bound: int = BOOTSTRAP_BOUND) -> BootstrapResult:
     table: dict[int, int] = {}
     for n in range(1, BASE_LIMIT + 1):
         value = F1
-        for pk in (_factor(n) if n > 1 else ()):
+        for pk in factor(n):
             got = survivor.numeric.get(pk)
             if got is None:
                 raise BootstrapError(f"f({pk}) undetermined; cannot evaluate f({n})")

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from quadcert import checker, cli, goldbach, primes
+from quadcert import basecase, checker, cli, goldbach, primes
 from quadcert.bootstrap import BootstrapError
 from quadcert.engine import BoundViolation
 from quadcert.goldbach import GoldbachFailure
@@ -429,10 +429,7 @@ def test_check_unknown_top_level_field_is_a_format_error(tmp_path, capsys):
 
 
 def test_check_bootstrap_failure_is_a_rejection(monkeypatch, tmp_path):
-    def boom():
-        raise BootstrapError("expected exactly one surviving branch, got 2 of 4")
-
-    monkeypatch.setattr(checker, "solve_bootstrap", boom)
+    monkeypatch.setattr(basecase, "PINS", basecase.PINS[1:])  # drop the pin of f(4)
     path = _write_rows(tmp_path, base_rows())
     report = tmp_path / "r.json"
     assert run("check", "--in", path, "--max", "20", "--report", str(report)) == 1

@@ -40,11 +40,15 @@ def trusted_base(root: str = "checker") -> set[str]:
 
 
 def test_the_checker_trusts_exactly_these_modules():
-    assert trusted_base() == {"checker", "model", "primes", "phases", "bootstrap"}
+    assert trusted_base() == {"checker", "model", "primes", "phases", "basecase"}
 
 
 def test_the_sieve_imports_no_package_module():
     assert trusted_base("primes") == {"primes"}
+
+
+def test_the_base_case_replay_trusts_only_the_wire_format_and_the_sieve():
+    assert trusted_base("basecase") == {"basecase", "model", "primes"}
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
-"""Mutation score of the checker's fast path, fact store, fault log and reorder.
+"""Mutation score of the checker's fast path, fact store, fault log, reorder
+and base-case replay.
 
-Each mutant changes one token of `src/quadcert/checker.py` inside one
-function (DeMillo, Lipton and Sayward, 1978). The checker's tests run once
-per mutant, against a mutated copy of the package; a mutant is killed when
-a test fails (or the run takes longer than TIMEOUT seconds), and survives
-when every test passes. Run from the repository root:
+Each mutant changes one token of `src/quadcert/checker.py` or
+`src/quadcert/basecase.py` inside one function (DeMillo, Lipton and Sayward,
+1978). The checker's tests run once per mutant, against a mutated copy of
+the package; a mutant is killed when a test fails (or the run takes longer
+than TIMEOUT seconds), and survives when every test passes. Run from the
+repository root:
 
     python tools/mutants.py [--root DIR]
 
@@ -13,9 +15,10 @@ checkout (say, an older commit's); a mutant names the functions it may
 apply to, so the list also fits code from before the fact store was split
 out of `_Pass`. The first of them that holds its text exactly once is
 mutated; a mutant whose text no function holds is listed as one that does
-not apply, and left out of the score (the reorder's mutants name code that
-older checkouts do not have). This is not a tier-1 test: it runs the
-checker tests ~56 times.
+not apply, and left out of the score (the reorder's and the replay's
+mutants name code that older checkouts do not have; a test file a checkout
+lacks is not run). This is not a tier-1 test: it runs the checker tests
+~64 times.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ import tempfile
 import time
 from pathlib import Path
 
-TESTS = ["tests/test_checker.py", "tests/test_checker_differential.py",
-         "tests/test_checker_fuzz.py", "tests/test_checker_golden.py",
-         "tests/test_checker_pipeline.py", "tests/test_model.py"]
+# the replay's tests first: they take a second, and kill its mutants with -x
+TESTS = ["tests/test_basecase.py", "tests/test_checker.py",
+         "tests/test_checker_differential.py", "tests/test_checker_fuzz.py",
+         "tests/test_checker_golden.py", "tests/test_checker_pipeline.py",
+         "tests/test_model.py"]
 TIMEOUT = 600.0  # seconds; a mutant that hangs the tests counts as killed
 
 # (name, functions it may apply to, text, replacement)
@@ -113,6 +118,19 @@ MUTANTS = [
     ("reorder-skips-a-held-row", "_Reorder.add", "self.held = [rows[p:]]",
      "self.held = [rows[p + 1:]]"),
 ]
+# the base-case replay: which pairs are instances, and each hint's shape
+REPLAY_MUTANTS = [
+    ("f0-is-f1", "instance", "if x != 0:", "if True:"),
+    ("m-below-n-cited", "instance", "m >= n and ", ""),
+    ("composite-m-cited", "instance", "is_prime(m) and ", ""),
+    ("composite-n-cited", "instance", " and is_prime(n)", ""),
+    ("split-value", "replay", "(p,): -4}", "(p,): -3}"),
+    ("split-zero-allowed", "replay", "!= {()}:", "- {()}:"),
+    ("pin-not-linear", "replay", "if terms or a == 0:", "if a == 0:"),
+    ("pin-without-unknown", "replay", "if terms or a == 0:", "if terms:"),
+    ("table-unpinned-only", "replay", "!= n * n:", "== 0:"),
+]
+FILES = {"checker.py": MUTANTS, "basecase.py": REPLAY_MUTANTS}
 
 
 def _functions(tree: ast.Module) -> dict[str, ast.AST]:
@@ -143,12 +161,12 @@ def mutate(source: str, where: str, old: str, new: str) -> str:
     raise LookupError(f"{old!r} is not once in any of {where}")
 
 
-def run(root: Path, mutant: tuple) -> tuple[str, str, float]:
+def run(root: Path, file: str, mutant: tuple) -> tuple[str, str, float]:
     name, where, old, new = mutant
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         shutil.copytree(root / "src", Path(tmp) / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        path = Path(tmp) / "src" / "quadcert" / "checker.py"
+        path = Path(tmp) / "src" / "quadcert" / file
         path.write_text(mutate(path.read_text(encoding="utf-8"), where, old, new),
                         encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
@@ -156,7 +174,8 @@ def run(root: Path, mutant: tuple) -> tuple[str, str, float]:
         try:  # in the copy's directory, so each run has its own Hypothesis database
             code = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--hypothesis-seed=0", *[str(root / t) for t in TESTS]],
+                 "--hypothesis-seed=0",
+                 *[str(root / t) for t in TESTS if (root / t).exists()]],
                 cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=TIMEOUT).returncode
             verdict = "survived" if code == 0 else "killed"
@@ -169,16 +188,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     args = parser.parse_args()
-    source = (args.root / "src" / "quadcert" / "checker.py").read_text(encoding="utf-8")
     mutants, survivors = [], []
-    for mutant in MUTANTS:  # which apply, before any runs
-        try:
-            mutate(source, *mutant[1:])
-            mutants.append(mutant)
-        except LookupError:
-            print(f"{mutant[0]:28s} does not apply", flush=True)
-    for mutant in mutants:
-        name, verdict, secs = run(args.root, mutant)
+    for file, listed in FILES.items():  # which apply, before any runs
+        path = args.root / "src" / "quadcert" / file
+        source = path.read_text(encoding="utf-8") if path.exists() else ""
+        for mutant in listed:
+            try:
+                mutate(source, *mutant[1:])
+                mutants.append((file, mutant))
+            except LookupError:
+                print(f"{mutant[0]:28s} does not apply", flush=True)
+    for file, mutant in mutants:
+        name, verdict, secs = run(args.root, file, mutant)
         print(f"{name:28s} {verdict:16s} {secs:6.1f} s", flush=True)
         if verdict == "survived":
             survivors.append(name)
