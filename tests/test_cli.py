@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report files, environment knobs."""
 
+import hashlib
 import json
 import os
 import random
@@ -280,18 +281,28 @@ def test_verify_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_transcript_written(tmp_path):
-    out = tmp_path / "c.jsonl"
+# the sha256 of the bootstrap's transcript lines joined by newlines, which
+# tests/test_bootstrap.py::test_bootstrap_transcript_and_forms_are_pinned pins
+BOOT_TRANSCRIPT_SHA = "eaecfaa0f657b9d1036c8c7c4d3423091a54b7113fd4c8943bd955d3c92d3a04"
+
+
+def _verify_transcript(tmp_path):
     tr = tmp_path / "boot.txt"
-    stats = tmp_path / "s.json"
     code = run(
-        "verify", "--max", "50", "--out", str(out), "--stats", str(stats),
-        "--transcript", str(tr),
+        "verify", "--max", "50", "--out", str(tmp_path / "c.jsonl"),
+        "--stats", str(tmp_path / "s.json"), "--transcript", str(tr),
     )
     assert code == 0
-    text = tr.read_text(encoding="utf-8")
+    return tr.read_bytes()
+
+
+def test_verify_transcript_written(tmp_path):
+    data = _verify_transcript(tmp_path)
+    text = data.decode("utf-8")
     assert "f(3) = 9" in text
     assert "f(2) = 4" in text
+    assert text.endswith("\n")
+    assert hashlib.sha256(data[:-1]).hexdigest() == BOOT_TRANSCRIPT_SHA
 
 
 def test_verify_policy_min_q(tmp_path):
@@ -583,6 +594,9 @@ def test_probe_transcript(tmp_path):
     assert run("probe", "--set", "primes", "--bound", "40",
                "--transcript", str(tr), "--report", str(tmp_path / "r.json")) == 0
     assert "instance" in tr.read_text(encoding="utf-8")
+    # the prime set at the bootstrap's bound is the bootstrap, byte for byte
+    assert tr.read_bytes() == _verify_transcript(tmp_path)
+    assert hashlib.sha256(tr.read_bytes()[:-1]).hexdigest() == BOOT_TRANSCRIPT_SHA
 
 
 def test_probe_unknown_set(capsys):
