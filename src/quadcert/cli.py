@@ -115,8 +115,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t = phases.add("bootstrap", t0, len(boot.table))
     table = build_prime_table(table_limit(args.max), max_bits=_sieve_budget(args))
     phases.add("table", t, table.limit + 1)
-    with open(sys.stdout.fileno() if args.out == "-" else args.out, "w", encoding="utf-8",
-              newline="", closefd=args.out != "-") as fh:
+    with open(sys.stdout.fileno() if args.out == "-" else args.out, "wb",
+              closefd=args.out != "-") as fh:
         result = certify_range(args.max, policy=args.policy, table=table,
                                sink=fh, phases=phases)
     stats: dict = {

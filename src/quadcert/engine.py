@@ -37,9 +37,15 @@ its first occurrence among the batch's unmade primes, where its bit is unset.
 After the walk, the window's splits of case (i) that no auxiliary step made
 are read off the bitset once. That is exact, because an auxiliary fact lies
 above the target that makes it, so a split target is made before its turn
-only at an earlier frontier. Each target that writes then takes its
-templates, or a walked target its finished lines, and the window is
-formatted with one `%` and written out.
+only at an earlier frontier. The window's format job is then each target's
+kind and fields and the walked targets' finished lines: `_format` fills the
+byte templates with one `%`.
+
+With a sink and two segments or more, a child that `phases.forked` forks
+derives every window and formats every CHILD_SHARE-th one; the parent formats
+the rest and writes each window in order, and an error the child raises
+surfaces after the windows before it are written. A binary file sink
+(io.RawIOBase, io.BufferedIOBase) takes the bytes, any other sink their text.
 
 Auxiliary facts never exceed 2n + 14 (an above-frontier prime p <= 2n - 3
 needs p + r with r <= 17). They are memoized globally: a fact is justified by
@@ -56,10 +62,12 @@ select_r picks that r, and select_q_for_prime the q of case (iii).
 
 from __future__ import annotations
 
+import io
 import math
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -74,7 +82,7 @@ from .model import (
     MAX_Q,
     POLICIES,
 )
-from .phases import Phases
+from .phases import Phases, forked
 from .primes import PrimeTable, build_prime_table, lookup_bits, primes_upto, spf_segment
 
 MIN_TARGET = BASE_LIMIT + 1
@@ -82,6 +90,7 @@ AUX_MARGIN = 64  # auxiliary facts reach at most 2*limit + 14; pad a little
 POW2_DEPTH_LIMIT = 2
 WINDOW = 2048  # targets per window; its columns and text take well under 1 MB
 SEGMENT = 32 * WINDOW  # targets per spf sieve: one numpy pass per base prime
+CHILD_SHARE = 3  # a forked child formats every CHILD_SHARE-th window itself
 
 # Residue selectors. select_r feeds the auxiliary-prime derivation: r is an
 # odd prime with p + r ≡ 4 (mod 8), so (p+r)/4 and (p-r)/2 are both odd.
@@ -111,13 +120,21 @@ def select_q_for_prime(n: int) -> int:
 # five with s = n, a prime its n + q line's (s = n+q, a = 2, b = s/2) and the
 # last six.
 _NONE, _SPLIT, _PRIME_AUX, _PRIME = range(4)
-_TEMPLATES = np.array(
-    ["", COPRIME_PRODUCT_LINE, COPRIME_PRODUCT_LINE + CLOSE_P_LINE, CLOSE_P_LINE],
-    dtype=object,
-)
+_TEMPLATES = np.array([x.encode() for x in (
+    "", COPRIME_PRODUCT_LINE, COPRIME_PRODUCT_LINE + CLOSE_P_LINE, CLOSE_P_LINE)], dtype=object)
 _FIELDS = np.array(
     [[0] * 11, [1] * 5 + [0] * 6, [1] * 11, [0] * 5 + [1] * 6], dtype=bool
 )
+
+
+def _format(job: tuple) -> bytes:
+    """A window's text from its format job (see `_Engine._window`): each
+    target's byte template, or a walked target's lines, filled with one `%`."""
+    kind, fields, walked, _ = job
+    templates = _TEMPLATES[kind]
+    for k, lines in walked:
+        templates[k] = lines
+    return b"".join(templates.tolist()) % tuple(fields.tolist())
 
 
 def table_limit(limit: int) -> int:
@@ -137,14 +154,8 @@ class EngineStats:
     base_steps: int = 0
     aux_steps: int = 0
     memoized_targets: int = 0
-    case_counts: dict[str, int] = field(
-        default_factory=lambda: {
-            "coprime_split": 0,
-            "pow2": 0,
-            "prime": 0,
-            "prime_power": 0,
-        }
-    )
+    case_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("coprime_split", "pow2", "prime", "prime_power"), 0))
     goldbach_calls: int = 0
     pow2_depth_max: int = 0
     max_fact: int = 0
@@ -160,14 +171,8 @@ class EngineResult:
 
 
 class _Engine:
-    def __init__(
-        self,
-        limit: int,
-        policy: str,
-        table: PrimeTable | None,
-        sink: IO[str] | None,
-        phases: Phases | None = None,
-    ):
+    def __init__(self, limit: int, policy: str, table: PrimeTable | None,
+                 sink: IO | None, phases: Phases | None = None):
         self.limit = limit
         self.policy = policy
         self.margin = table_limit(limit)
@@ -364,23 +369,56 @@ class _Engine:
         for i in range(BASE_LIMIT + 1):
             self._emit(BASE_LINE, i)
             self.stats.base_steps += 1
-        if self.sink is not None:
-            self.sink.write("".join(self.text))
+        ph, sink = self.phases, self.sink
+        binary = isinstance(sink, (io.RawIOBase, io.BufferedIOBase))
+        write = lambda chunk: sink.write(chunk if binary else chunk.decode())
+        if sink is not None:
+            write("".join(self.text).encode())
         self.text.clear()
+        if sink is None or self.limit < MIN_TARGET + SEGMENT:
+            windows = self._windows(ph)
+        else:
+            for name in ("spf", "walk", "format", "write"):  # in-process order
+                ph.add(name, time.monotonic())
+            windows = forked(self._windows, ph, lambda item: not isinstance(item, EngineStats))
+        with closing(windows):
+            for item in windows:
+                if isinstance(item, EngineStats):
+                    self.stats = item
+                elif item is not None:
+                    t = time.monotonic()
+                    if isinstance(item, tuple):
+                        steps, item = item[-1], _format(item)
+                        t = ph.add("format", t, steps)
+                    write(item)
+                    ph.add("write", t, len(item))
+        self.stats.elapsed_s = time.monotonic() - t0
+
+    def _windows(self, ph: Phases) -> Iterator:
+        """Each window's format job (None without a sink), every CHILD_SHARE-th
+        one formatted, in order; then the stats. `ph` takes their phases."""
         base = primes_upto(math.isqrt(self.limit))
+        derived = 0
         for seg_lo in range(MIN_TARGET, self.limit + 1, SEGMENT):
             t = time.monotonic()
             seg_hi = min(seg_lo + SEGMENT, self.limit + 1)
             spf = spf_segment(seg_lo, seg_hi, base)
-            self.phases.add("spf", t, seg_hi - seg_lo)
+            ph.add("spf", t, seg_hi - seg_lo)
             for lo in range(seg_lo, seg_hi, WINDOW):
-                self._window(lo, min(lo + WINDOW, seg_hi), spf[lo - seg_lo :])
+                job = self._window(lo, min(lo + WINDOW, seg_hi), spf[lo - seg_lo :], ph)
+                if job is not None and derived % CHILD_SHARE == 0:
+                    t = time.monotonic()
+                    steps, job = job[-1], _format(job)
+                    ph.add("format", t, steps)
+                derived += 1
+                yield job
             del spf  # so the next segment is not sieved while this one lives
-        self.stats.elapsed_s = time.monotonic() - t0
+        yield self.stats
 
-    def _window(self, lo: int, hi: int, spf: np.ndarray) -> None:
-        """Targets lo..hi-1, whose smallest prime factors spf starts with."""
-        ph, st = self.phases, self.stats
+    def _window(self, lo: int, hi: int, spf: np.ndarray, ph: Phases) -> tuple | None:
+        """The format job of targets lo..hi-1, whose smallest prime factors
+        spf starts with: (kinds, fields, walked lines, steps), or None."""
+        st = self.stats
         t = time.monotonic()
         steps = st.steps
         n = np.arange(lo, hi, dtype=np.int64)
@@ -397,7 +435,7 @@ class _Engine:
         q = np.zeros(hi - lo, dtype=np.int64)
         prime = np.flatnonzero(p == n)
         stops = np.flatnonzero((rest == 1) & (p != n))
-        walked: list[tuple[int, str]] = []  # (row, its lines)
+        walked: list[tuple[int, bytes]] = []  # (row, its lines)
         done = 0  # primes settled so far
         for k, upto, f in zip(stops.tolist(),
                               np.searchsorted(prime, stops).tolist(),
@@ -413,7 +451,7 @@ class _Engine:
                 st.case_counts["pow2"] += 1
             else:
                 self._odd_prime_power(m)
-            walked.append((k, "".join(self.text)))
+            walked.append((k, "".join(self.text).encode()))
             self.text.clear()
         self._primes(prime[done:], lo, kind, q)
         # The whole window is below the frontier now: a split still unset in
@@ -430,36 +468,36 @@ class _Engine:
         kind[todo] = _SPLIT
         t = ph.add("walk", t, len(walked))
         if self.sink is None:  # a derive-only run: no one reads the text
-            return
+            return None
         s = n + q
         a[prime] = 2
         rest[prime] = s[prime] // 2
         cols = np.column_stack((s, a, rest, a, rest, n, n, q, s, n - q, q))
-        templates = _TEMPLATES[kind]
-        for k, lines in walked:
-            templates[k] = lines
-        chunk = "".join(templates.tolist()) % tuple(cols[_FIELDS[kind]].tolist())
-        t = ph.add("format", t, st.steps - steps)
-        self.sink.write(chunk)
-        ph.add("write", t, len(chunk))
+        job = kind, cols[_FIELDS[kind]], walked, st.steps - steps
+        ph.add("format", t)
+        return job
 
 
 def certify_range(
     limit: int,
     policy: str = MAX_Q,
     table: PrimeTable | None = None,
-    sink: IO[str] | None = None,
+    sink: IO | None = None,
     retain: bool = False,
     phases: Phases | None = None,
 ) -> EngineResult:
     """Generate a certificate establishing f(n) = n^2 for all 0 <= n <= limit.
 
-    Lines stream to `sink` (a text file object), and no text outlives its
-    window; with no sink the run derives and counts every step but formats
-    none. Only stats are returned: read the steps back from the file with
-    `model.iter_steps`. `retain` accepts only False. Deterministic: identical
-    (limit, policy) produce byte-identical output. `phases`, when given,
-    accumulates the run's table, spf, walk, format and write phases.
+    Lines stream to `sink`, and no text outlives its window: bytes to a binary
+    file (io.RawIOBase, io.BufferedIOBase), str to any other object with a
+    write. With no sink the run derives and counts every step but formats
+    none. From limit MIN_TARGET + SEGMENT on, a forked child derives and the
+    two processes format (see the module docstring). Only stats are returned:
+    read the steps back from the file with `model.iter_steps`. `retain`
+    accepts only False. Deterministic: identical (limit, policy) produce
+    byte-identical output, in one process or two. `phases`, when given,
+    accumulates the run's table, spf, walk, format (both processes'), write
+    and, when it forks, wait phases.
     """
     if limit < MIN_TARGET:
         raise ValueError(f"limit must be >= {MIN_TARGET}, got {limit}")

@@ -1,5 +1,5 @@
 """Per-phase wall time, peak RSS and a count, for a run's own stats output,
-and `forked`, the second process of the checker and the Goldbach sweep.
+and `forked`, the second process of the checker, the sweep and the generator.
 
 The caller charges whole blocks of work, never single lines:
 
@@ -11,6 +11,8 @@ The caller charges whole blocks of work, never single lines:
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
 import pickle
 import resource
@@ -60,7 +62,8 @@ def forked(make: Callable[[Phases], Iterable], ph: Phases,
     pipe and one item ahead, each sent pickled; time blocked on the pipe is
     charged to `wait` with `count(item)`. After the child's last item its
     phases are merged into `ph`, and its exception is raised where its next
-    item would be. The child is always killed and reaped. The fork happens
+    item would be. The child is always killed and reaped. On Linux the pipe
+    holds 1 MiB, so the two processes take turns less often. The fork happens
     at the first item asked for; without os.fork, while another thread runs,
     or if the fork fails, `make(ph)` runs in this process."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -68,6 +71,8 @@ def forked(make: Callable[[Phases], Iterable], ph: Phases,
         return
     src, out = map(open, os.pipe(), ("rb", "wb"))
     with src, out:
+        with contextlib.suppress(AttributeError, OSError):  # else the default 64 KiB
+            fcntl.fcntl(out, fcntl.F_SETPIPE_SZ, 1 << 20)  # Linux's cap for a user
         try:
             with warnings.catch_warnings():
                 # Python 3.12 warns on forking a process with OS threads: a BLAS

@@ -13,7 +13,7 @@ import pytest
 
 from quadcert import basecase, checker, cli, goldbach, primes
 from quadcert.bootstrap import BootstrapError
-from quadcert.engine import BoundViolation
+from quadcert.engine import WINDOW, BoundViolation
 from quadcert.goldbach import GoldbachFailure
 from quadcert.model import COVERAGE_GAP, CertificateFormatError, Violation, iter_steps
 from tests.conftest import base_rows
@@ -70,6 +70,21 @@ def test_verify_stats_report_phases(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert phases["write"]["count"] == len(text) - text.index('{"n":21,')
     assert "phases" not in blob["engine"]
+
+
+def test_a_forked_verify_reports_the_phases_of_both_processes(tmp_path, capsys):
+    # 10^5 is two segments, so the generator forks: the child's spf, walk and
+    # format add up with the parent's format, write and wait
+    out = tmp_path / "c.jsonl"
+    assert run("verify", "--max", str(10**5), "--out", str(out)) == 0
+    blob = json.loads(capsys.readouterr().out)
+    phases = blob["phases"]
+    assert list(phases) == ["bootstrap", "table", "spf", "walk", "format", "write", "wait"]
+    assert phases["spf"]["count"] == 10**5 - 20
+    assert phases["format"]["count"] == blob["engine"]["steps"] - 21
+    text = out.read_bytes()
+    assert phases["write"]["count"] == len(text) - text.index(b'{"n":21,')
+    assert phases["wait"]["count"] == -(-(10**5 - 20) // WINDOW)  # every window
 
 
 def test_check_reports_phases(tmp_path, capsys):
@@ -174,6 +189,20 @@ def test_check_reads_a_pipe_on_a_second_core(tmp_path):
     for blob in (piped, on_file):
         del blob["phases"], blob["stats"]["elapsed_s"]
     assert piped == on_file
+
+
+def test_verify_out_dash_at_a_forking_size_writes_the_file(tmp_path):
+    # the generator forks at 10^5, and stdout takes the bytes a file does
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "quadcert.cli", "verify", "--max", str(10**5),
+         "--out", "-", "--stats", "s.json"],
+        capture_output=True, env=_cli_env(), cwd=tmp_path)
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert _read_json(tmp_path / "s.json")["phases"]["wait"]["count"] > 0
+    cert = tmp_path / "c.jsonl"
+    assert run("verify", "--max", str(10**5), "--out", str(cert),
+               "--stats", str(tmp_path / "s2.json")) == 0
+    assert out.stdout == cert.read_bytes()
 
 
 @pytest.mark.parametrize("bound, code", [(2000, 0), (4000, 1)])

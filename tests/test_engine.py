@@ -3,7 +3,9 @@
 import hashlib
 import io
 import math
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from quadcert.engine import (
     select_q_for_prime,
     table_limit,
 )
+from quadcert.goldbach import GoldbachFailure
 from quadcert.model import (
     BASE_LIMIT,
     BASE_LINE,
@@ -646,6 +649,84 @@ def test_sink_only_run_retains_nothing():
     buf = io.StringIO()
     res = certify_range(60, sink=buf)
     assert buf.getvalue().count("\n") == res.stats.steps
+
+
+# ---------------------------------------------------------------------------
+# the generator's two processes
+# ---------------------------------------------------------------------------
+
+FORKS_AT = 150_000  # three segments: a run with a sink forks
+
+
+def _forked_and_in_process(run):
+    """run() as is, which forks, and with os.fork failing, which makes every
+    window in this process."""
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        forked = run()
+    assert fork.called
+    with mock.patch.object(os, "fork", side_effect=OSError(11, "no process to spare")):
+        whole = run()
+    return forked, whole
+
+
+@pytest.mark.parametrize("policy", [MAX_Q, MIN_Q])
+def test_a_forked_run_writes_and_counts_what_one_process_does(policy):
+    def run():
+        buf = io.StringIO()
+        stats = certify_range(FORKS_AT, policy=policy, sink=buf).stats.to_dict()
+        del stats["elapsed_s"]
+        return buf.getvalue(), stats
+
+    forked, whole = _forked_and_in_process(run)
+    assert forked == whole
+
+
+def test_an_error_in_the_child_leaves_what_one_process_writes(monkeypatch):
+    # 8192 is walked in the fourth window (6165..8212): the three before it
+    # are written, then the child's GoldbachFailure is raised in the parent
+    real = quadcert.engine.goldbach_pair
+
+    def pair(m, table, policy):
+        if m == 8192:
+            raise GoldbachFailure(m)
+        return real(m, table, policy)
+
+    def run():
+        buf = io.StringIO()
+        with pytest.raises(GoldbachFailure) as exc:
+            certify_range(FORKS_AT, sink=buf)
+        return buf.getvalue(), str(exc.value)
+
+    monkeypatch.setattr(quadcert.engine, "goldbach_pair", pair)
+    forked, whole = _forked_and_in_process(run)
+    assert forked == whole
+    assert forked[1] == "no Goldbach pair exists for 8192"
+    assert '{"n":6164,' in forked[0] and '{"n":6165,' not in forked[0]
+
+
+class _TextSink:
+    """A duck-typed sink: it has only write, which takes str."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        assert isinstance(text, str)
+        self.parts.append(text)
+
+
+def test_text_duck_typed_and_binary_sinks_receive_the_same_bytes(tmp_path):
+    buf, duck = io.StringIO(), _TextSink()
+    certify_range(FORKS_AT, sink=buf)
+    certify_range(FORKS_AT, sink=duck)
+    files = []
+    for buffering in (-1, 0):  # a BufferedWriter, then a raw FileIO
+        path = tmp_path / f"c{buffering}.jsonl"
+        with open(path, "wb", buffering=buffering) as fh:
+            certify_range(FORKS_AT, sink=fh)
+        files.append(path.read_bytes())
+    text = buf.getvalue().encode()
+    assert files == [text, text] and "".join(duck.parts).encode() == text
 
 
 def test_min_q_policy_also_covers_and_validates():
