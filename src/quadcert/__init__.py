@@ -1,8 +1,9 @@
 """Machine-checkable certificates that a multiplicative solution of the
 parallelogram equation on primes is the quadratic function n^2.
 
-The pipeline: an exact-rational bootstrap pins f(1..20) = n^2 and shows the
-alternative branch is contradictory; the derivation engine extends that to
+The pipeline: frozen hints, which `verify` and `check` both replay, pin
+f(1..20) = n^2 and show the alternative branch is contradictory (an
+exact-rational solver found them); the derivation engine extends that to
 any bound by emitting certificate steps (coprime products/quotients and
 parallelogram closes over Goldbach pairs); an independent checker re-verifies
 every step from scratch; probes explore which instance sets force uniqueness.

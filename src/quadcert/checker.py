@@ -108,6 +108,7 @@ from .model import (
     POLICIES,
     SLOTS,
     Base,
+    CertificateFormatError,
     CertificateStep,
     CoprimeProduct,
     CoprimeQuotient,
@@ -122,6 +123,7 @@ from .phases import Phases, forked
 from .primes import PrimeTable, build_prime_table, is_prime
 
 CHUNK_LINES = 1 << 14
+LINE_BYTES = CHUNK_LINES << 6  # one block as shipped; a longer line is a format error
 GAP_SLICE = 1 << 20  # facts per slice of the report's coverage-gap scan
 _STEP = 8192  # the bytes io.TextIOWrapper decodes at a time (its _CHUNK_SIZE)
 _PAIRS = np.uint64(0x000000FF000000FF)  # two digit pairs of a word, 4 bytes apart
@@ -583,7 +585,7 @@ def _whole_lines(path: str) -> Iterator[bytes]:
     malformed line before it is reported first."""
     done, tail = 0, b""  # bytes handed out, and the last _STEP of them
     with open(path, "rb") as fh:
-        while block := fh.read(CHUNK_LINES << 6) + fh.readline():
+        while block := fh.read(CHUNK_LINES << 6) + fh.readline(LINE_BYTES + 1):
             if not block.isascii() or b"\r" in block:
                 break
             yield block
@@ -601,6 +603,7 @@ def _whole_lines(path: str) -> Iterator[bytes]:
                 text += dec.decode(step, final=not step)
                 if len(text) > CHUNK_LINES << 6 or not step:
                     cut = text.rfind("\n", seen) + 1 if step else len(text)
+                    cut = cut or (len(text) if len(text) > LINE_BYTES else 0)  # one long line
                     data, text, seen = text[:cut].encode(), text[cut:], len(text) - cut
                     yield data
         except ValueError:
@@ -612,14 +615,20 @@ def _read_chunks(path: str) -> Iterator[tuple[bytes, np.ndarray]]:
     """The file's lines in chunks of at most CHUNK_LINES lines, each as its
     bytes and the offsets of its line ends: its newlines, and its length
     for a last line without one. Each block's ends are found in one pass."""
+    read = 0
     for data in filter(None, _whole_lines(path)):
         ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
         if not data.endswith(b"\n"):
             ends = np.append(ends, len(data))
+        long = np.flatnonzero(np.diff(ends, prepend=-1) > LINE_BYTES + 1)  # "\n" aside
+        ends = ends[: long[0] if len(long) else None]
         for lo in range(0, len(ends), CHUNK_LINES):
             start = int(ends[lo - 1]) + 1 if lo else 0
             part = ends[lo: lo + CHUNK_LINES]
             yield data[start: int(part[-1]) + 1], part - start
+        read += len(ends)
+        if len(long):
+            raise CertificateFormatError(read + 1, f"longer than {LINE_BYTES} bytes")
 
 
 class _Reorder:
@@ -802,7 +811,7 @@ def check_store(
         raise ValueError(f"claimed bound must be >= 0, got {claimed_bound}")
     t0 = time.monotonic()
     run = _Pass(spot_check, seed, claimed_bound + 1)
-    boot = _bootstrap(run.faults)
+    boot = replay_base_case(run.faults)
     run.phases.add("bootstrap", t0, boot["facts_pinned"])
     _scan(path, run, reorder)
     t = time.monotonic()
@@ -826,9 +835,9 @@ def check_store(
                        run.phases.to_dict())
 
 
-def _bootstrap(violations: list[Violation]) -> dict:
-    """Replay the base case and return its report block; add a violation
-    if a hint fails (see `basecase`)."""
+def replay_base_case(violations: list[Violation]) -> dict:
+    """Replay the base case and return its report block, `check`'s and
+    `verify`'s; add a violation if a hint fails (see `basecase`)."""
     try:
         table = replay()
     except ValueError as exc:

@@ -2,15 +2,15 @@
 
 Subcommands:
 
-  verify    run the exact-rational bootstrap, then generate a certificate
-            for 0..N (optionally self-check it);
+  verify    replay the base case from the hints that check replays, then
+            generate a certificate for 0..N (optionally self-check it);
   check     independently verify a certificate file;
   probe     report which prime-power values an instance set forces;
   goldbach  verify Goldbach pairs for every even number up to a bound and
             print witness histograms under both selection policies.
 
-Exit codes: 0 success/accepted, 1 logical rejection (invalid certificate,
-failed bootstrap), 2 usage, I/O, or parse errors, 3 a missing Goldbach pair.
+Exit codes: 0 success/accepted, 1 logical rejection (invalid certificate or
+failed bootstrap), 2 usage, I/O, parse or memory errors, 3 no Goldbach pair.
 
 QUADCERT_SIEVE_LIMIT caps the bits any prime table may allocate (default
 2^33, 1 GiB of sieve; --sieve-limit overrides it per run). numpy runs one
@@ -26,13 +26,8 @@ import sys
 import time
 
 from . import __version__
-from .bootstrap import (
-    PROBE_BOUND_CAP,
-    BootstrapError,
-    solve_bootstrap,
-    uniqueness_probe,
-)
-from .checker import check_store
+from .bootstrap import BOOTSTRAP_BOUND, PROBE_BOUND_CAP, uniqueness_probe
+from .checker import check_store, replay_base_case
 from .engine import MIN_TARGET, BoundViolation, certify_range, table_limit
 from .goldbach import GoldbachFailure, goldbach_sweep
 from .model import MAX_Q, POLICIES, CertificateFormatError
@@ -108,11 +103,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --out - (stdout) needs --stats PATH and takes no --check", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.monotonic()
-    phases = Phases()
-    boot = solve_bootstrap()
-    if args.transcript:
-        _write_lines(boot.transcript, args.transcript)
-    t = phases.add("bootstrap", t0, len(boot.table))
+    phases, faults = Phases(), []
+    boot = replay_base_case(faults)
+    if faults:
+        print(f"error: {faults[0].detail}", file=sys.stderr)
+        return EXIT_REJECTED
+    if args.transcript:  # the solver's derivation, which the replay's hints follow
+        _write_lines(uniqueness_probe("primes", BOOTSTRAP_BOUND).transcript, args.transcript)
+    t = phases.add("bootstrap", t0, boot["facts_pinned"])
     table = build_prime_table(table_limit(args.max), max_bits=_sieve_budget(args))
     phases.add("table", t, table.limit + 1)
     with open(sys.stdout.fileno() if args.out == "-" else args.out, "wb",
@@ -122,12 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     stats: dict = {
         "command": "verify",
         "out": args.out,
-        "bootstrap": {
-            "facts_pinned": len(boot.table),
-            "branches": len(boot.leaves),
-            "surviving_branches": len(boot.leaves) - len(boot.pruned),
-            "elapsed_s": round(boot.elapsed_s, 3),
-        },
+        "bootstrap": boot,
         "engine": result.stats.to_dict(),
         "phases": phases.to_dict(),
     }
@@ -248,17 +241,14 @@ def main(argv: list[str] | None = None) -> int:
     except GoldbachFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GOLDBACH
-    except BootstrapError as exc:
-        print(f"error: bootstrap failed: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
     except BoundViolation as exc:
         print(f"error: internal bound violated: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except CertificateFormatError as exc:
         print(f"error: malformed certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SieveBudgetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SieveBudgetError, ValueError, OSError, MemoryError) as exc:
+        print("error:", "out of memory" if isinstance(exc, MemoryError) else exc, file=sys.stderr)
         return EXIT_USAGE
 
 

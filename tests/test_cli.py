@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, report files, environment knobs."""
 
+import contextlib
 import hashlib
 import json
 import os
 import random
+import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +14,7 @@ from unittest import mock
 
 import pytest
 
-from quadcert import basecase, checker, cli, goldbach, primes
-from quadcert.bootstrap import BootstrapError
+from quadcert import basecase, bootstrap, checker, cli, goldbach, primes
 from quadcert.engine import WINDOW, BoundViolation
 from quadcert.goldbach import GoldbachFailure
 from quadcert.model import COVERAGE_GAP, CertificateFormatError, Violation, iter_steps
@@ -334,6 +336,26 @@ def test_verify_transcript_written(tmp_path):
     assert hashlib.sha256(data[:-1]).hexdigest() == BOOT_TRANSCRIPT_SHA
 
 
+def test_verify_reports_the_bootstrap_block_that_check_reports(tmp_path, capsys):
+    assert run("verify", "--max", "1000", "--out", str(tmp_path / "c.jsonl"), "--check") == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["bootstrap"] == stats["check"]["bootstrap"] == {
+        "facts_pinned": 20, "surviving_branches": 1}
+
+
+def test_verify_without_a_transcript_runs_no_solver(monkeypatch, tmp_path):
+    want = tmp_path / "want.jsonl"
+    assert run("verify", "--max", "1000", "--out", str(want), "--stats", "/dev/null") == 0
+
+    def boom(*a, **k):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(bootstrap.BootstrapSystem, "build", boom)
+    got = tmp_path / "got.jsonl"
+    assert run("verify", "--max", "1000", "--out", str(got), "--stats", "/dev/null") == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_verify_policy_min_q(tmp_path):
     out = tmp_path / "c.jsonl"
     stats = tmp_path / "s.json"
@@ -490,6 +512,70 @@ def test_check_malformed_file(tmp_path, capsys):
     code = run("check", "--in", str(bad), "--max", "10")
     assert code == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+def _too_long(line_no):
+    return (f"error: malformed certificate: line {line_no}: longer than"
+            f" {checker.LINE_BYTES} bytes\n")
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_check_of_an_endless_line_stops_at_the_line_bound(text):
+    # /dev/zero is one line that never ends, read as bytes; so is a stream
+    # of "é" on stdin, read as text. Under a 1.5 GiB address-space cap the
+    # check must stop at the bound, long before 64 MiB of the stream are
+    # written, rather than run out of memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadcert.cli", "check", "--in", "-" if text else "/dev/zero",
+         "--max", "1"], stdin=subprocess.PIPE if text else subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_cli_env(), preexec_fn=cap,
+        bufsize=0, start_new_session=True)
+    try:
+        if text:
+            with pytest.raises(BrokenPipeError):
+                for _ in range(1024):  # 64 MiB
+                    proc.stdin.write("é".encode() * (1 << 15))
+        _, err = proc.communicate(timeout=60)
+    finally:  # the forked reader too, should the check hang
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, err.decode()) == (2, _too_long(1))
+
+
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("where", ["block_start", "block_edge"])
+def test_check_rejects_a_line_longer_than_a_block(tmp_path, capsys, where, text):
+    # lines 1..20 are base steps and line 21 is blank, so that line 22, 2 MiB
+    # with no newline, starts the second block or crosses the first block's
+    # end; a CRLF ending line 1 makes the file read as text
+    head = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in base_rows(19))
+    if text:
+        head = head.replace("\n", "\r\n", 1)
+    block = checker.CHUNK_LINES << 6
+    pad = (block + 100 if where == "block_start" else block - 100) - len(head)
+    path = tmp_path / "long.jsonl"
+    path.write_bytes((head + " " * (pad - 1) + "\n").encode() + b"x" * (2 << 20))
+    assert run("check", "--in", str(path), "--max", "20") == 2
+    assert capsys.readouterr().err == _too_long(22)
+
+
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])
+def test_the_line_bound_counts_the_bytes_before_the_newline(tmp_path, capsys, text,
+                                                             extra, code):
+    # a blank line of exactly LINE_BYTES spaces is read, and the line after
+    # it justifies 21; one byte more is an error
+    end = "\r\n" if text else "\n"
+    rows = [json.dumps(row) for row in base_rows()] + [" " * (checker.LINE_BYTES + extra)]
+    rows.append('{"n":21,"just":{"type":"coprime_product","a":3,"b":7},"prereqs":[3,7]}')
+    path = tmp_path / "bound.jsonl"
+    path.write_bytes(end.join(rows + [""]).encode())
+    assert run("check", "--in", str(path), "--max", "21", "--report", os.devnull) == code
+    assert capsys.readouterr().err == ("" if code == 0 else _too_long(22))
 
 
 @pytest.mark.parametrize("kind", [["base"], {"base": 1}])
@@ -718,13 +804,13 @@ def test_goldbach_missing_pair_exit_code(monkeypatch, capsys):
 
 
 def test_bootstrap_failure_maps_to_rejection(monkeypatch, tmp_path, capsys):
-    def boom():
-        raise BootstrapError("two branches survived")
-
-    monkeypatch.setattr(cli, "solve_bootstrap", boom)
-    code = run("verify", "--max", "50", "--out", str(tmp_path / "c.jsonl"))
+    monkeypatch.setattr(basecase, "PINS", basecase.PINS[1:])  # drop the pin of f(4)
+    out = tmp_path / "c.jsonl"
+    code = run("verify", "--max", "50", "--out", str(out))
     assert code == 1
-    assert "bootstrap failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: bootstrap failed: the sum for f(3) is not linear in f(3)\n")
+    assert not out.exists()  # the replay fails before --out is opened
 
 
 def test_bound_violation_maps_to_rejection(monkeypatch, tmp_path, capsys):
@@ -735,6 +821,20 @@ def test_bound_violation_maps_to_rejection(monkeypatch, tmp_path, capsys):
     code = run("verify", "--max", "50", "--out", str(tmp_path / "c.jsonl"))
     assert code == 1
     assert "internal bound violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("goldbach_sweep", ["goldbach", "--max", "100"]),
+    ("certify_range", ["verify", "--max", "100", "--out", "c.jsonl"]),
+])
+def test_out_of_memory_is_a_usage_error(monkeypatch, tmp_path, capsys, name, argv):
+    def boom(*a, **k):
+        raise MemoryError()
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, name, boom)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_env_sieve_limit_enforced(monkeypatch, tmp_path, capsys):
